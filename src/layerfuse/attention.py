@@ -1,7 +1,9 @@
 """Scaled dot-product attention and multi-head attention.
 
-Masks are boolean arrays shaped [n_queries, n_keys]; True marks an attendable
-key. Masking is additive: blocked scores get -1e9 before the softmax, which
+Operands carry optional leading batch axes: one sentence is [n, d], a padded
+batch [B, n, d]. Masks are boolean arrays shaped [n_queries, n_keys], or
+[B, n_queries or 1, n_keys] for a batch; True marks an attendable key.
+Masking is additive: blocked scores get -1e9 before the softmax, which
 underflows to an exact probability of 0.0 in float64 after max subtraction.
 """
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "MASK_BIAS",
     "make_causal_mask",
     "make_padding_mask",
+    "pad_ids",
     "scaled_dot_attention",
     "multi_head_attention",
 ]
@@ -37,21 +40,39 @@ def make_causal_mask(n: int) -> np.ndarray:
     return np.tril(np.ones((n, n), dtype=bool))
 
 
-def make_padding_mask(n_queries: int, key_lengths_valid: int, n_keys: int) -> np.ndarray:
-    """All queries attend the first ``key_lengths_valid`` of ``n_keys`` keys."""
-    if not 0 < key_lengths_valid <= n_keys:
+def make_padding_mask(n_queries: int, key_lengths_valid, n_keys: int) -> np.ndarray:
+    """All queries attend the first ``key_lengths_valid`` of ``n_keys`` keys.
+
+    An int gives one [n_queries, n_keys] mask; an array of B lengths gives
+    the [B, n_queries, n_keys] masks of a right-padded batch.
+    """
+    valid = np.asarray(key_lengths_valid)
+    if ((valid < 1) | (valid > n_keys)).any():
         raise MaskError(
             f"valid key count must be in [1, {n_keys}], got {key_lengths_valid}"
         )
-    mask = np.zeros((n_queries, n_keys), dtype=bool)
-    mask[:, :key_lengths_valid] = True
-    return mask
+    mask = np.arange(n_keys) < valid[..., None, None]
+    return np.broadcast_to(mask, valid.shape + (n_queries, n_keys))
+
+
+def pad_ids(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad id sequences into one [B, T] array; returns (ids, lengths).
+
+    Pad cells hold id 0; ``lengths`` is what make_padding_mask takes.
+    """
+    lengths = np.array([len(q) for q in seqs], dtype=np.int64)
+    ids = np.zeros((len(seqs), int(lengths.max())), dtype=np.int64)
+    for row, q in zip(ids, seqs):
+        row[:len(q)] = q
+    return ids, lengths
 
 
 def _mask_bias(mask: np.ndarray, shape: tuple) -> np.ndarray:
-    if mask.shape != shape:
-        raise ShapeError(f"mask shape {mask.shape} does not match scores {shape}")
-    if not mask.any(axis=1).all():
+    try:
+        np.broadcast_to(mask, shape)
+    except ValueError:
+        raise ShapeError(f"mask shape {mask.shape} does not match scores {shape}") from None
+    if not mask.any(axis=-1).all():
         raise MaskError("a query row has every key masked out")
     return np.where(mask, 0.0, MASK_BIAS)
 
@@ -59,19 +80,19 @@ def _mask_bias(mask: np.ndarray, shape: tuple) -> np.ndarray:
 def scaled_dot_attention(
     q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None
 ) -> tuple[Tensor, Tensor]:
-    """softmax(q k^T / sqrt(d_k)) v for row-major [n, d] operands.
+    """softmax(q k^T / sqrt(d_k)) v over the last two axes of q, k, v.
 
-    Returns (output, probs); probs rows are stochastic over attendable keys
-    and exactly zero on masked ones.
+    Leading axes are batch axes. Returns (output, probs); probs rows are
+    stochastic over attendable keys and exactly zero on masked ones.
     """
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeError("scaled_dot_attention expects 2D q, k, v")
-    if q.shape[1] != k.shape[1]:
+    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
+        raise ShapeError("scaled_dot_attention expects q, k, v of rank >= 2")
+    if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"q/k width mismatch: {q.shape} vs {k.shape}")
-    if k.shape[0] != v.shape[0]:
+    if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"k/v length mismatch: {k.shape} vs {v.shape}")
-    scale = 1.0 / math.sqrt(q.shape[1])
-    scores = q.matmul(k.T) * scale
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    scores = q.matmul(k.swapaxes(-1, -2)) * scale
     if mask is not None:
         scores = scores + Tensor(_mask_bias(np.asarray(mask, dtype=bool), scores.shape))
     probs = softmax(scores, axis=-1)
@@ -98,6 +119,15 @@ class AttentionParams:
     @property
     def d_k(self) -> int:
         return self.w_q[0].shape[1]
+
+    def joined(self, name: str) -> Tensor:
+        """The per-head matrices ``name`` side by side, head 0 first, on the tape.
+
+        x @ joined("w_q") holds every head's projection in one product; its
+        column blocks equal the per-head products bit for bit.
+        """
+        heads = getattr(self, name)
+        return concat(heads, axis=1) if len(heads) > 1 else heads[0]
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -133,6 +163,18 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
                   requires_grad=True)
 
 
+def _split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """[..., n, h*d] -> [..., h, n, d]: one attention problem per head."""
+    *lead, n, width = x.shape
+    return x.reshape(*lead, n, n_heads, width // n_heads).swapaxes(-2, -3)
+
+
+def _merge_heads(x: Tensor) -> Tensor:
+    """[..., h, n, d] -> [..., n, h*d], heads concatenated in head order."""
+    *lead, h, n, d = x.shape
+    return x.swapaxes(-2, -3).reshape(*lead, n, h * d)
+
+
 def multi_head_attention(
     query: Tensor,
     key: Tensor,
@@ -143,22 +185,19 @@ def multi_head_attention(
 ):
     """Concatenate per-head scaled dot attention and project back to d_model.
 
-    Head outputs are concatenated in head order before the w_o projection.
-    With return_probs=True also returns the per-head probability matrices.
+    All heads run as one [..., h, n, d_k] attention. Head outputs are
+    concatenated in head order before the w_o projection. With
+    return_probs=True also returns the per-head probability arrays, as
+    tensors off the tape.
     """
-    heads = []
-    probs_per_head = []
-    for i in range(params.n_heads):
-        out, probs = scaled_dot_attention(
-            query.matmul(params.w_q[i]),
-            key.matmul(params.w_k[i]),
-            value.matmul(params.w_v[i]),
-            mask,
-        )
-        heads.append(out)
-        probs_per_head.append(probs)
-    merged = concat(heads, axis=1) if len(heads) > 1 else heads[0]
-    out = merged.matmul(params.w_o)
+    h = params.n_heads
+    q = _split_heads(query.matmul(params.joined("w_q")), h)
+    k = _split_heads(key.matmul(params.joined("w_k")), h)
+    v = _split_heads(value.matmul(params.joined("w_v")), h)
+    if mask is not None and np.ndim(mask) > 2:
+        mask = np.expand_dims(mask, -3)  # one mask for every head
+    out, probs = scaled_dot_attention(q, k, v, mask)
+    out = _merge_heads(out).matmul(params.w_o)
     if return_probs:
-        return out, probs_per_head
+        return out, [Tensor(probs.data[..., i, :, :]) for i in range(h)]
     return out

@@ -45,6 +45,7 @@ __all__ = ["main", "default_config", "load_config", "apply_override",
            "cmd_gen", "cmd_train", "cmd_eval", "cmd_analyze", "cmd_sweep",
            "UsageError"]
 
+SPLITS = ("train", "dev", "test", "cg_test")
 DEFAULT_VARIANTS = ("vanilla", "fuse", "fuse_enc", "fuse_dec", "fuse_top", "accum")
 
 
@@ -146,6 +147,17 @@ def _corpus_spec(cfg: dict) -> CorpusSpec:
         raise UsageError(f"bad corpus section: {exc}") from exc
 
 
+def _check_lengths(corpus: Corpus, max_len: int) -> None:
+    """Every source, and every target behind BOS, must fit model.max_len."""
+    longest = max((max(len(ex.src), len(ex.tgt) + 1)
+                   for name in SPLITS for ex in corpus.split(name)), default=0)
+    if longest > max_len:
+        raise UsageError(
+            f"the corpus has a sequence of {longest} tokens (targets counted "
+            f"with BOS) but model.max_len is {max_len}"
+        )
+
+
 def _model_config(cfg: dict, corpus: Corpus) -> ModelConfig:
     section = dict(cfg["model"])
     variant = cfg.get("variant")
@@ -160,6 +172,7 @@ def _model_config(cfg: dict, corpus: Corpus) -> ModelConfig:
         mcfg.validate(min_layers=1)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad model section: {exc}") from exc
+    _check_lengths(corpus, mcfg.max_len)
     return mcfg
 
 
@@ -268,15 +281,16 @@ def cmd_gen(cfg: dict) -> int:
 def cmd_train(cfg: dict, resume: str | None = None) -> int:
     corpus = _load_corpus(cfg)
     tcfg = _train_config(cfg)
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     state = None
     if resume is not None:
         model, state = load_checkpoint(resume)
         if state is None:
             raise UsageError(f"{resume} has no optimizer state to resume from")
+        _check_lengths(corpus, model.config.max_len)
     else:
         model = Seq2SeqModel(_model_config(cfg, corpus))
+    out_dir = Path(cfg["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     train_set = triples(corpus.train, corpus.src_vocab, corpus.tgt_vocab)
     dev_set = triples(corpus.dev, corpus.src_vocab, corpus.tgt_vocab)
     mode = "a" if resume is not None else "w"
@@ -306,6 +320,7 @@ def cmd_eval(cfg: dict, checkpoint: str | None = None,
     if not Path(ckpt).exists():
         raise UsageError(f"checkpoint not found: {ckpt}")
     model, _ = load_checkpoint(ckpt)
+    _check_lengths(corpus, model.config.max_len)
     split = split or cfg["eval_split"]
     metrics, records = _eval_metrics(model, corpus, split,
                                      cfg["eval_max_new_tokens"])
@@ -328,6 +343,7 @@ def cmd_analyze(cfg: dict, checkpoint: str | None = None) -> int:
     if not Path(ckpt).exists():
         raise UsageError(f"checkpoint not found: {ckpt}")
     model, _ = load_checkpoint(ckpt)
+    _check_lengths(corpus, model.config.max_len)
     pool = corpus.cg_test or corpus.test or corpus.train
     sample = pool[: cfg["analysis_examples"]]
     batch = [

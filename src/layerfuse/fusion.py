@@ -18,8 +18,8 @@ import math
 
 import numpy as np
 
-from .attention import AttentionParams
-from .tensor import Tensor, concat, layer_norm, no_grad, softmax
+from .attention import AttentionParams, pad_ids
+from .tensor import Tensor, layer_norm, no_grad, softmax, stack
 
 __all__ = [
     "FusionError",
@@ -133,10 +133,13 @@ def fuse_attention_core(
     """Multi-head attention over each position's own layer history.
 
     Equivalent to running scaled dot attention once per position with that
-    position's stacked history as keys/values, but vectorized over positions:
-    for history entry j the score column is the per-row dot product of the
-    projected queries and projected layer-j vectors. Returns the pre-residual
-    output [seq, d] and per-head probability tensors [seq, n_history].
+    position's stacked history as keys/values. The history is one stacked
+    [n_history, ..., seq, d] tensor, and every head, position and history
+    entry is scored in one elementwise product: the score of entry j is the
+    dot product of the projected query and projected entry j at the same
+    position. ``query_state`` is [..., seq, d] with optional batch axes.
+    Returns the pre-residual output [..., seq, d] and per-head probability
+    arrays [..., seq, n_history] as tensors off the tape.
 
     ``layer_mask`` (length n_history, True = attendable) masks history rows;
     an empty attendable set is an error.
@@ -145,7 +148,11 @@ def fuse_attention_core(
     n_hist = len(prev_outputs)
     if n_hist == 0:
         raise FusionError("fuse-attention with an empty layer history")
-    bias = None
+    h = params.n_heads
+    history = stack(prev_outputs)
+    q = _per_head(query_state.matmul(params.joined("w_q")), h)
+    k = _per_head(history.matmul(params.joined("w_k")), h)
+    scores = (q * k).sum(axis=-1) * (1.0 / math.sqrt(params.d_k))
     if layer_mask is not None:
         layer_mask = np.asarray(layer_mask, dtype=bool)
         if layer_mask.shape != (n_hist,):
@@ -155,28 +162,18 @@ def fuse_attention_core(
         if not layer_mask.any():
             raise FusionError("layer_mask leaves no attendable layer")
         bias = np.where(layer_mask, 0.0, -1e9)
-    scale = 1.0 / math.sqrt(params.d_k)
-    heads = []
-    probs_per_head = []
-    for i in range(params.n_heads):
-        qh = query_state.matmul(params.w_q[i])
-        cols = []
-        for prev in prev_outputs:
-            kh = prev.matmul(params.w_k[i])
-            cols.append((qh * kh).sum(axis=1, keepdims=True) * scale)
-        scores = concat(cols, axis=1) if n_hist > 1 else cols[0]
-        if bias is not None:
-            scores = scores + Tensor(bias)
-        probs = softmax(scores, axis=-1)
-        out_h = None
-        for j, prev in enumerate(prev_outputs):
-            vh = prev.matmul(params.w_v[i])
-            term = probs.cols(j, j + 1) * vh
-            out_h = term if out_h is None else out_h + term
-        heads.append(out_h)
-        probs_per_head.append(probs)
-    merged = concat(heads, axis=1) if params.n_heads > 1 else heads[0]
-    return merged.matmul(params.w_o), probs_per_head
+        scores = scores + Tensor(bias.reshape((n_hist,) + (1,) * (scores.ndim - 1)))
+    probs = softmax(scores, axis=0)                      # [n_hist, ..., seq, h]
+    v = _per_head(history.matmul(params.joined("w_v")), h)
+    mixed = (probs.reshape(*probs.shape, 1) * v).sum(axis=0)
+    merged = mixed.reshape(*mixed.shape[:-2], mixed.shape[-2] * mixed.shape[-1])
+    per_head = np.moveaxis(probs.data, (0, -1), (-1, 0))  # [h, ..., seq, n_hist]
+    return merged.matmul(params.w_o), [Tensor(p) for p in per_head]
+
+
+def _per_head(x: Tensor, n_heads: int) -> Tensor:
+    """[..., h*d] -> [..., h, d]."""
+    return x.reshape(*x.shape[:-1], n_heads, x.shape[-1] // n_heads)
 
 
 _NORM_CONSTS: dict[int, tuple[Tensor, Tensor]] = {}
@@ -223,7 +220,9 @@ class FuseProbRecorder:
         self._counts: dict[tuple[str, int], int] = {}
 
     def add(self, side: str, layer_idx: int, probs_per_head) -> None:
-        rows = np.concatenate([p.data for p in probs_per_head], axis=0)
+        """Record per-head probability rows, each shaped [..., n_history]."""
+        rows = np.concatenate(
+            [p.data.reshape(-1, p.shape[-1]) for p in probs_per_head], axis=0)
         key = (side, layer_idx)
         if key in self._sums:
             self._sums[key] = self._sums[key] + rows.sum(axis=0)
@@ -242,6 +241,7 @@ class FuseProbRecorder:
 def extract_fuse_probs(model, batch) -> dict[str, dict[int, np.ndarray]]:
     """Average fuse-attention distributions over a batch of (src, tgt_in) pairs.
 
+    The pairs run as one padded forward; only real positions are recorded.
     Returns {side: {layer_idx: probs[len n_history]}} with 0-based layer
     indices; layer 0's history holds only the embedding, so its row is [1.0].
     Raises FusionError when the model has no fuse-attention sublayers.
@@ -257,8 +257,9 @@ def extract_fuse_probs(model, batch) -> dict[str, dict[int, np.ndarray]]:
             "fuse-attention sublayers to inspect"
         )
     recorder = FuseProbRecorder()
+    src, src_len = pad_ids([src_ids for src_ids, _ in batch])
+    tgt_in, tgt_len = pad_ids([tgt_in_ids for _, tgt_in_ids in batch])
     with no_grad():
-        for src_ids, tgt_in_ids in batch:
-            enc_out, _ = model.encode(src_ids, recorder=recorder)
-            model.decode(tgt_in_ids, enc_out, recorder=recorder)
+        model.forward(src, tgt_in, src_lengths=src_len, tgt_lengths=tgt_len,
+                      recorder=recorder)
     return recorder.averaged()

@@ -5,6 +5,12 @@ layer_norm(x + dropout(sublayer(x))). Embeddings are learned, absolute,
 scaled by sqrt(d_model); source/target tables and the output projection are
 all untied. Attention projections carry no biases.
 
+Token ids are one sentence [T] or a right-padded batch [B, T] with the real
+length of each row; activations are then [T, d] or [B, T, d]. Padded source
+keys are masked out of encoder self-attention and decoder cross-attention;
+decoder self-attention needs no padding mask, since causality already keeps
+every real position from seeing the pads after it.
+
 Every forward keeps a per-side LayerCache: the embedding output plus each
 layer's output, and the tensor actually fed to each layer (which differs
 from the previous output only in accum mode).
@@ -20,6 +26,7 @@ from .attention import (
     AttentionParams,
     _xavier,
     make_causal_mask,
+    make_padding_mask,
     multi_head_attention,
 )
 from .fusion import (
@@ -156,15 +163,12 @@ class _Registry:
         return params
 
 
-def _dropout_fn(rng: np.random.Generator | None, rate: float):
-    """Inverted dropout as a closure, or None when inactive (eval mode)."""
-    if rng is None or rate == 0.0:
+def _dropper(masks):
+    """Inverted dropout applying pre-drawn masks in order, or None (eval)."""
+    if masks is None:
         return None
-    scale = 1.0 / (1.0 - rate)
-    def drop(x: Tensor) -> Tensor:
-        mask = (rng.random(x.data.shape) >= rate) * scale
-        return x * Tensor(mask)
-    return drop
+    it = iter(masks)
+    return lambda x: x * Tensor(next(it))
 
 
 class _EncoderLayer:
@@ -193,14 +197,17 @@ class _EncoderLayer:
             out = drop(out)
         return self.norm_ffn(x + out)
 
-    def forward(self, x, history, mask=None, drop=None, recorder=None,
-                layer_idx=0):
+    @property
+    def dropout_sites(self) -> int:
+        return 2 + (self.fuse_params is not None)
+
+    def forward(self, x, history, mask=None, drop=None):
+        """Returns (output, fuse-attention probs or None)."""
         a = self.self_block(x, mask, drop)
+        probs = None
         if self.fuse_params is not None:
             a, probs = fuse_attention(a, history, self.fuse_params, dropout=drop)
-            if recorder is not None:
-                recorder.add("encoder", layer_idx, probs)
-        return self.ffn_block(a, drop)
+        return self.ffn_block(a, drop), probs
 
 
 class _DecoderLayer:
@@ -239,15 +246,19 @@ class _DecoderLayer:
             out = drop(out)
         return self.norm_ffn(x + out)
 
+    @property
+    def dropout_sites(self) -> int:
+        return 3 + (self.fuse_params is not None)
+
     def forward(self, x, enc_out, history, causal_mask, src_mask=None,
-                drop=None, recorder=None, layer_idx=0):
+                drop=None):
+        """Returns (output, fuse-attention probs or None)."""
         a = self.self_block(x, causal_mask, drop)
         a = self.cross_block(a, enc_out, src_mask, drop)
+        probs = None
         if self.fuse_params is not None:
             a, probs = fuse_attention(a, history, self.fuse_params, dropout=drop)
-            if recorder is not None:
-                recorder.add("decoder", layer_idx, probs)
-        return self.ffn_block(a, drop)
+        return self.ffn_block(a, drop), probs
 
 
 class Seq2SeqModel:
@@ -304,64 +315,151 @@ class Seq2SeqModel:
     # -- forward -------------------------------------------------------------
 
     def embed(self, ids: np.ndarray, side: str) -> Tensor:
+        """Scaled token embeddings plus positions for ids [T] or [B, T]."""
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size < 1:
             raise ShapeError("cannot embed an empty sequence")
-        if ids.size > self.config.max_len:
+        n = ids.shape[-1]
+        if n > self.config.max_len:
             raise ShapeError(
-                f"sequence length {ids.size} exceeds max_len {self.config.max_len}"
+                f"sequence length {n} exceeds max_len {self.config.max_len}"
             )
         table, pos = (
             (self.src_embed, self.src_pos) if side == "encoder"
             else (self.tgt_embed, self.tgt_pos)
         )
         scaled = embedding_lookup(table, ids) * math.sqrt(self.config.d_model)
-        return scaled + embedding_lookup(pos, np.arange(ids.size))
+        return scaled + embedding_lookup(pos, np.arange(n))
 
-    def encode(self, src_ids, *, drop_rng=None, recorder=None):
-        """Run the encoder stack; returns (top output, LayerCache)."""
-        drop = _dropout_fn(drop_rng, self.config.dropout)
+    def encode(self, src_ids, *, lengths=None, drop_masks=None, recorder=None):
+        """Run the encoder stack; returns (top output, LayerCache).
+
+        ``lengths`` gives the real length of each row of a padded batch
+        [B, S]; padded keys are masked out of self-attention. ``drop_masks``
+        are the dropout masks of the stack's sublayers, in forward order (see
+        ``dropout_masks``); None runs without dropout.
+        """
+        src_ids = np.asarray(src_ids, dtype=np.int64)
+        drop = _dropper(drop_masks)
         h = self.embed(src_ids, "encoder")
         if drop is not None:
             h = drop(h)
+        mask = _key_mask(src_ids.shape[-1], lengths)
         cache = LayerCache(outputs=[h])
         accum = self.config.accumulates("encoder")
         for k, layer in enumerate(self.enc_layers):
             x = accumulate_previous(cache.outputs) if accum else cache.outputs[-1]
             cache.layer_inputs.append(x)
-            y = layer.forward(x, list(cache.outputs), mask=None, drop=drop,
-                              recorder=recorder, layer_idx=k)
+            y, probs = layer.forward(x, list(cache.outputs), mask=mask, drop=drop)
+            _record(recorder, "encoder", k, probs, src_ids, lengths)
             cache.outputs.append(y)
         return cache.outputs[-1], cache
 
-    def decode(self, tgt_prefix_ids, enc_out, *, drop_rng=None, recorder=None):
+    def decode(self, tgt_prefix_ids, enc_out, *, src_lengths=None, lengths=None,
+               drop_masks=None, recorder=None):
         """Run the decoder stack on a target prefix; returns (logits, cache).
 
         logits has one row per prefix position; the last row scores the next
         token. Self-attention is causally masked, so row t never depends on
-        positions after t.
+        positions after t. For a padded batch, ``src_lengths`` masks the
+        padded encoder keys and ``lengths`` marks the real target positions.
         """
-        drop = _dropout_fn(drop_rng, self.config.dropout)
+        tgt_prefix_ids = np.asarray(tgt_prefix_ids, dtype=np.int64)
+        drop = _dropper(drop_masks)
         h = self.embed(tgt_prefix_ids, "decoder")
         if drop is not None:
             h = drop(h)
-        causal = make_causal_mask(h.shape[0])
+        causal = make_causal_mask(tgt_prefix_ids.shape[-1])
+        src_mask = _key_mask(enc_out.shape[-2], src_lengths)
         cache = LayerCache(outputs=[h])
         accum = self.config.accumulates("decoder")
         for k, layer in enumerate(self.dec_layers):
             x = accumulate_previous(cache.outputs) if accum else cache.outputs[-1]
             cache.layer_inputs.append(x)
-            y = layer.forward(x, enc_out, list(cache.outputs), causal,
-                              drop=drop, recorder=recorder, layer_idx=k)
+            y, probs = layer.forward(x, enc_out, list(cache.outputs), causal,
+                                     src_mask=src_mask, drop=drop)
+            _record(recorder, "decoder", k, probs, tgt_prefix_ids, lengths)
             cache.outputs.append(y)
         logits = cache.outputs[-1].matmul(self.out_proj)
         return logits, cache
 
-    def forward(self, src_ids, tgt_in_ids, *, drop_rng=None, recorder=None) -> Tensor:
-        enc_out, _ = self.encode(src_ids, drop_rng=drop_rng, recorder=recorder)
-        logits, _ = self.decode(tgt_in_ids, enc_out, drop_rng=drop_rng,
+    def forward(self, src_ids, tgt_in_ids, *, src_lengths=None, tgt_lengths=None,
+                drop_rng=None, recorder=None) -> Tensor:
+        """Teacher-forced logits for one sentence pair or a padded batch."""
+        src_ids = np.asarray(src_ids, dtype=np.int64)
+        tgt_in_ids = np.asarray(tgt_in_ids, dtype=np.int64)
+        if src_ids.shape[:-1] != tgt_in_ids.shape[:-1]:
+            raise ShapeError(
+                f"source batch {src_ids.shape} and target batch "
+                f"{tgt_in_ids.shape} disagree"
+            )
+        enc_drop, dec_drop = self.dropout_masks(
+            drop_rng, src_ids, src_lengths, tgt_in_ids, tgt_lengths)
+        enc_out, _ = self.encode(src_ids, lengths=src_lengths, drop_masks=enc_drop,
+                                 recorder=recorder)
+        logits, _ = self.decode(tgt_in_ids, enc_out, src_lengths=src_lengths,
+                                lengths=tgt_lengths, drop_masks=dec_drop,
                                 recorder=recorder)
         return logits
+
+    def dropout_masks(self, rng, src_ids, src_lengths, tgt_ids, tgt_lengths):
+        """Inverted-dropout masks of every encoder and decoder sublayer.
+
+        Returns (encoder masks, decoder masks), each a list in forward order
+        shaped like the activations, or (None, None) when ``rng`` is None or
+        the rate is 0. Each sentence draws rng.random((length, d_model)) per
+        sublayer: its encoder embedding, then self, fuse and ffn in each
+        encoder layer, then its decoder embedding and self, cross, fuse and
+        ffn in each decoder layer, before the next sentence draws. That is
+        the order in which sentences run one at a time consume the stream,
+        so a batch reproduces their masks exactly. Pad positions get 0.
+        """
+        rate = self.config.dropout
+        if rng is None or rate == 0.0:
+            return None, None
+        d = self.config.d_model
+        sides = []
+        for ids, lengths, layers in ((src_ids, src_lengths, self.enc_layers),
+                                     (tgt_ids, tgt_lengths, self.dec_layers)):
+            rows = ids.reshape(-1, ids.shape[-1])
+            n_sites = 1 + sum(layer.dropout_sites for layer in layers)
+            sides.append((_lengths(rows, lengths), np.zeros((n_sites,) + rows.shape + (d,))))
+        scale = 1.0 / (1.0 - rate)
+        for b in range(len(sides[0][0])):
+            for lengths, masks in sides:
+                # One block draw equals the per-sublayer draws in sequence.
+                draw = rng.random((len(masks), lengths[b], d))
+                masks[:, b, :lengths[b]] = (draw >= rate) * scale
+        return tuple(list(masks.reshape((len(masks),) + ids.shape + (d,)))
+                     for ids, (_, masks) in zip((src_ids, tgt_ids), sides))
+
+
+def _lengths(rows: np.ndarray, lengths) -> np.ndarray:
+    """Real lengths of the rows of a padded [B, T] id array (default: full)."""
+    if lengths is None:
+        return np.full(rows.shape[0], rows.shape[1])
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != rows.shape[:1] or (lengths < 1).any() \
+            or (lengths > rows.shape[1]).any():
+        raise ShapeError(
+            f"lengths {lengths.tolist()} do not fit padded ids {rows.shape}"
+        )
+    return lengths
+
+
+def _key_mask(n_keys: int, lengths):
+    """[B, 1, n_keys] mask of the real keys of a padded batch, or None."""
+    return None if lengths is None else make_padding_mask(1, lengths, n_keys)
+
+
+def _record(recorder, side: str, layer_idx: int, probs, ids, lengths) -> None:
+    """Pass a layer's fuse-attention rows of real positions to ``recorder``."""
+    if recorder is None or probs is None:
+        return
+    if lengths is not None:
+        real = np.arange(ids.shape[-1]) < np.asarray(lengths)[:, None]
+        probs = [Tensor(p.data[real]) for p in probs]
+    recorder.add(side, layer_idx, probs)
 
 
 def copy_shared_parameters(src: Seq2SeqModel, dst: Seq2SeqModel) -> list[str]:

@@ -27,6 +27,7 @@ __all__ = [
     "layer_norm",
     "relu",
     "softmax",
+    "stack",
 ]
 
 
@@ -80,9 +81,19 @@ class Tensor:
     def T(self) -> "Tensor":
         if self.data.ndim != 2:
             raise ShapeError(f"transpose expects a 2D tensor, got shape {self.shape}")
+        return self.swapaxes(0, 1)
+
+    def reshape(self, *shape: int) -> "Tensor":
+        data = self.data.reshape(shape)
         def bw(g, a=self):
-            _accum(a, g.T)
-        return _result(self.data.T, (self,), bw)
+            _accum(a, g.reshape(a.data.shape))
+        return _result(data, (self,), bw)
+
+    def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
+        data = np.swapaxes(self.data, axis1, axis2)
+        def bw(g, a=self, axis1=axis1, axis2=axis2):
+            _accum(a, np.swapaxes(g, axis1, axis2))
+        return _result(data, (self,), bw)
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -130,20 +141,35 @@ class Tensor:
     __rmul__ = __mul__
 
     def matmul(self, other: "Tensor") -> "Tensor":
-        if self.data.ndim != 2 or other.data.ndim != 2:
+        """Matrix product over the last two axes; leading axes broadcast.
+
+        A stack of operands runs one BLAS product per matrix, so each
+        matrix's result is bit-identical to the same 2D product on its own.
+        """
+        if (self.data.ndim < 2 or other.data.ndim < 2
+                or self.data.shape[-1] != other.data.shape[-2]):
+            raise ShapeError(f"matmul operands do not fit: {self.shape} @ {other.shape}")
+        try:
+            data = np.matmul(self.data, other.data)
+        except ValueError as exc:
             raise ShapeError(
-                f"matmul needs 2D operands, got {self.shape} @ {other.shape}"
-            )
-        if self.data.shape[1] != other.data.shape[0]:
-            raise ShapeError(
-                f"matmul inner dims disagree: {self.shape} @ {other.shape}"
-            )
-        data = self.data @ other.data
+                f"matmul batch dims disagree: {self.shape} @ {other.shape}"
+            ) from exc
         def bw(g, a=self, b=other):
+            if b.data.ndim == 2:
+                # A matrix shared by the whole stack: one product over all
+                # rows instead of one per matrix.
+                if a.requires_grad:
+                    _accum(a, (_rows(g) @ b.data.T).reshape(a.data.shape))
+                if b.requires_grad:
+                    _accum(b, _rows(a.data).T @ _rows(g))
+                return
             if a.requires_grad:
-                _accum(a, g @ b.data.T)
+                _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                                       a.data.shape))
             if b.requires_grad:
-                _accum(b, a.data.T @ g)
+                _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                                       b.data.shape))
         return _result(data, (self, other), bw)
 
     __matmul__ = matmul
@@ -211,6 +237,11 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad = g if t.grad is None else t.grad + g
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """View a stack of matrices as one matrix of all their rows."""
+    return x.reshape(-1, x.shape[-1])
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient back down to the shape of the broadcast operand."""
     while g.ndim > len(shape):
@@ -253,14 +284,32 @@ class Tape:
         return cls(order)
 
     def backward_from(self, root: Tensor) -> None:
+        """Run each node's backward closure once, children before parents.
+
+        The pass consumes the tape and the graph: once an interior node has
+        passed its gradient on, its gradient, closure and parent links are
+        dropped, so gradients and saved activations are freed during the
+        pass instead of all living until it ends. Leaves keep ``.grad``.
+        """
         root.grad = np.ones_like(root.data)
-        for node in reversed(self.nodes):
-            if node._backward is not None and node.grad is not None:
+        nodes = self.nodes
+        while nodes:
+            node = nodes.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = None
+            node._parents = ()
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every requires_grad tensor reachable from ``loss``."""
+    """Populate .grad on every requires_grad leaf reachable from ``loss``.
+
+    The graph below ``loss`` is spent afterwards; run a new forward before
+    the next backward.
+    """
     if loss.data.size != 1:
         raise GradError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
@@ -303,11 +352,27 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     return _result(data, ts, bw)
 
 
+def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join same-shape tensors along a new axis."""
+    ts = tuple(tensors)
+    if not ts:
+        raise ShapeError("stack of an empty sequence")
+    data = np.stack([t.data for t in ts], axis=axis)
+    def bw(g, ts=ts, axis=axis):
+        for i, t in enumerate(ts):
+            _accum(t, np.take(g, i, axis=axis))
+    return _result(data, ts, bw)
+
+
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table``; gradients scatter-add back into the rows."""
+    """Gather rows of ``table`` for an id array of any rank >= 1.
+
+    The output has shape ids.shape + (width,); gradients scatter-add back
+    into the rows.
+    """
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeError(f"embedding ids must be 1D, got shape {ids.shape}")
+    if ids.ndim < 1:
+        raise ShapeError(f"embedding ids must have rank >= 1, got shape {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(
             f"embedding id out of range [0, {table.data.shape[0]}): "
@@ -316,29 +381,29 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     data = table.data[ids]
     def bw(g, table=table, ids=ids):
         ga = np.zeros_like(table.data)
-        np.add.at(ga, ids, g)
+        np.add.at(ga, ids.reshape(-1), _rows(g))
         _accum(table, ga)
     return _result(data, (table,), bw)
 
 
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    # Bit-identical to np.mean(x, axis=-1, keepdims=True), minus its dispatch.
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    mu = np.mean(x.data, axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    xc = x.data - _mean_last(x.data)
+    inv = 1.0 / np.sqrt(_mean_last(xc * xc) + eps)
     xhat = xc * inv
     data = gamma.data * xhat + beta.data
     def bw(g, x=x, gamma=gamma, beta=beta, xhat=xhat, inv=inv):
-        lead = tuple(range(g.ndim - 1))
         if gamma.requires_grad:
-            _accum(gamma, np.sum(g * xhat, axis=lead))
+            _accum(gamma, _rows(g * xhat).sum(axis=0))
         if beta.requires_grad:
-            _accum(beta, np.sum(g, axis=lead))
+            _accum(beta, _rows(g).sum(axis=0))
         gx = g * gamma.data
-        mean_gx = np.mean(gx, axis=-1, keepdims=True)
-        mean_gx_xhat = np.mean(gx * xhat, axis=-1, keepdims=True)
-        _accum(x, inv * (gx - mean_gx - xhat * mean_gx_xhat))
+        _accum(x, inv * (gx - _mean_last(gx) - xhat * _mean_last(gx * xhat)))
     return _result(data, (x, gamma, beta), bw)
 
 

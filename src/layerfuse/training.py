@@ -6,9 +6,12 @@ resumed run consumes exactly the same batch order and dropout masks as an
 uninterrupted one; checkpoints only need to persist the step counter and the
 optimizer moments.
 
-A batch is a list of (src_ids, tgt_in_ids, tgt_out_ids) triples. Sentences
-are processed one at a time on a shared tape; the step loss is the summed
-token NLL divided by the total token count (mean over tokens).
+A batch is a list of (src_ids, tgt_in_ids, tgt_out_ids) triples. A step
+right-pads the batch to [B, T] id arrays and runs it as one forward and one
+backward; padded keys are masked and pad targets are left out of the loss,
+so the step loss is the summed token NLL of the real targets divided by
+their count (mean over tokens). Dropout masks are drawn sentence by sentence
+(see Seq2SeqModel.dropout_masks), as if the sentences ran one at a time.
 """
 from __future__ import annotations
 
@@ -17,11 +20,13 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from .attention import pad_ids
 from .model import ModelConfig, Seq2SeqModel
-from .tensor import Tensor, backward, cross_entropy, no_grad
+from .tensor import ShapeError, Tensor, backward, cross_entropy, embedding_lookup, no_grad
 
 __all__ = [
     "TrainConfig",
@@ -30,6 +35,10 @@ __all__ = [
     "CheckpointError",
     "lr_at",
     "init_state",
+    "PaddedBatch",
+    "pad_batch",
+    "teacher_forced",
+    "batch_loss",
     "train_step",
     "train_loop",
     "eval_loss",
@@ -42,6 +51,9 @@ __all__ = [
 # Purpose tags for functional RNG derivation.
 _TAG_ORDER = 1
 _TAG_DROPOUT = 2
+
+# Sentences per padded forward in eval_loss and token_accuracy.
+EVAL_BATCH = 64
 
 CHECKPOINT_VERSION = 1
 
@@ -131,6 +143,56 @@ def batch_indices(step0: int, n_examples: int, cfg: TrainConfig) -> np.ndarray:
     return order[slot * bs:(slot + 1) * bs]
 
 
+class PaddedBatch(NamedTuple):
+    """Sentence triples right-padded into [B, T] id arrays, plus real lengths.
+
+    Pad cells hold id 0 but are never read as tokens: padded keys are
+    masked and pad targets are dropped before the loss.
+    """
+
+    src: np.ndarray
+    src_len: np.ndarray
+    tgt_in: np.ndarray
+    tgt_out: np.ndarray
+    tgt_len: np.ndarray
+
+
+def pad_batch(triples) -> PaddedBatch:
+    """Pad a list of (src_ids, tgt_in_ids, tgt_out_ids) triples."""
+    for _, tgt_in_ids, tgt_out_ids in triples:
+        if len(tgt_in_ids) != len(tgt_out_ids):
+            raise ShapeError(
+                f"target input length {len(tgt_in_ids)} != output length "
+                f"{len(tgt_out_ids)}"
+            )
+    src, src_len = pad_ids([t[0] for t in triples])
+    tgt_in, tgt_len = pad_ids([t[1] for t in triples])
+    tgt_out, _ = pad_ids([t[2] for t in triples])
+    return PaddedBatch(src, src_len, tgt_in, tgt_out, tgt_len)
+
+
+def teacher_forced(model: Seq2SeqModel, batch: PaddedBatch,
+                   drop_rng=None) -> tuple[Tensor, np.ndarray]:
+    """One forward over a padded batch.
+
+    Returns the logits [N, V] of the N real target positions, sentence by
+    sentence, and their target ids [N].
+    """
+    logits = model.forward(batch.src, batch.tgt_in, src_lengths=batch.src_len,
+                           tgt_lengths=batch.tgt_len, drop_rng=drop_rng)
+    real = np.flatnonzero(np.arange(batch.tgt_in.shape[1]) < batch.tgt_len[:, None])
+    flat = logits.reshape(-1, logits.shape[-1])
+    return embedding_lookup(flat, real), batch.tgt_out.reshape(-1)[real]
+
+
+def batch_loss(model: Seq2SeqModel, batch: PaddedBatch, label_smoothing: float,
+               drop_rng=None) -> Tensor:
+    """Summed token NLL of the real targets divided by their count."""
+    logits, targets = teacher_forced(model, batch, drop_rng)
+    nll = cross_entropy(logits, targets, label_smoothing, reduction="sum")
+    return nll * (1.0 / len(targets))
+
+
 def train_step(model: Seq2SeqModel, batch, cfg: TrainConfig, state: TrainState) -> dict:
     """One optimizer step over a batch of sentence triples."""
     state.step += 1
@@ -140,14 +202,7 @@ def train_step(model: Seq2SeqModel, batch, cfg: TrainConfig, state: TrainState) 
         if model.config.dropout > 0.0 else None
     )
     model.zero_grad()
-    total_nll = None
-    total_tokens = 0
-    for src_ids, tgt_in_ids, tgt_out_ids in batch:
-        logits = model.forward(src_ids, tgt_in_ids, drop_rng=drop_rng)
-        nll = cross_entropy(logits, tgt_out_ids, cfg.label_smoothing, reduction="sum")
-        total_nll = nll if total_nll is None else total_nll + nll
-        total_tokens += len(tgt_out_ids)
-    loss = total_nll * (1.0 / total_tokens)
+    loss = batch_loss(model, pad_batch(batch), cfg.label_smoothing, drop_rng)
     loss_val = loss.item()
     if not math.isfinite(loss_val):
         raise TrainingError(f"non-finite loss {loss_val!r} at step {state.step}")
@@ -171,26 +226,27 @@ def train_step(model: Seq2SeqModel, batch, cfg: TrainConfig, state: TrainState) 
 
 def eval_loss(model: Seq2SeqModel, triples, label_smoothing: float = 0.0) -> float:
     """Teacher-forced mean token loss without dropout."""
+    triples = list(triples)
     total = 0.0
     tokens = 0
     with no_grad():
-        for src_ids, tgt_in_ids, tgt_out_ids in triples:
-            logits = model.forward(src_ids, tgt_in_ids)
-            nll = cross_entropy(logits, tgt_out_ids, label_smoothing, reduction="sum")
-            total += nll.item()
-            tokens += len(tgt_out_ids)
+        for i in range(0, len(triples), EVAL_BATCH):
+            logits, targets = teacher_forced(model, pad_batch(triples[i:i + EVAL_BATCH]))
+            total += cross_entropy(logits, targets, label_smoothing, reduction="sum").item()
+            tokens += len(targets)
     return total / max(tokens, 1)
 
 
 def token_accuracy(model: Seq2SeqModel, triples) -> float:
     """Fraction of teacher-forced positions whose argmax hits the target."""
+    triples = list(triples)
     hits = 0
     tokens = 0
     with no_grad():
-        for src_ids, tgt_in_ids, tgt_out_ids in triples:
-            logits = model.forward(src_ids, tgt_in_ids)
-            hits += int(np.sum(np.argmax(logits.data, axis=1) == tgt_out_ids))
-            tokens += len(tgt_out_ids)
+        for i in range(0, len(triples), EVAL_BATCH):
+            logits, targets = teacher_forced(model, pad_batch(triples[i:i + EVAL_BATCH]))
+            hits += int(np.sum(np.argmax(logits.data, axis=1) == targets))
+            tokens += len(targets)
     return hits / max(tokens, 1)
 
 

@@ -1,7 +1,10 @@
 """Independent reference implementations used to verify the fast paths.
 
 Everything here is deliberately flat, loop-heavy numpy with no imports from
-the package's compute graph: a second route to the same numbers.
+the package's compute graph: a second route to the same numbers. The one
+exception is the per-sentence training oracle at the end, which runs the
+package's single-sentence forward once per sentence on a shared tape: no
+padding, no masks, one loss term per sentence.
 """
 from __future__ import annotations
 
@@ -205,3 +208,24 @@ def reference_forward(weights: dict, n_heads: int, n_enc: int, n_dec: int,
         g = _ref_norm(g + _ref_ffn(g, w, f"{p}.ffn"),
                       w[f"{p}.norm_ffn.gamma"], w[f"{p}.norm_ffn.beta"])
     return g @ w["out.w"]
+
+
+# -- per-sentence training loss ---------------------------------------------------
+
+
+def per_sentence_loss(model, triples, label_smoothing=0.0, drop_rng=None):
+    """A batch's mean token loss with its sentences run one at a time.
+
+    Each sentence's summed NLL is a separate term on one tape; the total is
+    divided by the token count. With ``drop_rng``, every sentence's forward
+    draws its own dropout masks from the stream in turn.
+    """
+    from layerfuse.tensor import cross_entropy
+
+    total, tokens = None, 0
+    for src, tgt_in, tgt_out in triples:
+        logits = model.forward(src, tgt_in, drop_rng=drop_rng)
+        nll = cross_entropy(logits, tgt_out, label_smoothing, reduction="sum")
+        total = nll if total is None else total + nll
+        tokens += len(tgt_out)
+    return total * (1.0 / tokens)

@@ -1,0 +1,119 @@
+"""A padded batch against the same sentences run one at a time."""
+import numpy as np
+import pytest
+
+from layerfuse.fusion import FuseProbRecorder, extract_fuse_probs
+from layerfuse.model import ModelConfig, Seq2SeqModel
+from layerfuse.tensor import backward, no_grad
+from layerfuse.training import (
+    _TAG_DROPOUT,
+    TrainConfig,
+    batch_loss,
+    init_state,
+    pad_batch,
+    train_step,
+)
+from oracles import per_sentence_loss
+
+VARIANTS = ("vanilla", "fuse", "fuse_enc", "fuse_dec", "fuse_top", "accum")
+SMOOTHING = 0.1
+
+
+def make_model(variant, dropout=0.0, seed=5):
+    cfg = ModelConfig(src_vocab=9, tgt_vocab=9, d_model=16, n_heads=2, d_ffn=24,
+                      n_enc_layers=2, n_dec_layers=2, max_len=8, dropout=dropout,
+                      seed=seed)
+    return Seq2SeqModel(cfg.with_variant(variant))
+
+
+def mixed_batch(seed=0, n=5):
+    """Sentence triples whose source and target lengths all differ."""
+    r = np.random.default_rng(seed)
+    out = []
+    for src_len, tgt_len in zip(r.permutation(np.arange(1, 8))[:n],
+                                r.permutation(np.arange(1, 8))[:n]):
+        tgt = r.integers(3, 9, size=int(tgt_len))
+        out.append((r.integers(3, 9, size=int(src_len)),
+                    np.concatenate([[1], tgt[:-1]]), tgt))
+    return out
+
+
+def loss_and_grads(model, loss_fn):
+    model.zero_grad()
+    loss = loss_fn()
+    backward(loss)
+    return loss.item(), {n: p.grad.copy() for n, p in model.parameters().items()}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batched_logits_match_batch_of_one(variant):
+    model = make_model(variant)
+    triples = mixed_batch()
+    batch = pad_batch(triples)
+    with no_grad():
+        logits = model.forward(batch.src, batch.tgt_in, src_lengths=batch.src_len,
+                               tgt_lengths=batch.tgt_len).data
+        for b, (src, tgt_in, _) in enumerate(triples):
+            alone = model.forward(src, tgt_in).data
+            assert np.max(np.abs(logits[b, :len(tgt_in)] - alone)) <= 1e-12
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batched_loss_and_grads_match_per_sentence_oracle(variant):
+    model = make_model(variant)
+    triples = mixed_batch(seed=1)
+    got_loss, got = loss_and_grads(
+        model, lambda: batch_loss(model, pad_batch(triples), SMOOTHING))
+    want_loss, want = loss_and_grads(
+        model, lambda: per_sentence_loss(model, triples, SMOOTHING))
+    assert abs(got_loss - want_loss) <= 1e-10
+    for name in want:
+        assert np.max(np.abs(got[name] - want[name])) <= 1e-10, name
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_pad_ids_and_pad_targets_change_nothing(variant):
+    model = make_model(variant)
+    batch = pad_batch(mixed_batch(seed=2))
+    base_loss, base = loss_and_grads(
+        model, lambda: batch_loss(model, batch, SMOOTHING))
+    pad_src = np.arange(batch.src.shape[1]) >= batch.src_len[:, None]
+    pad_tgt = np.arange(batch.tgt_in.shape[1]) >= batch.tgt_len[:, None]
+    assert pad_src.any() and pad_tgt.any()
+    moved = batch._replace(src=np.where(pad_src, 7, batch.src),
+                           tgt_in=np.where(pad_tgt, 5, batch.tgt_in),
+                           tgt_out=np.where(pad_tgt, 8, batch.tgt_out))
+    loss, grads = loss_and_grads(model, lambda: batch_loss(model, moved, SMOOTHING))
+    assert loss == base_loss
+    for name in base:
+        assert np.array_equal(grads[name], base[name]), name
+
+
+def test_dropout_masks_follow_the_per_sentence_stream():
+    cfg = TrainConfig(steps=1, batch_size=5, label_smoothing=SMOOTHING, seed=4)
+    triples = mixed_batch(seed=3)
+    model = make_model("fuse", dropout=0.1)
+    want = per_sentence_loss(model, triples, SMOOTHING,
+                             drop_rng=np.random.default_rng([cfg.seed, _TAG_DROPOUT, 1]))
+    got = train_step(model, triples, cfg, init_state(model, cfg))["loss"]
+    assert abs(got - want.item()) <= 1e-12
+    # Without dropout the loss differs, so the masks were really applied.
+    with no_grad():
+        plain = per_sentence_loss(make_model("fuse"), triples, SMOOTHING).item()
+    assert abs(got - plain) > 1e-6
+
+
+def test_fuse_probs_of_a_padded_batch_skip_pad_positions():
+    model = make_model("fuse")
+    pairs = [(src, tgt_in) for src, tgt_in, _ in mixed_batch(seed=4)]
+    got = extract_fuse_probs(model, pairs)
+    recorder = FuseProbRecorder()
+    with no_grad():
+        for src, tgt_in in pairs:
+            model.forward(src, tgt_in, recorder=recorder)
+    want = recorder.averaged()
+    assert set(got) == set(want)
+    for side in want:
+        assert set(got[side]) == set(want[side])
+        for layer, row in want[side].items():
+            assert np.max(np.abs(got[side][layer] - row)) <= 1e-12

@@ -205,6 +205,16 @@ def test_train_missing_corpus_exits_2(tmp_path, capsys):
     assert "gen" in capsys.readouterr().err
 
 
+def test_train_max_len_below_corpus_lengths_exits_2(pipeline, tmp_path, capsys):
+    run = tmp_path / "short"
+    rc = main(["train", "--out", str(run)]
+              + sets("model.max_len=4", data_dir=str(pipeline["data"])))
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "max_len" in err[0]
+    assert not run.exists()
+
+
 # -- eval ------------------------------------------------------------------------
 
 
