@@ -27,9 +27,8 @@ from .fusion import (
     fuse_attention,
     fuse_attention_core,
     parse_variant,
-    stack_previous_outputs,
 )
-from .model import LayerCache, ModelConfig, Seq2SeqModel, copy_shared_parameters
+from .model import LayerCache, ModelConfig, Seq2SeqModel
 from .tensor import (
     GradError,
     ShapeError,

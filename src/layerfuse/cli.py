@@ -20,6 +20,7 @@ from .compgen import (
     EOS,
     Corpus,
     CorpusSpec,
+    CTERReport,
     GenerationError,
     cter,
     exact_match,
@@ -28,16 +29,15 @@ from .compgen import (
     triples,
     write_corpus,
 )
-from .fusion import FusionError, extract_fuse_probs, parse_variant, variant_name
+from .fusion import FusionError, extract_fuse_probs, parse_variant
 from .model import ModelConfig, Seq2SeqModel
 from .training import (
     CheckpointError,
     TrainConfig,
     TrainingError,
-    eval_loss,
+    atomic_write,
     greedy_decode,
     load_checkpoint,
-    save_checkpoint,
     train_loop,
 )
 
@@ -193,6 +193,28 @@ def _load_corpus(cfg: dict) -> Corpus:
         raise UsageError(
             f"{exc}; run `layerfuse gen` first or point data_dir at a corpus"
         ) from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _load_run_model(cfg: dict, corpus: Corpus, checkpoint: str | None) -> Seq2SeqModel:
+    """Load ``checkpoint`` (default: out_dir/checkpoint.npz) and check it fits the corpus."""
+    ckpt = checkpoint or str(Path(cfg["out_dir"]) / "checkpoint.npz")
+    if not Path(ckpt).exists():
+        raise UsageError(f"checkpoint not found: {ckpt}")
+    model, _ = load_checkpoint(ckpt)
+    _check_lengths(corpus, model.config.max_len)
+    return model
+
+
+def _fused(mcfg: ModelConfig) -> bool:
+    return bool(mcfg.fused_layers("encoder") or mcfg.fused_layers("decoder"))
+
+
+def _added_params(model: Seq2SeqModel) -> int:
+    """Parameters over vanilla: a variant adds only fuse-attention sublayers."""
+    return sum(p.data.size for name, p in model.parameters().items()
+               if ".fuse." in name)
 
 
 def _decode_split(model, corpus: Corpus, examples, max_new: int):
@@ -206,11 +228,54 @@ def _decode_split(model, corpus: Corpus, examples, max_new: int):
     return preds, flags
 
 
-def _eval_metrics(model, corpus: Corpus, split: str, max_new: int) -> tuple[dict, list]:
+def _write_json(path: Path, obj) -> None:
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _write_csv(path: Path, header: list, rows) -> None:
+    with atomic_write(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+# -- run-directory stages: train, eval and analyze run one, sweep all three ----
+
+
+def _train_run(cfg: dict, corpus: Corpus, model: Seq2SeqModel, tcfg: TrainConfig,
+               state=None, dev: bool = True) -> dict:
+    """Train (or continue ``state``) into out_dir; returns train_summary.json's dict."""
+    out_dir = Path(cfg["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    train_set = triples(corpus.train, corpus.src_vocab, corpus.tgt_vocab)
+    dev_set = triples(corpus.dev, corpus.src_vocab, corpus.tgt_vocab) if dev else None
+    # The log is written a line per step, so a killed run keeps what it logged.
+    mode = "w" if state is None else "a"
+    with open(out_dir / "train_log.jsonl", mode, encoding="utf-8") as log:
+        state, history = train_loop(
+            model, train_set, tcfg, dev_set=dev_set or None,
+            out_dir=out_dir, log_stream=log, state=state,
+        )
+    summary = {
+        "steps": state.step,
+        "variant": model.config.variant,
+        "param_count": model.param_count(),
+        "final_loss": history[-1]["loss"] if history else None,
+        "best_dev_loss": state.best_dev_loss,
+    }
+    _write_json(out_dir / "train_summary.json", summary)
+    return summary
+
+
+def _eval_run(cfg: dict, corpus: Corpus, model: Seq2SeqModel,
+              split: str) -> tuple[dict, CTERReport | None]:
+    """Decode ``split`` into metrics_<split>.json and predictions_<split>.jsonl;
+    returns the metrics and, on cg_test, the CTER report."""
     examples = corpus.split(split)
     if not examples:
         raise UsageError(f"split {split!r} is empty")
-    preds, flags = _decode_split(model, corpus, examples, max_new)
+    preds, flags = _decode_split(model, corpus, examples, cfg["eval_max_new_tokens"])
     metrics = {
         "split": split,
         "n": len(examples),
@@ -218,48 +283,48 @@ def _eval_metrics(model, corpus: Corpus, split: str, max_new: int) -> tuple[dict
         "truncated": int(sum(flags)),
         "variant": model.config.variant,
     }
+    report = None
     if split == "cg_test":
-        metrics["cter"] = cter(preds, examples, corpus.dictionary).to_dict()
-    records = [
-        {
-            "src": list(ex.src),
-            "ref": list(ex.tgt),
-            "pred": list(pred),
-            "truncated": bool(flag),
-        }
-        for ex, pred, flag in zip(examples, preds, flags)
-    ]
-    return metrics, records
+        report = cter(preds, examples, corpus.dictionary)
+        metrics["cter"] = report.to_dict()
+    out_dir = Path(cfg["out_dir"])
+    _write_json(out_dir / f"metrics_{split}.json", metrics)
+    with atomic_write(out_dir / f"predictions_{split}.jsonl") as fh:
+        for ex, pred, flag in zip(examples, preds, flags):
+            record = {"src": list(ex.src), "ref": list(ex.tgt), "pred": list(pred),
+                      "truncated": bool(flag)}
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    return metrics, report
 
 
-def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
-
-
-def _write_fuse_probs_csv(path: Path, probs: dict) -> None:
-    """Rows side,layer,prev_layer,probability; layer is 1-based, prev_layer
-    0-based with 0 = the embedding output."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["side", "layer", "prev_layer", "probability"])
-        for side in sorted(probs):
-            for layer_idx in sorted(probs[side]):
-                row = probs[side][layer_idx]
-                for prev, p in enumerate(row):
-                    writer.writerow([side, layer_idx + 1, prev, f"{p:.10f}"])
-
-
-def _write_breakdown_csv(path: Path, breakdown: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "errors", "total", "rate"])
-        for group, cell in breakdown.items():
-            writer.writerow([group, cell["errors"], cell["total"],
-                             f"{cell['rate']:.6f}"])
+def _analyze_run(cfg: dict, corpus: Corpus, model: Seq2SeqModel,
+                 report: CTERReport | None = None) -> None:
+    """fuse_probs.csv (fused variants), cter_by_*.csv and analysis_summary.json;
+    cg_test is decoded here unless the eval stage's ``report`` is given."""
+    out_dir = Path(cfg["out_dir"])
+    if _fused(model.config):
+        pool = corpus.cg_test or corpus.test or corpus.train
+        sample = pool[: cfg["analysis_examples"]]
+        batch = [(src, tgt_in) for src, tgt_in, _ in
+                 triples(sample, corpus.src_vocab, corpus.tgt_vocab)]
+        probs = extract_fuse_probs(model, batch)
+        # layer is 1-based; prev_layer is 0-based, 0 being the embedding output.
+        _write_csv(out_dir / "fuse_probs.csv", ["side", "layer", "prev_layer", "probability"],
+                   [[side, k + 1, prev, f"{p:.10f}"] for side in sorted(probs)
+                    for k in sorted(probs[side]) for prev, p in enumerate(probs[side][k])])
+    if corpus.cg_test:
+        if report is None:
+            preds, _ = _decode_split(model, corpus, corpus.cg_test,
+                                     cfg["eval_max_new_tokens"])
+            report = cter(preds, corpus.cg_test, corpus.dictionary)
+        for name, breakdown in (("compound_length", report.by_compound_length),
+                                ("context_length", report.by_context_bucket),
+                                ("mod", report.by_mod)):
+            _write_csv(out_dir / f"cter_by_{name}.csv", ["group", "errors", "total", "rate"],
+                       [[group, cell["errors"], cell["total"], f"{cell['rate']:.6f}"]
+                        for group, cell in breakdown.items()])
+        _write_json(out_dir / "analysis_summary.json",
+                    {"cter": report.to_dict(), "variant": model.config.variant})
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -270,8 +335,7 @@ def cmd_gen(cfg: dict) -> int:
     corpus = generate_corpus(spec)
     out = Path(cfg["data_dir"])
     write_corpus(corpus, out)
-    counts = {name: len(corpus.split(name))
-              for name in ("train", "dev", "test", "cg_test")}
+    counts = {name: len(corpus.split(name)) for name in SPLITS}
     print(f"corpus written to {out} "
           f"(src vocab {len(corpus.src_vocab)}, tgt vocab {len(corpus.tgt_vocab)}, "
           + ", ".join(f"{k}={v}" for k, v in counts.items()) + ")")
@@ -289,25 +353,8 @@ def cmd_train(cfg: dict, resume: str | None = None) -> int:
         _check_lengths(corpus, model.config.max_len)
     else:
         model = Seq2SeqModel(_model_config(cfg, corpus))
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train_set = triples(corpus.train, corpus.src_vocab, corpus.tgt_vocab)
-    dev_set = triples(corpus.dev, corpus.src_vocab, corpus.tgt_vocab)
-    mode = "a" if resume is not None else "w"
-    with open(out_dir / "train_log.jsonl", mode, encoding="utf-8") as log:
-        state, history = train_loop(
-            model, train_set, tcfg, dev_set=dev_set or None,
-            out_dir=out_dir, log_stream=log, state=state,
-        )
-    summary = {
-        "steps": state.step,
-        "variant": model.config.variant,
-        "param_count": model.param_count(),
-        "final_loss": history[-1]["loss"] if history else None,
-        "best_dev_loss": state.best_dev_loss,
-    }
-    _write_json(out_dir / "train_summary.json", summary)
-    print(f"trained {state.step} steps, variant={summary['variant']}, "
+    summary = _train_run(cfg, corpus, model, tcfg, state)
+    print(f"trained {summary['steps']} steps, variant={summary['variant']}, "
           f"params={summary['param_count']}, final_loss={summary['final_loss']}")
     return 0
 
@@ -315,19 +362,9 @@ def cmd_train(cfg: dict, resume: str | None = None) -> int:
 def cmd_eval(cfg: dict, checkpoint: str | None = None,
              split: str | None = None) -> int:
     corpus = _load_corpus(cfg)
-    out_dir = Path(cfg["out_dir"])
-    ckpt = checkpoint or str(out_dir / "checkpoint.npz")
-    if not Path(ckpt).exists():
-        raise UsageError(f"checkpoint not found: {ckpt}")
-    model, _ = load_checkpoint(ckpt)
-    _check_lengths(corpus, model.config.max_len)
+    model = _load_run_model(cfg, corpus, checkpoint)
     split = split or cfg["eval_split"]
-    metrics, records = _eval_metrics(model, corpus, split,
-                                     cfg["eval_max_new_tokens"])
-    _write_json(out_dir / f"metrics_{split}.json", metrics)
-    with open(out_dir / f"predictions_{split}.jsonl", "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    metrics, _ = _eval_run(cfg, corpus, model, split)
     line = f"{split}: n={metrics['n']} exact_match={metrics['exact_match']:.4f}"
     if "cter" in metrics:
         line += (f" cter_instance={metrics['cter']['instance_rate']:.4f}"
@@ -338,87 +375,52 @@ def cmd_eval(cfg: dict, checkpoint: str | None = None,
 
 def cmd_analyze(cfg: dict, checkpoint: str | None = None) -> int:
     corpus = _load_corpus(cfg)
-    out_dir = Path(cfg["out_dir"])
-    ckpt = checkpoint or str(out_dir / "checkpoint.npz")
-    if not Path(ckpt).exists():
-        raise UsageError(f"checkpoint not found: {ckpt}")
-    model, _ = load_checkpoint(ckpt)
-    _check_lengths(corpus, model.config.max_len)
-    pool = corpus.cg_test or corpus.test or corpus.train
-    sample = pool[: cfg["analysis_examples"]]
-    batch = [
-        (src, tgt_in)
-        for src, tgt_in, _ in triples(sample, corpus.src_vocab, corpus.tgt_vocab)
-    ]
-    probs = extract_fuse_probs(model, batch)
-    _write_fuse_probs_csv(out_dir / "fuse_probs.csv", probs)
-    if corpus.cg_test:
-        preds, _ = _decode_split(model, corpus, corpus.cg_test,
-                                 cfg["eval_max_new_tokens"])
-        report = cter(preds, corpus.cg_test, corpus.dictionary)
-        _write_breakdown_csv(out_dir / "cter_by_compound_length.csv",
-                             report.by_compound_length)
-        _write_breakdown_csv(out_dir / "cter_by_context_length.csv",
-                             report.by_context_bucket)
-        _write_breakdown_csv(out_dir / "cter_by_mod.csv", report.by_mod)
-        _write_json(out_dir / "analysis_summary.json",
-                    {"cter": report.to_dict(), "variant": model.config.variant})
-    print(f"analysis written to {out_dir}")
+    model = _load_run_model(cfg, corpus, checkpoint)
+    if not _fused(model.config):
+        raise FusionError(f"variant {model.config.variant!r} has no "
+                          "fuse-attention sublayers to inspect")
+    _analyze_run(cfg, corpus, model)
+    print(f"analysis written to {cfg['out_dir']}")
     return 0
 
 
 def cmd_sweep(cfg: dict, variants=None, seeds=None) -> int:
+    """train + eval --split cg_test + analyze for every (variant, seed) into
+    out_dir/runs/<variant>-s<seed>, then the sweep_results tables."""
     variants = list(variants or DEFAULT_VARIANTS)
-    seeds = [int(s) for s in (seeds if seeds is not None else (0, 1, 2))]
+    try:
+        seeds = [int(s) for s in (seeds if seeds is not None else (0, 1, 2))]
+    except ValueError as exc:
+        raise UsageError(f"seeds must be comma-separated integers: {exc}") from exc
     for v in variants:
         parse_variant(v)
     out_dir = Path(cfg["out_dir"])
-    data_dir = out_dir / "data"
-    spec = _corpus_spec(cfg)
-    corpus = generate_corpus(spec)
-    write_corpus(corpus, data_dir)
-    tcfg_base = _train_config(cfg)
+    corpus = generate_corpus(_corpus_spec(cfg))
+    write_corpus(corpus, out_dir / "data")
 
-    baseline_counts: dict[str, int] = {}
     rows = []
     for variant in variants:
         for seed in seeds:
             run_cfg = json.loads(json.dumps(cfg))
             run_cfg["variant"] = variant
-            run_cfg["model"]["seed"] = seed
-            mcfg = _model_config(run_cfg, corpus)
-            model = Seq2SeqModel(mcfg)
-            if variant not in baseline_counts:
-                vanilla_cfg = mcfg.with_variant("vanilla")
-                baseline_counts[variant] = (
-                    model.param_count() - Seq2SeqModel(vanilla_cfg).param_count()
-                )
-            tcfg = TrainConfig.from_dict(tcfg_base.to_dict())
-            tcfg.seed = seed
-            run_dir = out_dir / "runs" / f"{variant}-s{seed}"
-            run_dir.mkdir(parents=True, exist_ok=True)
-            train_set = triples(corpus.train, corpus.src_vocab, corpus.tgt_vocab)
-            with open(run_dir / "train_log.jsonl", "w", encoding="utf-8") as log:
-                state, history = train_loop(model, train_set, tcfg,
-                                            out_dir=run_dir, log_stream=log)
-            metrics, _ = _eval_metrics(model, corpus, "cg_test",
-                                       cfg["eval_max_new_tokens"])
-            _write_json(run_dir / "metrics_cg_test.json", metrics)
-            if mcfg.fused_layers("encoder") or mcfg.fused_layers("decoder"):
-                sample = corpus.cg_test[: cfg["analysis_examples"]]
-                batch = [(s, ti) for s, ti, _ in
-                         triples(sample, corpus.src_vocab, corpus.tgt_vocab)]
-                _write_fuse_probs_csv(run_dir / "fuse_probs.csv",
-                                      extract_fuse_probs(model, batch))
+            run_cfg["out_dir"] = str(out_dir / "runs" / f"{variant}-s{seed}")
+            run_cfg["model"]["seed"] = run_cfg["train"]["seed"] = seed
+            tcfg = _train_config(run_cfg)
+            model = Seq2SeqModel(_model_config(run_cfg, corpus))
+            # No dev-loss passes: the sweep reports cg_test only, and a pass
+            # over the default 500 dev sentences outweighs a short run.
+            summary = _train_run(run_cfg, corpus, model, tcfg, dev=False)
+            metrics, report = _eval_run(run_cfg, corpus, model, "cg_test")
+            _analyze_run(run_cfg, corpus, model, report)
             row = {
                 "variant": variant,
                 "seed": seed,
                 "params": model.param_count(),
-                "added_params": baseline_counts[variant],
+                "added_params": _added_params(model),
                 "cter_instance": metrics["cter"]["instance_rate"],
                 "cter_aggregate": metrics["cter"]["aggregate_rate"],
                 "exact_match": metrics["exact_match"],
-                "final_loss": history[-1]["loss"] if history else None,
+                "final_loss": summary["final_loss"],
             }
             rows.append(row)
             print(f"[sweep] {variant} seed={seed} "
@@ -426,14 +428,8 @@ def cmd_sweep(cfg: dict, variants=None, seeds=None) -> int:
                   f"cter_aggr={row['cter_aggregate']:.4f} "
                   f"em={row['exact_match']:.4f} params={row['params']}")
 
-    fields = ["variant", "seed", "params", "added_params", "cter_instance",
-              "cter_aggregate", "exact_match", "final_loss"]
-    with open(out_dir / "sweep_results.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    _write_csv(out_dir / "sweep_results.csv", list(rows[0]),
+               [list(row.values()) for row in rows])
 
     lines = ["| variant | runs | params | added_params | cter_instance | "
              "cter_aggregate | exact_match |",
@@ -447,7 +443,8 @@ def cmd_sweep(cfg: dict, variants=None, seeds=None) -> int:
             f"{mean('cter_aggregate'):.4f} | {mean('exact_match'):.4f} |"
         )
     table = "\n".join(lines) + "\n"
-    (out_dir / "sweep_results.md").write_text(table, encoding="utf-8")
+    with atomic_write(out_dir / "sweep_results.md") as fh:
+        fh.write(table)
     print(table)
     return 0
 

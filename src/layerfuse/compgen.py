@@ -567,15 +567,22 @@ def load_corpus(data_dir: str | Path) -> Corpus:
     manifest_path = data / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no corpus manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("format") != "layerfuse-corpus" or manifest.get("version") != 1:
-        raise ValueError(f"{manifest_path} is not a version-1 corpus manifest")
-    spec = CorpusSpec.from_dict(manifest["spec"])
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        if manifest.get("format") != "layerfuse-corpus" or manifest.get("version") != 1:
+            raise ValueError("wrong format or version")
+        spec = CorpusSpec.from_dict(manifest["spec"])
+        src_vocab = Vocabulary(manifest["src_tokens"])
+        tgt_vocab = Vocabulary(manifest["tgt_tokens"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{manifest_path} is not a version-1 corpus manifest: {exc!r}"
+        ) from exc
     inventories = _inventories(spec)
     corpus = Corpus(
         spec=spec,
-        src_vocab=Vocabulary(manifest["src_tokens"]),
-        tgt_vocab=Vocabulary(manifest["tgt_tokens"]),
+        src_vocab=src_vocab,
+        tgt_vocab=tgt_vocab,
         dictionary=_build_dictionary(spec, inventories),
         contexts=_build_contexts(spec,
                                  np.random.default_rng([spec.seed, _TAG_CONTEXTS])),
@@ -585,8 +592,13 @@ def load_corpus(data_dir: str | Path) -> Corpus:
         examples = []
         if path.exists():
             with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    examples.append(Example.from_dict(json.loads(line)))
+                for lineno, line in enumerate(fh, 1):
+                    try:
+                        examples.append(Example.from_dict(json.loads(line)))
+                    except (ValueError, KeyError, TypeError) as exc:
+                        raise ValueError(
+                            f"{path} line {lineno} is not a corpus example: {exc!r}"
+                        ) from exc
         setattr(corpus, name, examples)
     return corpus
 

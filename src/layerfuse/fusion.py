@@ -31,7 +31,6 @@ __all__ = [
     "side_selected",
     "fused_layer_indices",
     "accumulates",
-    "stack_previous_outputs",
     "accumulate_previous",
     "fuse_attention_core",
     "fuse_attention",
@@ -94,19 +93,6 @@ def fused_layer_indices(mode: str, sides: str, side: str, n_layers: int) -> list
 
 def accumulates(mode: str, sides: str, side: str) -> bool:
     return mode == "accum" and side_selected(sides, side)
-
-
-def stack_previous_outputs(outputs, n_layers: int, position: int) -> Tensor:
-    """Stack one position's history into an [n_layers, d] tensor.
-
-    Analysis/test helper; the returned tensor is a constant (off the tape).
-    Row j is layer j's output vector at ``position``; row 0 is the embedding.
-    """
-    if n_layers < 1 or n_layers > len(outputs):
-        raise FusionError(
-            f"history depth {n_layers} out of range [1, {len(outputs)}]"
-        )
-    return Tensor(np.stack([outputs[j].data[position] for j in range(n_layers)]))
 
 
 def accumulate_previous(outputs) -> Tensor:
@@ -247,14 +233,9 @@ def extract_fuse_probs(model, batch) -> dict[str, dict[int, np.ndarray]]:
     Raises FusionError when the model has no fuse-attention sublayers.
     """
     cfg = model.config
-    has_fusion = bool(
-        fused_layer_indices(cfg.fusion_mode, cfg.fusion_sides, "encoder", cfg.n_enc_layers)
-        or fused_layer_indices(cfg.fusion_mode, cfg.fusion_sides, "decoder", cfg.n_dec_layers)
-    )
-    if not has_fusion:
+    if not (cfg.fused_layers("encoder") or cfg.fused_layers("decoder")):
         raise FusionError(
-            f"variant {variant_name(cfg.fusion_mode, cfg.fusion_sides)!r} has no "
-            "fuse-attention sublayers to inspect"
+            f"variant {cfg.variant!r} has no fuse-attention sublayers to inspect"
         )
     recorder = FuseProbRecorder()
     src, src_len = pad_ids([src_ids for src_ids, _ in batch])

@@ -30,7 +30,6 @@ from .attention import (
     multi_head_attention,
 )
 from .fusion import (
-    FusionError,
     MODES,
     SIDES,
     accumulate_previous,
@@ -42,7 +41,7 @@ from .fusion import (
 )
 from .tensor import ShapeError, Tensor, embedding_lookup, layer_norm
 
-__all__ = ["ModelConfig", "LayerCache", "Seq2SeqModel", "copy_shared_parameters"]
+__all__ = ["ModelConfig", "LayerCache", "Seq2SeqModel"]
 
 LN_EPS = 1e-5
 
@@ -82,10 +81,6 @@ class ModelConfig:
             raise ValueError(f"fusion_mode must be one of {MODES}")
         if self.fusion_sides not in SIDES:
             raise ValueError(f"fusion_sides must be one of {SIDES}")
-
-    @property
-    def d_head(self) -> int:
-        return self.d_model // self.n_heads
 
     def fused_layers(self, side: str) -> list[int]:
         n = self.n_enc_layers if side == "encoder" else self.n_dec_layers
@@ -171,94 +166,59 @@ def _dropper(masks):
     return lambda x: x * Tensor(next(it))
 
 
-class _EncoderLayer:
-    def __init__(self, reg, prefix: str, rng, cfg: ModelConfig, fused: bool):
+class _Layer:
+    """One post-norm layer: self-attention, then cross-attention over the
+    encoder output (decoder layers only), then fuse-attention over the layer
+    history (fused layers only), then the feed-forward block."""
+
+    def __init__(self, reg, prefix: str, rng, cfg: ModelConfig, *, cross: bool,
+                 fused: bool):
         d, h = cfg.d_model, cfg.n_heads
-        self.self_attn = reg.add_attention(
-            f"{prefix}.self", AttentionParams.create(rng, d, h)
-        )
-        self.fuse_params = (
-            reg.add_attention(f"{prefix}.fuse", AttentionParams.create(rng, d, h))
-            if fused else None
-        )
+
+        def attention(name):
+            return reg.add_attention(f"{prefix}.{name}", AttentionParams.create(rng, d, h))
+
+        # Creation order fixes the RNG draws and the parameter order.
+        self.self_attn = attention("self")
+        self.cross_attn = attention("cross") if cross else None
+        self.fuse_params = attention("fuse") if fused else None
         self.norm_self = _LayerNormParams(reg, f"{prefix}.norm_self", d)
+        self.norm_cross = (_LayerNormParams(reg, f"{prefix}.norm_cross", d)
+                           if cross else None)
         self.ffn = _FeedForward(reg, f"{prefix}.ffn", rng, d, cfg.d_ffn)
         self.norm_ffn = _LayerNormParams(reg, f"{prefix}.norm_ffn", d)
 
     def self_block(self, x, mask=None, drop=None):
-        out = multi_head_attention(x, x, x, self.self_attn, mask)
-        if drop is not None:
-            out = drop(out)
-        return self.norm_self(x + out)
-
-    def ffn_block(self, x, drop=None):
-        out = self.ffn(x)
-        if drop is not None:
-            out = drop(out)
-        return self.norm_ffn(x + out)
-
-    @property
-    def dropout_sites(self) -> int:
-        return 2 + (self.fuse_params is not None)
-
-    def forward(self, x, history, mask=None, drop=None):
-        """Returns (output, fuse-attention probs or None)."""
-        a = self.self_block(x, mask, drop)
-        probs = None
-        if self.fuse_params is not None:
-            a, probs = fuse_attention(a, history, self.fuse_params, dropout=drop)
-        return self.ffn_block(a, drop), probs
-
-
-class _DecoderLayer:
-    def __init__(self, reg, prefix: str, rng, cfg: ModelConfig, fused: bool):
-        d, h = cfg.d_model, cfg.n_heads
-        self.self_attn = reg.add_attention(
-            f"{prefix}.self", AttentionParams.create(rng, d, h)
-        )
-        self.cross_attn = reg.add_attention(
-            f"{prefix}.cross", AttentionParams.create(rng, d, h)
-        )
-        self.fuse_params = (
-            reg.add_attention(f"{prefix}.fuse", AttentionParams.create(rng, d, h))
-            if fused else None
-        )
-        self.norm_self = _LayerNormParams(reg, f"{prefix}.norm_self", d)
-        self.norm_cross = _LayerNormParams(reg, f"{prefix}.norm_cross", d)
-        self.ffn = _FeedForward(reg, f"{prefix}.ffn", rng, d, cfg.d_ffn)
-        self.norm_ffn = _LayerNormParams(reg, f"{prefix}.norm_ffn", d)
-
-    def self_block(self, x, causal_mask, drop=None):
-        out = multi_head_attention(x, x, x, self.self_attn, causal_mask)
-        if drop is not None:
-            out = drop(out)
-        return self.norm_self(x + out)
+        return _residual(x, multi_head_attention(x, x, x, self.self_attn, mask),
+                         self.norm_self, drop)
 
     def cross_block(self, x, enc_out, mask=None, drop=None):
-        out = multi_head_attention(x, enc_out, enc_out, self.cross_attn, mask)
-        if drop is not None:
-            out = drop(out)
-        return self.norm_cross(x + out)
+        return _residual(x, multi_head_attention(x, enc_out, enc_out, self.cross_attn, mask),
+                         self.norm_cross, drop)
 
     def ffn_block(self, x, drop=None):
-        out = self.ffn(x)
-        if drop is not None:
-            out = drop(out)
-        return self.norm_ffn(x + out)
+        return _residual(x, self.ffn(x), self.norm_ffn, drop)
 
     @property
     def dropout_sites(self) -> int:
-        return 3 + (self.fuse_params is not None)
+        return 2 + (self.cross_attn is not None) + (self.fuse_params is not None)
 
-    def forward(self, x, enc_out, history, causal_mask, src_mask=None,
-                drop=None):
+    def forward(self, x, history, mask=None, enc_out=None, src_mask=None, drop=None):
         """Returns (output, fuse-attention probs or None)."""
-        a = self.self_block(x, causal_mask, drop)
-        a = self.cross_block(a, enc_out, src_mask, drop)
+        a = self.self_block(x, mask, drop)
+        if self.cross_attn is not None:
+            a = self.cross_block(a, enc_out, src_mask, drop)
         probs = None
         if self.fuse_params is not None:
             a, probs = fuse_attention(a, history, self.fuse_params, dropout=drop)
         return self.ffn_block(a, drop), probs
+
+
+def _residual(x, out, norm, drop):
+    """norm(x + dropout(out))."""
+    if drop is not None:
+        out = drop(out)
+    return norm(x + out)
 
 
 class Seq2SeqModel:
@@ -287,14 +247,14 @@ class Seq2SeqModel:
         self.tgt_pos = reg.add(
             "tgt_pos", rng.normal(0.0, emb_std, size=(config.max_len, d))
         )
-        enc_fused = set(config.fused_layers("encoder"))
+        enc_fused = config.fused_layers("encoder")
         self.enc_layers = [
-            _EncoderLayer(reg, f"enc.{k}", rng, config, fused=k in enc_fused)
+            _Layer(reg, f"enc.{k}", rng, config, cross=False, fused=k in enc_fused)
             for k in range(config.n_enc_layers)
         ]
-        dec_fused = set(config.fused_layers("decoder"))
+        dec_fused = config.fused_layers("decoder")
         self.dec_layers = [
-            _DecoderLayer(reg, f"dec.{k}", rng, config, fused=k in dec_fused)
+            _Layer(reg, f"dec.{k}", rng, config, cross=True, fused=k in dec_fused)
             for k in range(config.n_dec_layers)
         ]
         self.out_proj = reg.add_init("out.w", _xavier(rng, d, config.tgt_vocab))
@@ -340,19 +300,9 @@ class Seq2SeqModel:
         ``dropout_masks``); None runs without dropout.
         """
         src_ids = np.asarray(src_ids, dtype=np.int64)
-        drop = _dropper(drop_masks)
         h = self.embed(src_ids, "encoder")
-        if drop is not None:
-            h = drop(h)
-        mask = _key_mask(src_ids.shape[-1], lengths)
-        cache = LayerCache(outputs=[h])
-        accum = self.config.accumulates("encoder")
-        for k, layer in enumerate(self.enc_layers):
-            x = accumulate_previous(cache.outputs) if accum else cache.outputs[-1]
-            cache.layer_inputs.append(x)
-            y, probs = layer.forward(x, list(cache.outputs), mask=mask, drop=drop)
-            _record(recorder, "encoder", k, probs, src_ids, lengths)
-            cache.outputs.append(y)
+        cache = self._run_stack("encoder", h, src_ids, lengths, drop_masks, recorder,
+                                mask=_key_mask(src_ids.shape[-1], lengths))
         return cache.outputs[-1], cache
 
     def decode(self, tgt_prefix_ids, enc_out, *, src_lengths=None, lengths=None,
@@ -365,23 +315,29 @@ class Seq2SeqModel:
         padded encoder keys and ``lengths`` marks the real target positions.
         """
         tgt_prefix_ids = np.asarray(tgt_prefix_ids, dtype=np.int64)
-        drop = _dropper(drop_masks)
         h = self.embed(tgt_prefix_ids, "decoder")
+        cache = self._run_stack("decoder", h, tgt_prefix_ids, lengths, drop_masks,
+                                recorder, mask=make_causal_mask(tgt_prefix_ids.shape[-1]),
+                                enc_out=enc_out,
+                                src_mask=_key_mask(enc_out.shape[-2], src_lengths))
+        return cache.outputs[-1].matmul(self.out_proj), cache
+
+    def _run_stack(self, side, h, ids, lengths, drop_masks, recorder, mask,
+                   enc_out=None, src_mask=None) -> LayerCache:
+        """Run the embedding output ``h`` through every layer of ``side``."""
+        drop = _dropper(drop_masks)
         if drop is not None:
             h = drop(h)
-        causal = make_causal_mask(tgt_prefix_ids.shape[-1])
-        src_mask = _key_mask(enc_out.shape[-2], src_lengths)
         cache = LayerCache(outputs=[h])
-        accum = self.config.accumulates("decoder")
-        for k, layer in enumerate(self.dec_layers):
+        accum = self.config.accumulates(side)
+        layers = self.enc_layers if side == "encoder" else self.dec_layers
+        for k, layer in enumerate(layers):
             x = accumulate_previous(cache.outputs) if accum else cache.outputs[-1]
             cache.layer_inputs.append(x)
-            y, probs = layer.forward(x, enc_out, list(cache.outputs), causal,
-                                     src_mask=src_mask, drop=drop)
-            _record(recorder, "decoder", k, probs, tgt_prefix_ids, lengths)
+            y, probs = layer.forward(x, list(cache.outputs), mask, enc_out, src_mask, drop)
+            _record(recorder, side, k, probs, ids, lengths)
             cache.outputs.append(y)
-        logits = cache.outputs[-1].matmul(self.out_proj)
-        return logits, cache
+        return cache
 
     def forward(self, src_ids, tgt_in_ids, *, src_lengths=None, tgt_lengths=None,
                 drop_rng=None, recorder=None) -> Tensor:
@@ -460,15 +416,3 @@ def _record(recorder, side: str, layer_idx: int, probs, ids, lengths) -> None:
         real = np.arange(ids.shape[-1]) < np.asarray(lengths)[:, None]
         probs = [Tensor(p.data[real]) for p in probs]
     recorder.add(side, layer_idx, probs)
-
-
-def copy_shared_parameters(src: Seq2SeqModel, dst: Seq2SeqModel) -> list[str]:
-    """Copy every parameter whose name and shape match; returns copied names."""
-    copied = []
-    src_params = src.parameters()
-    for name, t in dst.parameters().items():
-        other = src_params.get(name)
-        if other is not None and other.data.shape == t.data.shape:
-            t.data = other.data.copy()
-            copied.append(name)
-    return copied

@@ -77,12 +77,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def T(self) -> "Tensor":
-        if self.data.ndim != 2:
-            raise ShapeError(f"transpose expects a 2D tensor, got shape {self.shape}")
-        return self.swapaxes(0, 1)
-
     def reshape(self, *shape: int) -> "Tensor":
         data = self.data.reshape(shape)
         def bw(g, a=self):

@@ -15,8 +15,10 @@ their count (mean over tokens). Dropout masks are drawn sentence by sentence
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -332,6 +334,27 @@ def greedy_decode(
 # -- checkpoints -------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def atomic_write(path: str | Path, binary: bool = False):
+    """Write ``path`` through a temp file in the same directory.
+
+    Yields the open temp file; on success it replaces ``path`` in one rename,
+    so a write that fails or is killed midway leaves the previous file whole.
+    A failed write removes its temp file. Text is UTF-8, newlines untranslated.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with (open(tmp, "wb") if binary
+              else open(tmp, "w", encoding="utf-8", newline="")) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(
     path: str | Path,
     model: Seq2SeqModel,
@@ -360,9 +383,7 @@ def save_checkpoint(
             arrays[f"adam_m/{name}"] = m
         for name, v in state.adam_v.items():
             arrays[f"adam_v/{name}"] = v
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         np.savez(fh, **arrays)
 
 
@@ -388,7 +409,10 @@ def load_checkpoint(path: str | Path) -> tuple[Seq2SeqModel, TrainState | None]:
                 f"{path} has version {meta.get('version')}, "
                 f"expected {CHECKPOINT_VERSION}"
             )
-        model = Seq2SeqModel(ModelConfig.from_dict(meta["model_config"]))
+        try:
+            model = Seq2SeqModel(ModelConfig.from_dict(meta["model_config"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path} has a bad model_config: {exc}") from exc
         for name, p in model.parameters().items():
             key = f"param/{name}"
             if key not in archive.files:

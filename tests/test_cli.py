@@ -2,6 +2,7 @@
 import csv
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -348,6 +349,91 @@ def test_sweep_rejects_unknown_variant(tmp_path, capsys):
                "--seeds", "0"] + sets())
     assert rc == 2
     assert "dense" in capsys.readouterr().err
+
+
+def test_sweep_run_dir_equals_standalone_pipeline(pipeline, tmp_path):
+    data = str(pipeline["data"])
+    run = tmp_path / "run"
+    common = ["--out", str(run), "--seed", "0"] + sets("variant=fuse", data_dir=data)
+    assert main(["train"] + common) == 0
+    assert main(["eval", "--split", "cg_test"] + common) == 0
+    assert main(["analyze"] + common) == 0
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--out", str(out), "--variants", "fuse",
+                 "--seeds", "0"] + sets()) == 0
+    swept = out / "runs" / "fuse-s0"
+
+    a, _ = load_checkpoint(run / "checkpoint.npz")
+    b, _ = load_checkpoint(swept / "checkpoint.npz")
+    assert list(a.parameters()) == list(b.parameters())
+    for name, p in a.parameters().items():
+        assert np.array_equal(p.data, b.parameters()[name].data), name
+    for name in ("metrics_cg_test.json", "predictions_cg_test.jsonl",
+                 "fuse_probs.csv", "cter_by_compound_length.csv",
+                 "cter_by_context_length.csv", "cter_by_mod.csv",
+                 "analysis_summary.json"):
+        assert (swept / name).read_bytes() == (run / name).read_bytes(), name
+
+
+# -- exit codes ------------------------------------------------------------------
+
+
+def truncate_dev_line(pipeline, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    lines = (data / "dev.jsonl").read_text().splitlines(keepends=True)
+    lines[2] = lines[2][: len(lines[2]) // 2] + "\n"
+    (data / "dev.jsonl").write_text("".join(lines))
+    return ["train", "--out", str(tmp_path / "r")] + sets(data_dir=str(data))
+
+
+def wrong_manifest(pipeline, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["format"] = "some-other-corpus"
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    return ["eval", "--out", str(pipeline["run"])] + sets(data_dir=str(data))
+
+
+def checkpoint_with(**model_config):
+    def make(pipeline, tmp_path):
+        with np.load(pipeline["run"] / "checkpoint.npz") as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        meta = json.loads(arrays["meta"].tobytes())
+        meta["model_config"].update(model_config)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(tmp_path / "bad.npz", **arrays)
+        return (["eval", "--out", str(tmp_path), "--checkpoint", str(tmp_path / "bad.npz")]
+                + sets(data_dir=str(pipeline["data"])))
+    return make
+
+
+def sweep_seeds(seeds):
+    def make(pipeline, tmp_path):
+        return ["sweep", "--out", str(tmp_path / "s"), "--variants", "vanilla",
+                "--seeds", seeds] + sets()
+    return make
+
+
+@pytest.mark.parametrize("make_argv, code, detail", [
+    (sweep_seeds("0,x"), 2, "seeds"),
+    (sweep_seeds(""), 2, "seeds"),
+    (truncate_dev_line, 2, "dev.jsonl line 3"),
+    (wrong_manifest, 2, "manifest.json"),
+    (checkpoint_with(dense_layers=2), 3, "dense_layers"),
+    (checkpoint_with(fusion_mode="dense"), 3, "fusion_mode"),
+], ids=["seeds-not-int", "seeds-empty", "truncated-dev-line", "wrong-manifest",
+        "checkpoint-unknown-key", "checkpoint-bad-value"])
+def test_bad_input_exits_with_one_error_line(pipeline, tmp_path, make_argv, code, detail):
+    argv = make_argv(pipeline, tmp_path)
+    result = subprocess.run([sys.executable, "-m", "layerfuse.cli"] + argv,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert detail in lines[0]
 
 
 # -- module entry point -------------------------------------------------------------

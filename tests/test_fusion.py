@@ -14,7 +14,6 @@ from layerfuse.fusion import (
     fused_layer_indices,
     parse_variant,
     side_selected,
-    stack_previous_outputs,
     variant_name,
 )
 from layerfuse.model import ModelConfig, Seq2SeqModel
@@ -60,39 +59,6 @@ def test_side_selection_and_accumulation_flags():
     assert accumulates("accum", "both", "encoder")
     assert not accumulates("fuse", "both", "encoder")
     assert not accumulates("accum", "encoder", "decoder")
-
-
-# -- history stacking ---------------------------------------------------------------
-
-
-def test_stack_single_layer_is_embedding_row():
-    outs = history(1, 3, 4, 5)
-    stacked = stack_previous_outputs(outs, 1, position=2)
-    assert stacked.shape == (1, 5)
-    assert np.array_equal(stacked.data[0], outs[0].data[2])
-
-
-def test_stack_three_layers_in_order():
-    outs = history(2, 3, 4, 5)
-    stacked = stack_previous_outputs(outs, 3, position=1)
-    for j in range(3):
-        assert np.array_equal(stacked.data[j], outs[j].data[1])
-
-
-def test_stack_unstack_identity():
-    outs = history(3, 2, 3, 4)
-    for t in range(3):
-        stacked = stack_previous_outputs(outs, 2, t)
-        for j in range(2):
-            assert np.array_equal(stacked.data[j], outs[j].data[t])
-
-
-def test_stack_depth_out_of_range():
-    outs = history(4, 2, 3, 4)
-    with pytest.raises(FusionError):
-        stack_previous_outputs(outs, 3, 0)
-    with pytest.raises(FusionError):
-        stack_previous_outputs(outs, 0, 0)
 
 
 # -- accumulation ---------------------------------------------------------------------

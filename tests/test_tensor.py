@@ -403,8 +403,3 @@ def test_tape_orders_parents_before_children():
 def test_item_rejects_non_scalar():
     with pytest.raises(ShapeError):
         Tensor(np.ones(2)).item()
-
-
-def test_transpose_view():
-    x = rng(33).standard_normal((2, 3))
-    assert np.array_equal(Tensor(x).T.data, x.T)

@@ -298,6 +298,30 @@ def test_not_a_checkpoint_is_clean_error(tmp_path):
         load_checkpoint(path)
 
 
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    model = tiny_model(seed=22)
+    path = tmp_path / "checkpoint.npz"
+    save_checkpoint(path, model, init_state(model, train_cfg()))
+    before = {n: p.data.copy() for n, p in model.parameters().items()}
+    for p in model.parameters().values():
+        p.data = p.data + 1.0
+
+    def partial_savez(fh, **arrays):
+        fh.write(b"PK\x03\x04 partial archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", partial_savez)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, model, init_state(model, train_cfg()))
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.npz"]
+    restored, state = load_checkpoint(path)
+    assert state is not None
+    assert list(restored.parameters()) == list(before)
+    for name, p in restored.parameters().items():
+        assert np.array_equal(p.data, before[name]), name
+
+
 def test_resume_matches_uninterrupted_run(tmp_path):
     train_set = toy_pairs(16, seed=20)
 
