@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, concat, softmax
+from .tensor import ShapeError, Tensor, softmax
 
 __all__ = [
     "AttentionParams",
@@ -101,66 +101,45 @@ def scaled_dot_attention(
 
 @dataclass
 class AttentionParams:
-    """Per-head projection matrices plus the shared output projection.
+    """Query, key and value projections plus the output projection.
 
-    w_q[i], w_k[i] are [d, d_k]; w_v[i] is [d, d_v]; w_o is [h*d_v, d].
-    No bias terms anywhere.
+    w_q, w_k, w_v are [d, h*d_k] with head i as column block i; w_o is
+    [h*d_k, d]. No bias terms anywhere.
     """
 
-    w_q: list[Tensor]
-    w_k: list[Tensor]
-    w_v: list[Tensor]
+    w_q: Tensor
+    w_k: Tensor
+    w_v: Tensor
     w_o: Tensor
-
-    @property
-    def n_heads(self) -> int:
-        return len(self.w_q)
+    n_heads: int
 
     @property
     def d_k(self) -> int:
-        return self.w_q[0].shape[1]
-
-    def joined(self, name: str) -> Tensor:
-        """The per-head matrices ``name`` side by side, head 0 first, on the tape.
-
-        x @ joined("w_q") holds every head's projection in one product; its
-        column blocks equal the per-head products bit for bit.
-        """
-        heads = getattr(self, name)
-        return concat(heads, axis=1) if len(heads) > 1 else heads[0]
+        return self.w_q.shape[1] // self.n_heads
 
     def named(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i in range(self.n_heads):
-            out[f"{prefix}.h{i}.w_q"] = self.w_q[i]
-            out[f"{prefix}.h{i}.w_k"] = self.w_k[i]
-            out[f"{prefix}.h{i}.w_v"] = self.w_v[i]
-        out[f"{prefix}.w_o"] = self.w_o
-        return out
+        return {f"{prefix}.{name}": getattr(self, name)
+                for name in ("w_q", "w_k", "w_v", "w_o")}
 
     @classmethod
-    def create(
-        cls, rng: np.random.Generator, d_model: int, n_heads: int,
-        d_k: int | None = None, d_v: int | None = None,
-    ) -> "AttentionParams":
-        if d_k is None or d_v is None:
-            if d_model % n_heads != 0:
-                raise ShapeError(
-                    f"d_model {d_model} not divisible by n_heads {n_heads}"
-                )
-            d_k = d_k if d_k is not None else d_model // n_heads
-            d_v = d_v if d_v is not None else d_model // n_heads
-        w_q = [_xavier(rng, d_model, d_k) for _ in range(n_heads)]
-        w_k = [_xavier(rng, d_model, d_k) for _ in range(n_heads)]
-        w_v = [_xavier(rng, d_model, d_v) for _ in range(n_heads)]
-        w_o = _xavier(rng, n_heads * d_v, d_model)
-        return cls(w_q, w_k, w_v, w_o)
+    def create(cls, rng: np.random.Generator, d_model: int, n_heads: int) -> "AttentionParams":
+        """Xavier-uniform init, one draw per head: all q heads, then k, then v, then w_o."""
+        if d_model % n_heads != 0:
+            raise ShapeError(f"d_model {d_model} not divisible by n_heads {n_heads}")
+        d_k = d_model // n_heads
+
+        def heads() -> np.ndarray:
+            return np.concatenate(
+                [_xavier(rng, d_model, d_k) for _ in range(n_heads)], axis=1)
+
+        w_q, w_k, w_v = heads(), heads(), heads()
+        w_o = _xavier(rng, d_model, d_model)
+        return cls(*(Tensor(w, requires_grad=True) for w in (w_q, w_k, w_v, w_o)), n_heads)
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
+def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)),
-                  requires_grad=True)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 def _split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -191,9 +170,9 @@ def multi_head_attention(
     tensors off the tape.
     """
     h = params.n_heads
-    q = _split_heads(query.matmul(params.joined("w_q")), h)
-    k = _split_heads(key.matmul(params.joined("w_k")), h)
-    v = _split_heads(value.matmul(params.joined("w_v")), h)
+    q = _split_heads(query.matmul(params.w_q), h)
+    k = _split_heads(key.matmul(params.w_k), h)
+    v = _split_heads(value.matmul(params.w_v), h)
     if mask is not None and np.ndim(mask) > 2:
         mask = np.expand_dims(mask, -3)  # one mask for every head
     out, probs = scaled_dot_attention(q, k, v, mask)

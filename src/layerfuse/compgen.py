@@ -237,17 +237,22 @@ class Example:
     has_mod: bool
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["src"] = list(self.src)
-        d["tgt"] = list(self.tgt)
-        d["compound"] = {
-            "pattern": self.compound.pattern,
-            "atoms": list(self.compound.atoms),
-            "span": list(self.compound.span),
-            "realizations": [list(r) for r in self.compound.realizations],
-            "compound_id": self.compound.compound_id,
+        return {
+            "src": list(self.src),
+            "tgt": list(self.tgt),
+            "compound": {
+                "pattern": self.compound.pattern,
+                "atoms": list(self.compound.atoms),
+                "span": list(self.compound.span),
+                "realizations": [list(r) for r in self.compound.realizations],
+                "compound_id": self.compound.compound_id,
+            },
+            "context_id": self.context_id,
+            "compound_length": self.compound_length,
+            "context_length": self.context_length,
+            "context_bucket": self.context_bucket,
+            "has_mod": self.has_mod,
         }
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Example":

@@ -136,8 +136,8 @@ def fuse_attention_core(
         raise FusionError("fuse-attention with an empty layer history")
     h = params.n_heads
     history = stack(prev_outputs)
-    q = _per_head(query_state.matmul(params.joined("w_q")), h)
-    k = _per_head(history.matmul(params.joined("w_k")), h)
+    q = _per_head(query_state.matmul(params.w_q), h)
+    k = _per_head(history.matmul(params.w_k), h)
     scores = (q * k).sum(axis=-1) * (1.0 / math.sqrt(params.d_k))
     if layer_mask is not None:
         layer_mask = np.asarray(layer_mask, dtype=bool)
@@ -150,7 +150,7 @@ def fuse_attention_core(
         bias = np.where(layer_mask, 0.0, -1e9)
         scores = scores + Tensor(bias.reshape((n_hist,) + (1,) * (scores.ndim - 1)))
     probs = softmax(scores, axis=0)                      # [n_hist, ..., seq, h]
-    v = _per_head(history.matmul(params.joined("w_v")), h)
+    v = _per_head(history.matmul(params.w_v), h)
     mixed = (probs.reshape(*probs.shape, 1) * v).sum(axis=0)
     merged = mixed.reshape(*mixed.shape[:-2], mixed.shape[-2] * mixed.shape[-1])
     per_head = np.moveaxis(probs.data, (0, -1), (-1, 0))  # [h, ..., seq, n_hist]

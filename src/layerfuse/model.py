@@ -131,9 +131,9 @@ class _LayerNormParams:
 
 class _FeedForward:
     def __init__(self, reg, prefix: str, rng, d: int, d_ffn: int):
-        self.w1 = reg.add_init(f"{prefix}.w1", _xavier(rng, d, d_ffn))
+        self.w1 = reg.add(f"{prefix}.w1", _xavier(rng, d, d_ffn))
         self.b1 = reg.add(f"{prefix}.b1", np.zeros(d_ffn))
-        self.w2 = reg.add_init(f"{prefix}.w2", _xavier(rng, d_ffn, d))
+        self.w2 = reg.add(f"{prefix}.w2", _xavier(rng, d_ffn, d))
         self.b2 = reg.add(f"{prefix}.b2", np.zeros(d))
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -146,10 +146,6 @@ class _Registry:
 
     def add(self, name: str, array: np.ndarray) -> Tensor:
         t = Tensor(array, requires_grad=True)
-        self.params[name] = t
-        return t
-
-    def add_init(self, name: str, t: Tensor) -> Tensor:
         self.params[name] = t
         return t
 
@@ -257,7 +253,7 @@ class Seq2SeqModel:
             _Layer(reg, f"dec.{k}", rng, config, cross=True, fused=k in dec_fused)
             for k in range(config.n_dec_layers)
         ]
-        self.out_proj = reg.add_init("out.w", _xavier(rng, d, config.tgt_vocab))
+        self.out_proj = reg.add("out.w", _xavier(rng, d, config.tgt_vocab))
         self._params = reg.params
 
     # -- parameters ----------------------------------------------------------

@@ -57,7 +57,7 @@ _TAG_DROPOUT = 2
 # Sentences per padded forward in eval_loss and token_accuracy.
 EVAL_BATCH = 64
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class TrainingError(RuntimeError):
@@ -264,9 +264,9 @@ def train_loop(
     """Run cfg.steps optimizer steps (continuing from ``state`` if given).
 
     Writes one JSON line per step to ``log_stream`` and, when ``out_dir`` is
-    set, saves checkpoint.npz every checkpoint_interval steps plus best.npz
-    whenever the dev loss improves. Returns the final state and the list of
-    per-step records.
+    set, saves checkpoint.npz every checkpoint_interval steps and once at the
+    end, plus best.npz whenever the dev loss improves. Returns the final state
+    and the list of per-step records.
     """
     cfg.validate()
     if not train_set:
@@ -289,7 +289,7 @@ def train_loop(
                 state.best_dev_loss = dev
                 if out_path is not None:
                     save_checkpoint(out_path / "best.npz", model, state)
-        if out_path is not None and (at_interval or state.step == cfg.steps):
+        if out_path is not None and at_interval and state.step < cfg.steps:
             save_checkpoint(out_path / "checkpoint.npz", model, state)
         if log_stream is not None:
             log_stream.write(json.dumps(rec, sort_keys=True) + "\n")

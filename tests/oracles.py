@@ -84,17 +84,19 @@ def naive_fuse_attention(query: np.ndarray, prevs: list, params,
     """Position-at-a-time fuse attention: stack the history, attend, merge."""
     seq, d = query.shape
     n_hist = len(prevs)
-    n_heads = len(params.w_q)
-    d_k = params.w_q[0].data.shape[1]
+    n_heads = params.n_heads
+    w_q, w_k, w_v = (np.split(w.data, n_heads, axis=1)
+                     for w in (params.w_q, params.w_k, params.w_v))
+    d_k = w_q[0].shape[1]
     out = np.zeros((seq, d))
     probs = np.zeros((n_heads, seq, n_hist))
     for t in range(seq):
         hist = np.stack([p[t] for p in prevs])
         head_outs = []
         for i in range(n_heads):
-            qv = query[t] @ params.w_q[i].data
-            keys = hist @ params.w_k[i].data
-            vals = hist @ params.w_v[i].data
+            qv = query[t] @ w_q[i]
+            keys = hist @ w_k[i]
+            vals = hist @ w_v[i]
             scores = keys @ qv / math.sqrt(d_k)
             if layer_mask is not None:
                 scores = np.where(layer_mask, scores, scores - 1e9)
@@ -164,11 +166,13 @@ def _ref_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 def _ref_mha(x_q, x_k, x_v, w, prefix, n_heads, mask=None):
+    w_q, w_k, w_v = (np.split(w[f"{prefix}.{name}"], n_heads, axis=1)
+                     for name in ("w_q", "w_k", "w_v"))
     heads = []
     for i in range(n_heads):
-        q = x_q @ w[f"{prefix}.h{i}.w_q"]
-        k = x_k @ w[f"{prefix}.h{i}.w_k"]
-        v = x_v @ w[f"{prefix}.h{i}.w_v"]
+        q = x_q @ w_q[i]
+        k = x_k @ w_k[i]
+        v = x_v @ w_v[i]
         scores = (q @ k.T) * (1.0 / math.sqrt(q.shape[1]))
         if mask is not None:
             scores = scores + np.where(mask, 0.0, -1e9)

@@ -145,7 +145,7 @@ def test_attention_shape_checks():
 
 def _identity_params(d):
     eye = lambda: Tensor(np.eye(d))
-    return AttentionParams(w_q=[eye()], w_k=[eye()], w_v=[eye()], w_o=eye())
+    return AttentionParams(w_q=eye(), w_k=eye(), w_v=eye(), w_o=eye(), n_heads=1)
 
 
 def test_single_identity_head_equals_scaled_dot():
@@ -171,11 +171,13 @@ def test_two_heads_match_concat_oracle():
     v = Tensor(rng(19).standard_normal((5, d)))
     got = multi_head_attention(q, k, v, params)
 
+    d_k = d // h
     heads = []
     for i in range(h):
+        lo, hi = i * d_k, (i + 1) * d_k
         out, _ = scaled_dot_attention(
-            q.matmul(params.w_q[i]), k.matmul(params.w_k[i]),
-            v.matmul(params.w_v[i]))
+            q.matmul(params.w_q.cols(lo, hi)), k.matmul(params.w_k.cols(lo, hi)),
+            v.matmul(params.w_v.cols(lo, hi)))
         heads.append(out)
     want = concat(heads, axis=1).matmul(params.w_o)
     assert np.max(np.abs(got.data - want.data)) < 1e-12
@@ -196,11 +198,18 @@ def test_params_create_shapes_and_names():
     params = AttentionParams.create(rng(22), d_model=8, n_heads=4)
     assert params.n_heads == 4 and params.d_k == 2
     named = params.named("enc.0.self")
-    assert set(named) == {
-        f"enc.0.self.h{i}.{w}" for i in range(4) for w in ("w_q", "w_k", "w_v")
-    } | {"enc.0.self.w_o"}
+    assert list(named) == [f"enc.0.self.{w}" for w in ("w_q", "w_k", "w_v", "w_o")]
     for t in named.values():
-        assert t.requires_grad
+        assert t.shape == (8, 8) and t.requires_grad
+    # One Xavier draw per head, all q heads, then k, then v, then w_o: head i
+    # is column block i.
+    r, limit = rng(22), np.sqrt(6.0 / (8 + 2))
+    for w in (params.w_q, params.w_k, params.w_v):
+        for i in range(4):
+            want = r.uniform(-limit, limit, size=(8, 2))
+            assert np.array_equal(w.data[:, 2 * i:2 * i + 2], want)
+    assert np.array_equal(params.w_o.data,
+                          r.uniform(-np.sqrt(6.0 / 16), np.sqrt(6.0 / 16), size=(8, 8)))
 
 
 def test_params_create_rejects_indivisible_heads():

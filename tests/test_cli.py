@@ -396,12 +396,14 @@ def wrong_manifest(pipeline, tmp_path):
     return ["eval", "--out", str(pipeline["run"])] + sets(data_dir=str(data))
 
 
-def checkpoint_with(**model_config):
+def checkpoint_with(version=None, **model_config):
     def make(pipeline, tmp_path):
         with np.load(pipeline["run"] / "checkpoint.npz") as archive:
             arrays = {k: archive[k] for k in archive.files}
         meta = json.loads(arrays["meta"].tobytes())
         meta["model_config"].update(model_config)
+        if version is not None:
+            meta["version"] = version
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(tmp_path / "bad.npz", **arrays)
         return (["eval", "--out", str(tmp_path), "--checkpoint", str(tmp_path / "bad.npz")]
@@ -423,8 +425,9 @@ def sweep_seeds(seeds):
     (wrong_manifest, 2, "manifest.json"),
     (checkpoint_with(dense_layers=2), 3, "dense_layers"),
     (checkpoint_with(fusion_mode="dense"), 3, "fusion_mode"),
+    (checkpoint_with(version=1), 3, "version 1"),
 ], ids=["seeds-not-int", "seeds-empty", "truncated-dev-line", "wrong-manifest",
-        "checkpoint-unknown-key", "checkpoint-bad-value"])
+        "checkpoint-unknown-key", "checkpoint-bad-value", "checkpoint-version-1"])
 def test_bad_input_exits_with_one_error_line(pipeline, tmp_path, make_argv, code, detail):
     argv = make_argv(pipeline, tmp_path)
     result = subprocess.run([sys.executable, "-m", "layerfuse.cli"] + argv,

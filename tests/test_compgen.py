@@ -1,4 +1,5 @@
 """Synthetic corpus generation, holdout guarantees, and the two metrics."""
+import hashlib
 import json
 
 import numpy as np
@@ -217,6 +218,25 @@ def test_rewrite_is_byte_identical(tmp_path, corpus):
         ext = "json" if name == "manifest" else "jsonl"
         assert ((tmp_path / "a" / f"{name}.{ext}").read_bytes()
                 == (tmp_path / "b" / f"{name}.{ext}").read_bytes())
+
+
+# sha256 of each file write_corpus writes for small_spec(). A change to the
+# example or manifest serialization changes these and breaks corpora written
+# before it.
+PINNED_CORPUS_FILES = {
+    "train.jsonl": "90e16a459acf505c3c72fcd83cc1f0b15e5534a6f6c821aff96b1721e0f3a0ad",
+    "dev.jsonl": "ea68f51e0e44e8cf445a88b1c0548c3e1d9ab87295d2c44576e1e166a42a66f0",
+    "test.jsonl": "1c308eb334b7267dc51a072e004d0698539318e990a46307a018eca798d671d8",
+    "cg_test.jsonl": "17455190d01327f55acd6f13674c7254c23e6b62159d65d68f2af668d227fad0",
+    "manifest.json": "66e19ab018a3af31a4a3d31ade010e98801ff9071dae2ade352c099c7a27b9d4",
+}
+
+
+def test_written_files_match_pinned_hashes(tmp_path, corpus):
+    write_corpus(corpus, tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in PINNED_CORPUS_FILES}
+    assert got == PINNED_CORPUS_FILES
 
 
 def test_load_without_manifest_fails(tmp_path):

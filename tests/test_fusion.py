@@ -122,7 +122,8 @@ def test_fuse_single_history_prob_one_and_projection():
     for p in probs:
         assert np.allclose(p.data, 1.0, atol=1e-12)
     h0 = outs[0]
-    want = concat([h0.matmul(params.w_v[i]) for i in range(h)],
+    d_k = d // h
+    want = concat([h0.matmul(params.w_v.cols(i * d_k, (i + 1) * d_k)) for i in range(h)],
                   axis=1).matmul(params.w_o)
     assert np.max(np.abs(core.data - want.data)) < 1e-12
 

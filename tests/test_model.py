@@ -348,16 +348,18 @@ def test_param_names_follow_registry_scheme():
     model = Seq2SeqModel(tiny_config(fusion_mode="fuse"))
     names = set(model.parameters())
     assert "src_embed" in names and "out.w" in names
-    assert "enc.0.self.h0.w_q" in names
+    assert "enc.0.self.w_q" in names
     assert "enc.1.fuse.w_o" in names
-    assert "dec.0.cross.h1.w_v" in names
+    assert "dec.0.cross.w_v" in names
+    assert not any(".h0." in name for name in names)
     assert "dec.1.norm_ffn.beta" in names
 
 
-# Parameter count, then sha256 prefixes of the newline-joined parameter names
-# and of the concatenated initial parameter bytes, per variant of tiny_config().
-# A change to creation order, names or RNG draws changes these and breaks
-# checkpoints written before it.
+# Tensor count, then sha256 prefixes of the newline-joined tensor names and of
+# the concatenated initial tensor bytes, per variant of tiny_config(), taken in
+# the per-head view: each attention projection counts as one
+# {prefix}.h{i}.w_q|w_k|w_v tensor per head (its column block) ahead of
+# {prefix}.w_o. A change to creation order, names or RNG draws changes these.
 PINNED_CONSTRUCTION = {
     "vanilla": (83, "cba41c8fb34469ec1f76acd7105e9050",
                 "420290760b144cd700efaf5c7ca9132e"),
@@ -373,10 +375,32 @@ PINNED_CONSTRUCTION = {
               "420290760b144cd700efaf5c7ca9132e"),
 }
 
+# Parameter tensors per variant of tiny_config(): four per attention module.
+TENSOR_COUNTS = {"vanilla": 65, "accum": 65, "fuse": 81,
+                 "fuse_enc": 73, "fuse_dec": 73, "fuse_top": 73}
+
+
+def per_head_view(params, n_heads):
+    out = {}
+    for name, p in params.items():
+        prefix, _, leaf = name.rpartition(".")
+        if leaf in ("w_q", "w_k", "w_v"):
+            continue
+        if leaf == "w_o":
+            for i in range(n_heads):
+                for w in ("w_q", "w_k", "w_v"):
+                    out[f"{prefix}.h{i}.{w}"] = np.split(
+                        params[f"{prefix}.{w}"].data, n_heads, axis=1)[i]
+        out[name] = p.data
+    return out
+
 
 @pytest.mark.parametrize("variant", sorted(PINNED_CONSTRUCTION))
 def test_construction_matches_pinned_names_and_initial_values(variant):
-    params = Seq2SeqModel(tiny_config().with_variant(variant)).parameters()
-    names = hashlib.sha256("\n".join(params).encode()).hexdigest()
-    data = hashlib.sha256(b"".join(p.data.tobytes() for p in params.values())).hexdigest()
-    assert (len(params), names[:32], data[:32]) == PINNED_CONSTRUCTION[variant]
+    cfg = tiny_config().with_variant(variant)
+    params = Seq2SeqModel(cfg).parameters()
+    assert len(params) == TENSOR_COUNTS[variant]
+    view = per_head_view(params, cfg.n_heads)
+    names = hashlib.sha256("\n".join(view).encode()).hexdigest()
+    data = hashlib.sha256(b"".join(a.tobytes() for a in view.values())).hexdigest()
+    assert (len(view), names[:32], data[:32]) == PINNED_CONSTRUCTION[variant]

@@ -2,10 +2,12 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from layerfuse import training
 from layerfuse.model import ModelConfig, Seq2SeqModel
 from layerfuse.training import (
     CheckpointError,
@@ -162,6 +164,25 @@ def test_train_loop_logs_and_checkpoints(tmp_path):
     assert "dev_loss" in lines[1]  # checkpoint_interval boundary
     assert (tmp_path / "checkpoint.npz").exists()
     assert (tmp_path / "best.npz").exists()
+
+
+@pytest.mark.parametrize("steps, interval, want", [
+    (4, 200, [("checkpoint.npz", 4), ("best.npz", 4)]),
+    (6, 3, [("checkpoint.npz", 3), ("checkpoint.npz", 6), ("best.npz", 6)]),
+])
+def test_train_loop_writes_each_checkpoint_once(tmp_path, monkeypatch, steps,
+                                                interval, want):
+    saves = []
+    real_save = training.save_checkpoint
+
+    def counting_save(path, model, state=None, extra=None):
+        saves.append((Path(path).name, state.step))
+        real_save(path, model, state, extra)
+
+    monkeypatch.setattr(training, "save_checkpoint", counting_save)
+    cfg = train_cfg(steps=steps, checkpoint_interval=interval)
+    train_loop(tiny_model(), toy_pairs(8, seed=15), cfg, out_dir=tmp_path)
+    assert saves == want
 
 
 def test_train_loop_determinism():
