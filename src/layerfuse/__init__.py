@@ -28,7 +28,7 @@ from .fusion import (
     fuse_attention_core,
     parse_variant,
 )
-from .model import LayerCache, ModelConfig, Seq2SeqModel
+from .model import DecodeState, LayerCache, ModelConfig, Seq2SeqModel
 from .tensor import (
     GradError,
     ShapeError,

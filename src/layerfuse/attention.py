@@ -5,6 +5,9 @@ batch [B, n, d]. Masks are boolean arrays shaped [n_queries, n_keys], or
 [B, n_queries or 1, n_keys] for a batch; True marks an attendable key.
 Masking is additive: blocked scores get -1e9 before the softmax, which
 underflows to an exact probability of 0.0 in float64 after max subtraction.
+
+A KVCache keeps one attention site's projected keys and values between
+calls, for decoding one position at a time.
 """
 from __future__ import annotations
 
@@ -13,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, softmax
+from .tensor import ShapeError, Tensor, concat, softmax
 
 __all__ = [
     "AttentionParams",
+    "KVCache",
     "MaskError",
     "MASK_BIAS",
     "make_causal_mask",
@@ -154,6 +158,21 @@ def _merge_heads(x: Tensor) -> Tensor:
     return x.swapaxes(-2, -3).reshape(*lead, n, h * d)
 
 
+@dataclass
+class KVCache:
+    """One attention site's projected keys and values, [..., h, n, d_k] each.
+
+    ``multi_head_attention`` fills an empty cache with the keys and values it
+    projects. Later calls use a ``static`` cache (attention over a fixed
+    memory, such as the encoder output) as it is, without reading ``key`` and
+    ``value``; any other cache gains the new keys and values after its own.
+    """
+
+    static: bool = False
+    k: Tensor | None = None
+    v: Tensor | None = None
+
+
 def multi_head_attention(
     query: Tensor,
     key: Tensor,
@@ -161,18 +180,28 @@ def multi_head_attention(
     params: AttentionParams,
     mask: np.ndarray | None = None,
     return_probs: bool = False,
+    cache: KVCache | None = None,
 ):
     """Concatenate per-head scaled dot attention and project back to d_model.
 
     All heads run as one [..., h, n, d_k] attention. Head outputs are
     concatenated in head order before the w_o projection. With
     return_probs=True also returns the per-head probability arrays, as
-    tensors off the tape.
+    tensors off the tape. With a ``cache`` the queries attend over the
+    cached keys and values (see KVCache), so ``mask`` covers those too.
     """
     h = params.n_heads
     q = _split_heads(query.matmul(params.w_q), h)
-    k = _split_heads(key.matmul(params.w_k), h)
-    v = _split_heads(value.matmul(params.w_v), h)
+    if cache is not None and cache.static and cache.k is not None:
+        k, v = cache.k, cache.v
+    else:
+        k = _split_heads(key.matmul(params.w_k), h)
+        v = _split_heads(value.matmul(params.w_v), h)
+        if cache is not None:
+            if cache.k is not None:
+                k = concat([cache.k, k], axis=-2)
+                v = concat([cache.v, v], axis=-2)
+            cache.k, cache.v = k, v
     if mask is not None and np.ndim(mask) > 2:
         mask = np.expand_dims(mask, -3)  # one mask for every head
     out, probs = scaled_dot_attention(q, k, v, mask)

@@ -29,13 +29,13 @@ from .compgen import (
     triples,
     write_corpus,
 )
+from .fileio import atomic_write
 from .fusion import FusionError, extract_fuse_probs, parse_variant
 from .model import ModelConfig, Seq2SeqModel
 from .training import (
     CheckpointError,
     TrainConfig,
     TrainingError,
-    atomic_write,
     greedy_decode,
     load_checkpoint,
     train_loop,

@@ -28,6 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import atomic_write
+
 __all__ = [
     "PAD", "BOS", "EOS", "SPECIALS", "PATTERNS",
     "GenerationError", "CorpusSpec", "Vocabulary", "AtomDictionary",
@@ -546,10 +548,14 @@ def _canonical_json(obj) -> str:
 
 
 def write_corpus(corpus: Corpus, out_dir: str | Path) -> None:
+    """Write the four splits, then manifest.json, each through atomic_write.
+
+    A write that fails or is killed midway leaves every file whole: a file
+    holds either the previous corpus's bytes or the new ones.
+    """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for name in ("train", "dev", "test", "cg_test"):
-        with open(out / f"{name}.jsonl", "w", encoding="utf-8") as fh:
+        with atomic_write(out / f"{name}.jsonl") as fh:
             for ex in corpus.split(name):
                 fh.write(_canonical_json(ex.to_dict()) + "\n")
     spec_dict = corpus.spec.to_dict()
@@ -563,7 +569,7 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> None:
         "counts": {name: len(corpus.split(name))
                    for name in ("train", "dev", "test", "cg_test")},
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "manifest.json") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 

@@ -14,6 +14,12 @@ every real position from seeing the pads after it.
 Every forward keeps a per-side LayerCache: the embedding output plus each
 layer's output, and the tensor actually fed to each layer (which differs
 from the previous output only in accum mode).
+
+Decoding can be incremental: a DecodeState keeps each decoder layer's
+self-attention keys and values and its cross-attention keys and values of
+the encoder output, so a longer prefix runs only its new positions through
+the stack. Fuse-attention and accum need nothing more, since each position's
+layer history is its own.
 """
 from __future__ import annotations
 
@@ -24,6 +30,7 @@ import numpy as np
 
 from .attention import (
     AttentionParams,
+    KVCache,
     _xavier,
     make_causal_mask,
     make_padding_mask,
@@ -41,7 +48,7 @@ from .fusion import (
 )
 from .tensor import ShapeError, Tensor, embedding_lookup, layer_norm
 
-__all__ = ["ModelConfig", "LayerCache", "Seq2SeqModel"]
+__all__ = ["ModelConfig", "LayerCache", "DecodeState", "Seq2SeqModel"]
 
 LN_EPS = 1e-5
 
@@ -120,6 +127,37 @@ class LayerCache:
     layer_inputs: list = field(default_factory=list)
 
 
+@dataclass
+class DecodeState:
+    """What incremental ``Seq2SeqModel.decode`` calls keep about one prefix.
+
+    ``ids`` is the target prefix already run. ``self_kv[k]`` holds decoder
+    layer k's self-attention keys and values for those positions and
+    ``cross_kv[k]`` its cross-attention keys and values of the encoder
+    output. A new state is empty; the first decode fills it.
+    """
+
+    ids: np.ndarray | None = None
+    self_kv: list = field(default_factory=list)
+    cross_kv: list = field(default_factory=list)
+
+    def cached_positions(self, ids: np.ndarray) -> int:
+        """How many leading positions of the prefix ``ids`` are cached.
+
+        Raises ShapeError unless ``ids`` is the cached prefix plus at least
+        one position.
+        """
+        if self.ids is None:
+            return 0
+        n = self.ids.shape[-1]
+        if ids.shape[-1] <= n or not np.array_equal(ids[..., :n], self.ids):
+            raise ShapeError(
+                f"prefix {ids.tolist()} does not extend the decoded prefix "
+                f"{self.ids.tolist()}"
+            )
+        return n
+
+
 class _LayerNormParams:
     def __init__(self, reg, prefix: str, d: int):
         self.gamma = reg.add(f"{prefix}.gamma", np.ones(d))
@@ -184,13 +222,13 @@ class _Layer:
         self.ffn = _FeedForward(reg, f"{prefix}.ffn", rng, d, cfg.d_ffn)
         self.norm_ffn = _LayerNormParams(reg, f"{prefix}.norm_ffn", d)
 
-    def self_block(self, x, mask=None, drop=None):
-        return _residual(x, multi_head_attention(x, x, x, self.self_attn, mask),
-                         self.norm_self, drop)
+    def self_block(self, x, mask=None, drop=None, cache=None):
+        out = multi_head_attention(x, x, x, self.self_attn, mask, cache=cache)
+        return _residual(x, out, self.norm_self, drop)
 
-    def cross_block(self, x, enc_out, mask=None, drop=None):
-        return _residual(x, multi_head_attention(x, enc_out, enc_out, self.cross_attn, mask),
-                         self.norm_cross, drop)
+    def cross_block(self, x, enc_out, mask=None, drop=None, cache=None):
+        out = multi_head_attention(x, enc_out, enc_out, self.cross_attn, mask, cache=cache)
+        return _residual(x, out, self.norm_cross, drop)
 
     def ffn_block(self, x, drop=None):
         return _residual(x, self.ffn(x), self.norm_ffn, drop)
@@ -199,11 +237,15 @@ class _Layer:
     def dropout_sites(self) -> int:
         return 2 + (self.cross_attn is not None) + (self.fuse_params is not None)
 
-    def forward(self, x, history, mask=None, enc_out=None, src_mask=None, drop=None):
-        """Returns (output, fuse-attention probs or None)."""
-        a = self.self_block(x, mask, drop)
+    def forward(self, x, history, mask=None, enc_out=None, src_mask=None, drop=None,
+                kv=(None, None)):
+        """Returns (output, fuse-attention probs or None).
+
+        ``kv`` is the (self, cross) pair of KVCache for incremental decoding.
+        """
+        a = self.self_block(x, mask, drop, kv[0])
         if self.cross_attn is not None:
-            a = self.cross_block(a, enc_out, src_mask, drop)
+            a = self.cross_block(a, enc_out, src_mask, drop, kv[1])
         probs = None
         if self.fuse_params is not None:
             a, probs = fuse_attention(a, history, self.fuse_params, dropout=drop)
@@ -270,12 +312,15 @@ class Seq2SeqModel:
 
     # -- forward -------------------------------------------------------------
 
-    def embed(self, ids: np.ndarray, side: str) -> Tensor:
-        """Scaled token embeddings plus positions for ids [T] or [B, T]."""
+    def embed(self, ids: np.ndarray, side: str, start: int = 0) -> Tensor:
+        """Scaled token embeddings plus positions for ids [T] or [B, T].
+
+        The ids sit at positions ``start``, ``start + 1``, ...
+        """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size < 1:
             raise ShapeError("cannot embed an empty sequence")
-        n = ids.shape[-1]
+        n = start + ids.shape[-1]
         if n > self.config.max_len:
             raise ShapeError(
                 f"sequence length {n} exceeds max_len {self.config.max_len}"
@@ -285,7 +330,7 @@ class Seq2SeqModel:
             else (self.tgt_embed, self.tgt_pos)
         )
         scaled = embedding_lookup(table, ids) * math.sqrt(self.config.d_model)
-        return scaled + embedding_lookup(pos, np.arange(n))
+        return scaled + embedding_lookup(pos, np.arange(start, n))
 
     def encode(self, src_ids, *, lengths=None, drop_masks=None, recorder=None):
         """Run the encoder stack; returns (top output, LayerCache).
@@ -302,25 +347,50 @@ class Seq2SeqModel:
         return cache.outputs[-1], cache
 
     def decode(self, tgt_prefix_ids, enc_out, *, src_lengths=None, lengths=None,
-               drop_masks=None, recorder=None):
+               drop_masks=None, recorder=None, state=None):
         """Run the decoder stack on a target prefix; returns (logits, cache).
 
-        logits has one row per prefix position; the last row scores the next
-        token. Self-attention is causally masked, so row t never depends on
-        positions after t. For a padded batch, ``src_lengths`` masks the
-        padded encoder keys and ``lengths`` marks the real target positions.
+        Without ``state``, logits has one row per prefix position; the last
+        row scores the next token. Self-attention is causally masked, so row
+        t never depends on positions after t. For a padded batch,
+        ``src_lengths`` masks the padded encoder keys and ``lengths`` marks
+        the real target positions.
+
+        With a DecodeState, ``tgt_prefix_ids`` is still the whole prefix,
+        but only the positions the state has not seen run through the stack:
+        logits and the cache cover those new positions only, and equal the
+        stateless rows up to rounding. Each later call must pass the same
+        ``enc_out`` and the previous prefix plus at least one position, or it
+        raises ShapeError. A padded target batch (``lengths``) cannot be
+        decoded this way.
         """
-        tgt_prefix_ids = np.asarray(tgt_prefix_ids, dtype=np.int64)
-        h = self.embed(tgt_prefix_ids, "decoder")
-        cache = self._run_stack("decoder", h, tgt_prefix_ids, lengths, drop_masks,
-                                recorder, mask=make_causal_mask(tgt_prefix_ids.shape[-1]),
+        ids = np.asarray(tgt_prefix_ids, dtype=np.int64)
+        start, kv = 0, None
+        if state is not None:
+            if lengths is not None:
+                raise ShapeError("a decode state takes unpadded target prefixes")
+            start = state.cached_positions(ids)
+            if start == 0:
+                state.self_kv = [KVCache() for _ in self.dec_layers]
+                state.cross_kv = [KVCache(static=True) for _ in self.dec_layers]
+            kv = list(zip(state.self_kv, state.cross_kv))
+        new = ids[..., start:]
+        h = self.embed(new, "decoder", start)
+        # The newest position sees every key: one new row needs no mask.
+        mask = None if new.shape[-1] == 1 else make_causal_mask(ids.shape[-1])[start:]
+        cache = self._run_stack("decoder", h, new, lengths, drop_masks, recorder, mask,
                                 enc_out=enc_out,
-                                src_mask=_key_mask(enc_out.shape[-2], src_lengths))
+                                src_mask=_key_mask(enc_out.shape[-2], src_lengths), kv=kv)
+        if state is not None:
+            state.ids = ids
         return cache.outputs[-1].matmul(self.out_proj), cache
 
     def _run_stack(self, side, h, ids, lengths, drop_masks, recorder, mask,
-                   enc_out=None, src_mask=None) -> LayerCache:
-        """Run the embedding output ``h`` through every layer of ``side``."""
+                   enc_out=None, src_mask=None, kv=None) -> LayerCache:
+        """Run the embedding output ``h`` through every layer of ``side``.
+
+        ``kv`` gives each layer its (self, cross) KVCache pair, or is None.
+        """
         drop = _dropper(drop_masks)
         if drop is not None:
             h = drop(h)
@@ -330,7 +400,8 @@ class Seq2SeqModel:
         for k, layer in enumerate(layers):
             x = accumulate_previous(cache.outputs) if accum else cache.outputs[-1]
             cache.layer_inputs.append(x)
-            y, probs = layer.forward(x, list(cache.outputs), mask, enc_out, src_mask, drop)
+            y, probs = layer.forward(x, list(cache.outputs), mask, enc_out, src_mask, drop,
+                                     kv[k] if kv else (None, None))
             _record(recorder, side, k, probs, ids, lengths)
             cache.outputs.append(y)
         return cache

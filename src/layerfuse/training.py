@@ -15,10 +15,8 @@ their count (mean over tokens). Dropout masks are drawn sentence by sentence
 """
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -27,7 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .attention import pad_ids
-from .model import ModelConfig, Seq2SeqModel
+from .fileio import atomic_write
+from .model import DecodeState, ModelConfig, Seq2SeqModel
 from .tensor import ShapeError, Tensor, backward, cross_entropy, embedding_lookup, no_grad
 
 __all__ = [
@@ -310,8 +309,13 @@ def greedy_decode(
 ) -> tuple[list[int], bool]:
     """Argmax decoding until EOS; returns (tokens, truncated).
 
-    The emitted list excludes BOS/EOS. ``truncated`` is True when the length
-    budget (or the model's positional table) ran out before EOS appeared.
+    The emitted list excludes BOS/EOS and holds at most
+    min(max_new_tokens, max_len - 1) tokens. ``truncated`` is True when that
+    budget ran out before EOS appeared.
+
+    Decoding is incremental: the source is encoded once, and each step hands
+    the whole prefix to ``model.decode`` with one DecodeState, so only the
+    newest position runs through the decoder.
     """
     if max_new_tokens < 1:
         raise ValueError("max_new_tokens must be >= 1")
@@ -319,40 +323,20 @@ def greedy_decode(
     out: list[int] = []
     with no_grad():
         enc_out, _ = model.encode(src_ids)
+        state = DecodeState()
         prefix = [bos_id]
-        while True:
-            logits, _ = model.decode(np.asarray(prefix, dtype=np.int64), enc_out)
+        while len(out) < budget:
+            logits, _ = model.decode(np.asarray(prefix, dtype=np.int64), enc_out,
+                                     state=state)
             nxt = int(np.argmax(logits.data[-1]))
             if nxt == eos_id:
                 return out, False
             out.append(nxt)
             prefix.append(nxt)
-            if len(out) >= budget:
-                return out, True
+    return out, True
 
 
 # -- checkpoints -------------------------------------------------------------
-
-
-@contextlib.contextmanager
-def atomic_write(path: str | Path, binary: bool = False):
-    """Write ``path`` through a temp file in the same directory.
-
-    Yields the open temp file; on success it replaces ``path`` in one rename,
-    so a write that fails or is killed midway leaves the previous file whole.
-    A failed write removes its temp file. Text is UTF-8, newlines untranslated.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with (open(tmp, "wb") if binary
-              else open(tmp, "w", encoding="utf-8", newline="")) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def save_checkpoint(

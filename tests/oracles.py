@@ -1,10 +1,12 @@
 """Independent reference implementations used to verify the fast paths.
 
 Everything here is deliberately flat, loop-heavy numpy with no imports from
-the package's compute graph: a second route to the same numbers. The one
-exception is the per-sentence training oracle at the end, which runs the
+the package's compute graph: a second route to the same numbers. Two
+exceptions sit at the end. The per-sentence training oracle runs the
 package's single-sentence forward once per sentence on a shared tape: no
-padding, no masks, one loss term per sentence.
+padding, no masks, one loss term per sentence. The full-recompute greedy
+decoder runs the package's stateless decode over the whole prefix at every
+step: no cache.
 """
 from __future__ import annotations
 
@@ -233,3 +235,30 @@ def per_sentence_loss(model, triples, label_smoothing=0.0, drop_rng=None):
         total = nll if total is None else total + nll
         tokens += len(tgt_out)
     return total * (1.0 / tokens)
+
+
+# -- full-recompute greedy decoding ------------------------------------------------
+
+
+def full_recompute_greedy_decode(model, src_ids, bos_id, eos_id, max_new_tokens):
+    """Greedy decoding that reruns the whole prefix through the decoder per token.
+
+    Same contract as ``training.greedy_decode``; returns (tokens, truncated,
+    step_logits), where step_logits[i] is the last logit row of step i.
+    """
+    from layerfuse.tensor import no_grad
+
+    budget = min(max_new_tokens, model.config.max_len - 1)
+    out, step_logits = [], []
+    with no_grad():
+        enc_out, _ = model.encode(src_ids)
+        prefix = [bos_id]
+        while len(out) < budget:
+            logits, _ = model.decode(np.asarray(prefix, dtype=np.int64), enc_out)
+            step_logits.append(logits.data[-1].copy())
+            nxt = int(np.argmax(logits.data[-1]))
+            if nxt == eos_id:
+                return out, False, step_logits
+            out.append(nxt)
+            prefix.append(nxt)
+    return out, True, step_logits

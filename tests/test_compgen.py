@@ -239,6 +239,41 @@ def test_written_files_match_pinned_hashes(tmp_path, corpus):
     assert got == PINNED_CORPUS_FILES
 
 
+CORPUS_FILES = ("train.jsonl", "dev.jsonl", "test.jsonl", "cg_test.jsonl", "manifest.json")
+
+
+@pytest.mark.parametrize("fail_after", [100, 320])  # inside train.jsonl, dev.jsonl
+def test_failed_write_keeps_every_file_whole(tmp_path, corpus, monkeypatch, fail_after):
+    other = generate_corpus(small_spec(seed=1))
+    write_corpus(other, tmp_path / "other")
+    write_corpus(corpus, tmp_path / "data")
+    old = {name: (tmp_path / "data" / name).read_bytes() for name in CORPUS_FILES}
+    new = {name: (tmp_path / "other" / name).read_bytes() for name in CORPUS_FILES}
+    calls = iter(range(fail_after + 1))
+    to_dict = Example.to_dict
+
+    def failing_to_dict(ex):
+        if next(calls) == fail_after:
+            raise OSError("disk full")
+        return to_dict(ex)
+
+    monkeypatch.setattr(Example, "to_dict", failing_to_dict)
+    with pytest.raises(OSError, match="disk full"):
+        write_corpus(other, tmp_path / "data")
+    monkeypatch.undo()
+    assert sorted(p.name for p in (tmp_path / "data").iterdir()) == sorted(CORPUS_FILES)
+    got = {name: (tmp_path / "data" / name).read_bytes() for name in CORPUS_FILES}
+    assert all(got[name] in (old[name], new[name]) for name in CORPUS_FILES)
+    assert got["manifest.json"] == old["manifest.json"]  # the manifest goes last
+    loaded = load_corpus(tmp_path / "data")
+    assert loaded.spec == corpus.spec
+    if fail_after < corpus.spec.n_train:
+        assert got == old
+        for name in ("train", "dev", "test", "cg_test"):
+            assert ([ex.to_dict() for ex in loaded.split(name)]
+                    == [ex.to_dict() for ex in corpus.split(name)])
+
+
 def test_load_without_manifest_fails(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_corpus(tmp_path)

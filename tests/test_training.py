@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from layerfuse import training
-from layerfuse.model import ModelConfig, Seq2SeqModel
+from layerfuse.model import DecodeState, ModelConfig, Seq2SeqModel, _Layer
+from layerfuse.tensor import ShapeError, no_grad
 from layerfuse.training import (
     CheckpointError,
     TrainConfig,
@@ -23,6 +24,7 @@ from layerfuse.training import (
     train_loop,
     train_step,
 )
+from oracles import full_recompute_greedy_decode
 
 
 def tiny_model(**kw):
@@ -252,6 +254,124 @@ def test_greedy_decode_respects_positional_budget():
     model = tiny_model(max_len=4)
     tokens, _ = greedy_decode(model, np.array([3]), 1, 2, max_new_tokens=99)
     assert len(tokens) <= 3  # max_len - 1 slots after BOS
+
+
+def test_greedy_decode_max_len_one_emits_nothing():
+    model = tiny_model(max_len=1)
+    assert greedy_decode(model, np.array([3]), 1, 2, max_new_tokens=5) == ([], True)
+
+
+# -- incremental decoding against full recompute ------------------------------------
+
+VARIANTS = ("vanilla", "fuse", "fuse_enc", "fuse_dec", "fuse_top", "accum")
+MAX_NEW = 7  # max_len 8 leaves 7 slots after BOS
+
+
+def decode_pairs():
+    """Training triples of mixed source and target lengths."""
+    r = np.random.default_rng(0)
+    out = []
+    for _ in range(24):
+        src = r.integers(3, 10, size=int(r.integers(2, 6)))
+        tgt = r.integers(3, 10, size=int(r.integers(1, 5)))
+        out.append((src, np.concatenate([[1], tgt]), np.concatenate([tgt, [2]])))
+    return out
+
+
+def decode_model(variant, steps=6):
+    """Trained just enough that some sentences stop at EOS and some run out."""
+    cfg = ModelConfig(src_vocab=10, tgt_vocab=10, d_model=16, n_heads=2, d_ffn=24,
+                      n_enc_layers=2, n_dec_layers=2, max_len=8, dropout=0.0, seed=4)
+    model = Seq2SeqModel(cfg.with_variant(variant))
+    train_loop(model, decode_pairs(), TrainConfig(steps=steps, batch_size=8, lr=3e-3,
+                                                  warmup=5, seed=1))
+    return model
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_greedy_decode_matches_full_recompute(variant, monkeypatch):
+    model = decode_model(variant)
+    sources = [src for src, _, _ in decode_pairs()[:12]]
+    want = [full_recompute_greedy_decode(model, src, 1, 2, MAX_NEW) for src in sources]
+    step_logits = []
+    real_decode = model.decode
+
+    def spy(prefix, enc_out, **kw):
+        logits, cache = real_decode(prefix, enc_out, **kw)
+        step_logits.append(logits.data[-1].copy())
+        return logits, cache
+
+    monkeypatch.setattr(model, "decode", spy)
+    for src, (tokens, truncated, logits) in zip(sources, want):
+        step_logits.clear()
+        assert greedy_decode(model, src, 1, 2, MAX_NEW) == (tokens, truncated)
+        assert len(step_logits) == len(logits)
+        for got, ref in zip(step_logits, logits):
+            assert np.max(np.abs(got - ref)) <= 1e-12
+    assert {truncated for _, truncated, _ in want} == {False, True}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_decode_in_chunks_equals_stateless_decode(variant):
+    model = decode_model(variant, steps=0)
+    r = np.random.default_rng(3)
+    for src, prefix in ((r.integers(3, 10, size=5), r.integers(3, 10, size=7)),
+                        (r.integers(3, 10, size=(2, 4)), r.integers(3, 10, size=(2, 7)))):
+        with no_grad():
+            enc_out, _ = model.encode(src)
+            whole, _ = model.decode(prefix, enc_out)
+            state = DecodeState()
+            chunks = [model.decode(prefix[..., :3], enc_out, state=state)[0].data]
+            cross_keys = [c.k for c in state.cross_kv]
+            for t in range(4, 8):
+                logits, cache = model.decode(prefix[..., :t], enc_out, state=state)
+                assert logits.shape[-2] == 1 and cache.outputs[0].shape[-2] == 1
+                chunks.append(logits.data)
+        assert np.max(np.abs(np.concatenate(chunks, axis=-2) - whole.data)) <= 1e-12
+        assert [c.k for c in state.cross_kv] == cross_keys  # projected once
+        assert [c.k.shape[-2] for c in state.self_kv] == [7, 7]
+
+
+def test_decode_state_rejects_a_prefix_that_does_not_extend():
+    model = decode_model("fuse", steps=0)
+    with no_grad():
+        enc_out, _ = model.encode(np.array([3, 4, 5]))
+        state = DecodeState()
+        model.decode(np.array([1, 4, 5]), enc_out, state=state)
+        for bad in ([1, 4, 5], [1, 4], [1, 6, 5, 3], [[1, 4, 5, 3]]):
+            with pytest.raises(ShapeError):
+                model.decode(np.array(bad), enc_out, state=state)
+        with pytest.raises(ShapeError):
+            model.decode(np.array([1, 4, 5, 3]), enc_out, state=state, lengths=[4])
+        # A rejected prefix leaves the state as it was.
+        got, _ = model.decode(np.array([1, 4, 5, 3]), enc_out, state=state)
+        whole, _ = model.decode(np.array([1, 4, 5, 3]), enc_out)
+    assert np.max(np.abs(got.data - whole.data[-1:])) <= 1e-12
+
+
+def test_cached_decode_steps_run_one_position_per_layer(monkeypatch):
+    model = decode_model("fuse", steps=0)
+    sources = [np.array([3, 4, 5, 6]), np.array([7, 8])]
+    # EOS id 10 is outside the vocabulary, so every sentence uses its budget.
+    want = [full_recompute_greedy_decode(model, src, 1, 10, MAX_NEW)[:2] for src in sources]
+    rows = []      # (side, positions) of every layer call
+    encoded = []   # source length of every encode call
+    real_forward, real_encode = _Layer.forward, Seq2SeqModel.encode
+
+    def forward(layer, x, *args, **kwargs):
+        rows.append(("dec" if layer.cross_attn is not None else "enc", x.shape[-2]))
+        return real_forward(layer, x, *args, **kwargs)
+
+    def encode(self, src_ids, **kwargs):
+        encoded.append(len(src_ids))
+        return real_encode(self, src_ids, **kwargs)
+
+    monkeypatch.setattr(_Layer, "forward", forward)
+    monkeypatch.setattr(Seq2SeqModel, "encode", encode)
+    assert [greedy_decode(model, src, 1, 10, MAX_NEW) for src in sources] == want
+    assert encoded == [4, 2]
+    assert [n for side, n in rows if side == "enc"] == [4, 4, 2, 2]
+    assert [n for side, n in rows if side == "dec"] == [1] * (2 * MAX_NEW * 2)
 
 
 def test_token_accuracy_on_overfit_pair():
