@@ -41,7 +41,6 @@ from .tensor import (
     grad_check,
     layer_norm,
     no_grad,
-    relu,
     softmax,
 )
 from .training import (

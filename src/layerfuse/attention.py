@@ -179,16 +179,15 @@ def multi_head_attention(
     value: Tensor,
     params: AttentionParams,
     mask: np.ndarray | None = None,
-    return_probs: bool = False,
     cache: KVCache | None = None,
-):
+) -> tuple[Tensor, Tensor]:
     """Concatenate per-head scaled dot attention and project back to d_model.
 
     All heads run as one [..., h, n, d_k] attention. Head outputs are
-    concatenated in head order before the w_o projection. With
-    return_probs=True also returns the per-head probability arrays, as
-    tensors off the tape. With a ``cache`` the queries attend over the
-    cached keys and values (see KVCache), so ``mask`` covers those too.
+    concatenated in head order before the w_o projection. Returns (output,
+    probs), probs shaped [..., h, n_queries, n_keys]. With a ``cache`` the
+    queries attend over the cached keys and values (see KVCache), so
+    ``mask`` covers those too.
     """
     h = params.n_heads
     q = _split_heads(query.matmul(params.w_q), h)
@@ -205,7 +204,4 @@ def multi_head_attention(
     if mask is not None and np.ndim(mask) > 2:
         mask = np.expand_dims(mask, -3)  # one mask for every head
     out, probs = scaled_dot_attention(q, k, v, mask)
-    out = _merge_heads(out).matmul(params.w_o)
-    if return_probs:
-        return out, [Tensor(probs.data[..., i, :, :]) for i in range(h)]
-    return out
+    return _merge_heads(out).matmul(params.w_o), probs

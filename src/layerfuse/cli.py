@@ -240,6 +240,24 @@ def _write_csv(path: Path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
+def _keep_logged_steps(path: Path, last_step: int) -> None:
+    """Rewrite the train log to its parseable records of steps <= ``last_step``.
+
+    A run killed after its last checkpoint logged steps that a resume runs again.
+    """
+    if not path.exists():
+        return
+    kept = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        try:
+            if json.loads(line)["step"] <= last_step:
+                kept.append(line + "\n")
+        except (ValueError, KeyError, TypeError):
+            pass
+    with atomic_write(path) as fh:
+        fh.writelines(kept)
+
+
 # -- run-directory stages: train, eval and analyze run one, sweep all three ----
 
 
@@ -251,8 +269,10 @@ def _train_run(cfg: dict, corpus: Corpus, model: Seq2SeqModel, tcfg: TrainConfig
     train_set = triples(corpus.train, corpus.src_vocab, corpus.tgt_vocab)
     dev_set = triples(corpus.dev, corpus.src_vocab, corpus.tgt_vocab) if dev else None
     # The log is written a line per step, so a killed run keeps what it logged.
-    mode = "w" if state is None else "a"
-    with open(out_dir / "train_log.jsonl", mode, encoding="utf-8") as log:
+    log_path = out_dir / "train_log.jsonl"
+    if state is not None:
+        _keep_logged_steps(log_path, state.step)
+    with open(log_path, "w" if state is None else "a", encoding="utf-8") as log:
         state, history = train_loop(
             model, train_set, tcfg, dev_set=dev_set or None,
             out_dir=out_dir, log_stream=log, state=state,

@@ -583,6 +583,7 @@ def load_corpus(data_dir: str | Path) -> Corpus:
         if manifest.get("format") != "layerfuse-corpus" or manifest.get("version") != 1:
             raise ValueError("wrong format or version")
         spec = CorpusSpec.from_dict(manifest["spec"])
+        counts = dict(manifest["counts"])
         src_vocab = Vocabulary(manifest["src_tokens"])
         tgt_vocab = Vocabulary(manifest["tgt_tokens"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -610,6 +611,9 @@ def load_corpus(data_dir: str | Path) -> Corpus:
                         raise ValueError(
                             f"{path} line {lineno} is not a corpus example: {exc!r}"
                         ) from exc
+        if len(examples) != counts.get(name):
+            raise ValueError(f"{path} holds {len(examples)} examples, but "
+                             f"{manifest_path} counts {counts.get(name)}")
         setattr(corpus, name, examples)
     return corpus
 

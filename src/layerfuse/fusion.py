@@ -2,8 +2,10 @@
 
 The fuse-attention sublayer lets a layer attend, separately at every
 position, over that position's representations from all earlier layers
-(embedding included). Keys never cross positions: position t sees only its
-own layer history, so decoder causality is preserved by construction.
+(embedding included). It is ordinary multi_head_attention with one query
+per position and that position's stacked history as the key sequence. Keys
+never cross positions: position t sees only its own layer history, so
+decoder causality is preserved by construction.
 
 Variants:
   vanilla   no fusion; plain transformer layers
@@ -14,12 +16,10 @@ Variants:
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .attention import AttentionParams, pad_ids
-from .tensor import Tensor, layer_norm, no_grad, softmax, stack
+from .attention import AttentionParams, multi_head_attention, pad_ids
+from .tensor import Tensor, layer_norm, no_grad, stack
 
 __all__ = [
     "FusionError",
@@ -118,48 +118,41 @@ def fuse_attention_core(
 ) -> tuple[Tensor, list[Tensor]]:
     """Multi-head attention over each position's own layer history.
 
-    Equivalent to running scaled dot attention once per position with that
-    position's stacked history as keys/values. The history is one stacked
-    [n_history, ..., seq, d] tensor, and every head, position and history
-    entry is scored in one elementwise product: the score of entry j is the
-    dot product of the projected query and projected entry j at the same
-    position. ``query_state`` is [..., seq, d] with optional batch axes.
-    Returns the pre-residual output [..., seq, d] and per-head probability
-    arrays [..., seq, n_history] as tensors off the tape.
+    ``query_state`` is [..., seq, d] with optional batch axes. Returns the
+    pre-residual output [..., seq, d] and per-head probability arrays
+    [..., seq, n_history] as tensors off the tape.
 
     ``layer_mask`` (length n_history, True = attendable) masks history rows;
     an empty attendable set is an error.
+    """
+    out, probs = _attend_history(query_state, prev_outputs, params, layer_mask)
+    return out, [Tensor(p) for p in np.moveaxis(probs, -2, 0)]
+
+
+def _attend_history(query_state, prev_outputs, params, layer_mask=None):
+    """``multi_head_attention`` with one query per position over its history.
+
+    The history is stacked on axis -2, so position t's keys and values are
+    its n_history earlier states; queries are one row per position,
+    [..., seq, 1, d].
+    Returns the output [..., seq, d] and probabilities [..., seq, h, n_history].
     """
     prev_outputs = list(prev_outputs)
     n_hist = len(prev_outputs)
     if n_hist == 0:
         raise FusionError("fuse-attention with an empty layer history")
-    h = params.n_heads
-    history = stack(prev_outputs)
-    q = _per_head(query_state.matmul(params.w_q), h)
-    k = _per_head(history.matmul(params.w_k), h)
-    scores = (q * k).sum(axis=-1) * (1.0 / math.sqrt(params.d_k))
+    mask = None
     if layer_mask is not None:
-        layer_mask = np.asarray(layer_mask, dtype=bool)
-        if layer_mask.shape != (n_hist,):
-            raise FusionError(
-                f"layer_mask shape {layer_mask.shape} != ({n_hist},)"
-            )
-        if not layer_mask.any():
+        mask = np.asarray(layer_mask, dtype=bool)
+        if mask.shape != (n_hist,):
+            raise FusionError(f"layer_mask shape {mask.shape} != ({n_hist},)")
+        if not mask.any():
             raise FusionError("layer_mask leaves no attendable layer")
-        bias = np.where(layer_mask, 0.0, -1e9)
-        scores = scores + Tensor(bias.reshape((n_hist,) + (1,) * (scores.ndim - 1)))
-    probs = softmax(scores, axis=0)                      # [n_hist, ..., seq, h]
-    v = _per_head(history.matmul(params.w_v), h)
-    mixed = (probs.reshape(*probs.shape, 1) * v).sum(axis=0)
-    merged = mixed.reshape(*mixed.shape[:-2], mixed.shape[-2] * mixed.shape[-1])
-    per_head = np.moveaxis(probs.data, (0, -1), (-1, 0))  # [h, ..., seq, n_hist]
-    return merged.matmul(params.w_o), [Tensor(p) for p in per_head]
-
-
-def _per_head(x: Tensor, n_heads: int) -> Tensor:
-    """[..., h*d] -> [..., h, d]."""
-    return x.reshape(*x.shape[:-1], n_heads, x.shape[-1] // n_heads)
+        mask = mask[None, :]
+    history = stack(prev_outputs, axis=-2)
+    query = query_state.reshape(*query_state.shape[:-1], 1, query_state.shape[-1])
+    out, probs = multi_head_attention(query, history, history, params, mask)
+    return out.reshape(*query_state.shape), probs.data[..., 0, :]
 
 
 _NORM_CONSTS: dict[int, tuple[Tensor, Tensor]] = {}
@@ -179,19 +172,20 @@ def fuse_attention(
     params: AttentionParams,
     layer_mask: np.ndarray | None = None,
     *,
-    eps: float = 1e-5,
     dropout=None,
-) -> tuple[Tensor, list[Tensor]]:
+) -> tuple[Tensor, np.ndarray]:
     """Fuse-attention sublayer: core attention, residual, post-norm.
 
-    The post-norm carries no learnable affine (see _plain_norm_params).
-    ``dropout`` is an optional callable applied to the core output.
+    Returns the sublayer output and the probabilities [..., seq, h, n_history]
+    as one array. The post-norm carries no learnable affine (see
+    _plain_norm_params). ``dropout`` is an optional callable applied to the
+    core output.
     """
-    core, probs = fuse_attention_core(query_state, prev_outputs, params, layer_mask)
+    core, probs = _attend_history(query_state, prev_outputs, params, layer_mask)
     if dropout is not None:
         core = dropout(core)
     gamma, beta = _plain_norm_params(query_state.shape[-1])
-    return layer_norm(query_state + core, gamma, beta, eps), probs
+    return layer_norm(query_state + core, gamma, beta), probs
 
 
 class FuseProbRecorder:
@@ -205,10 +199,9 @@ class FuseProbRecorder:
         self._sums: dict[tuple[str, int], np.ndarray] = {}
         self._counts: dict[tuple[str, int], int] = {}
 
-    def add(self, side: str, layer_idx: int, probs_per_head) -> None:
-        """Record per-head probability rows, each shaped [..., n_history]."""
-        rows = np.concatenate(
-            [p.data.reshape(-1, p.shape[-1]) for p in probs_per_head], axis=0)
+    def add(self, side: str, layer_idx: int, probs: np.ndarray) -> None:
+        """Record probability rows: every row of ``probs`` [..., n_history]."""
+        rows = probs.reshape(-1, probs.shape[-1])
         key = (side, layer_idx)
         if key in self._sums:
             self._sums[key] = self._sums[key] + rows.sum(axis=0)

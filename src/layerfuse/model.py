@@ -223,11 +223,12 @@ class _Layer:
         self.norm_ffn = _LayerNormParams(reg, f"{prefix}.norm_ffn", d)
 
     def self_block(self, x, mask=None, drop=None, cache=None):
-        out = multi_head_attention(x, x, x, self.self_attn, mask, cache=cache)
+        out, _ = multi_head_attention(x, x, x, self.self_attn, mask, cache=cache)
         return _residual(x, out, self.norm_self, drop)
 
     def cross_block(self, x, enc_out, mask=None, drop=None, cache=None):
-        out = multi_head_attention(x, enc_out, enc_out, self.cross_attn, mask, cache=cache)
+        out, _ = multi_head_attention(x, enc_out, enc_out, self.cross_attn, mask,
+                                      cache=cache)
         return _residual(x, out, self.norm_cross, drop)
 
     def ffn_block(self, x, drop=None):
@@ -480,6 +481,5 @@ def _record(recorder, side: str, layer_idx: int, probs, ids, lengths) -> None:
     if recorder is None or probs is None:
         return
     if lengths is not None:
-        real = np.arange(ids.shape[-1]) < np.asarray(lengths)[:, None]
-        probs = [Tensor(p.data[real]) for p in probs]
+        probs = probs[np.arange(ids.shape[-1]) < np.asarray(lengths)[:, None]]
     recorder.add(side, layer_idx, probs)

@@ -25,7 +25,6 @@ __all__ = [
     "embedding_lookup",
     "grad_check",
     "layer_norm",
-    "relu",
     "softmax",
     "stack",
 ]
@@ -36,7 +35,7 @@ class ShapeError(ValueError):
 
 
 class GradError(RuntimeError):
-    """Autodiff misuse: backward on a non-scalar, grad of a detached value."""
+    """Autodiff misuse: backward on a non-scalar or on a value off the tape."""
 
 
 _grad_enabled = True
@@ -93,9 +92,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -196,12 +192,6 @@ class Tensor:
         def bw(g, a=self, mask=self.data > 0):
             _accum(a, g * mask)
         return _result(data, (self,), bw)
-
-    def softmax(self, axis: int = -1) -> "Tensor":
-        return softmax(self, axis=axis)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 # -- graph plumbing ---------------------------------------------------------
@@ -312,10 +302,6 @@ def backward(loss: Tensor) -> None:
 
 
 # -- free-function ops ------------------------------------------------------
-
-
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

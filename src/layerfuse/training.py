@@ -343,7 +343,6 @@ def save_checkpoint(
     path: str | Path,
     model: Seq2SeqModel,
     state: TrainState | None = None,
-    extra: dict | None = None,
 ) -> None:
     """Single-file .npz: versioned JSON meta + raw float64 parameter buffers."""
     meta = {
@@ -354,7 +353,6 @@ def save_checkpoint(
         "seed": state.seed if state is not None else model.config.seed,
         "best_dev_loss": state.best_dev_loss if state is not None else None,
         "has_optimizer": state is not None,
-        "extra": extra or {},
     }
     arrays: dict[str, np.ndarray] = {
         "meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),

@@ -151,7 +151,7 @@ def _identity_params(d):
 def test_single_identity_head_equals_scaled_dot():
     d = 4
     x = Tensor(rng(13).standard_normal((3, d)))
-    got = multi_head_attention(x, x, x, _identity_params(d))
+    got, _ = multi_head_attention(x, x, x, _identity_params(d))
     want, _ = scaled_dot_attention(x, x, x)
     assert np.array_equal(got.data, want.data)
 
@@ -159,7 +159,7 @@ def test_single_identity_head_equals_scaled_dot():
 def test_zero_values_give_zero_output():
     params = AttentionParams.create(rng(14), d_model=6, n_heads=2)
     q = Tensor(rng(15).standard_normal((3, 6)))
-    out = multi_head_attention(q, q, Tensor(np.zeros((3, 6))), params)
+    out, _ = multi_head_attention(q, q, Tensor(np.zeros((3, 6))), params)
     assert np.array_equal(out.data, np.zeros((3, 6)))
 
 
@@ -169,7 +169,7 @@ def test_two_heads_match_concat_oracle():
     q = Tensor(rng(17).standard_normal((4, d)))
     k = Tensor(rng(18).standard_normal((5, d)))
     v = Tensor(rng(19).standard_normal((5, d)))
-    got = multi_head_attention(q, k, v, params)
+    got, _ = multi_head_attention(q, k, v, params)
 
     d_k = d // h
     heads = []
@@ -188,10 +188,9 @@ def test_multi_head_respects_mask():
     params = AttentionParams.create(rng(20), d_model=d, n_heads=2)
     x = Tensor(rng(21).standard_normal((3, d)))
     causal = make_causal_mask(3)
-    _, probs = multi_head_attention(x, x, x, params, mask=causal,
-                                    return_probs=True)
-    for head in probs:
-        assert (head.data[~causal] == 0.0).all()
+    _, probs = multi_head_attention(x, x, x, params, mask=causal)
+    assert probs.shape == (2, 3, 3)
+    assert (probs.data[:, ~causal] == 0.0).all()
 
 
 def test_params_create_shapes_and_names():

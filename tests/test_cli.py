@@ -199,6 +199,31 @@ def test_train_resume_matches_uninterrupted(pipeline, tmp_path):
         assert np.array_equal(pa[name].data, pb[name].data), name
 
 
+def test_resume_after_kill_logs_each_step_once(pipeline, tmp_path):
+    data = str(pipeline["data"])
+    run = tmp_path / "run"
+    assert main(["train", "--out", str(run)] + sets("train.steps=2", data_dir=data)) == 0
+    step2 = tmp_path / "step2.npz"
+    shutil.copy(run / "checkpoint.npz", step2)
+    # A run killed past its step-2 checkpoint: steps 3 and 4 logged, then a
+    # line cut short.
+    resume = ["train", "--out", str(run), "--resume", str(step2)] + sets(
+        "train.steps=4", data_dir=data)
+    assert main(resume) == 0
+    with open(run / "train_log.jsonl", "a") as fh:
+        fh.write('{"loss": 1.')
+    assert main(resume) == 0
+    full = tmp_path / "full"
+    assert main(["train", "--out", str(full)] + sets("train.steps=4", data_dir=data)) == 0
+
+    def records(run_dir):
+        lines = (run_dir / "train_log.jsonl").read_text().splitlines()
+        return [{k: v for k, v in json.loads(l).items() if k != "wall_ms"} for l in lines]
+
+    assert [r["step"] for r in records(run)] == [1, 2, 3, 4]
+    assert records(run) == records(full)
+
+
 def test_train_missing_corpus_exits_2(tmp_path, capsys):
     rc = main(["train", "--out", str(tmp_path / "r")]
               + sets(data_dir=str(tmp_path / "nowhere")))
@@ -387,6 +412,14 @@ def truncate_dev_line(pipeline, tmp_path):
     return ["train", "--out", str(tmp_path / "r")] + sets(data_dir=str(data))
 
 
+def drop_dev_line(pipeline, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    lines = (data / "dev.jsonl").read_text().splitlines(keepends=True)
+    (data / "dev.jsonl").write_text("".join(lines[1:]))
+    return ["train", "--out", str(tmp_path / "r")] + sets(data_dir=str(data))
+
+
 def wrong_manifest(pipeline, tmp_path):
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)
@@ -422,11 +455,13 @@ def sweep_seeds(seeds):
     (sweep_seeds("0,x"), 2, "seeds"),
     (sweep_seeds(""), 2, "seeds"),
     (truncate_dev_line, 2, "dev.jsonl line 3"),
+    (drop_dev_line, 2, "dev.jsonl holds 15 examples"),
     (wrong_manifest, 2, "manifest.json"),
     (checkpoint_with(dense_layers=2), 3, "dense_layers"),
     (checkpoint_with(fusion_mode="dense"), 3, "fusion_mode"),
     (checkpoint_with(version=1), 3, "version 1"),
-], ids=["seeds-not-int", "seeds-empty", "truncated-dev-line", "wrong-manifest",
+], ids=["seeds-not-int", "seeds-empty", "truncated-dev-line", "dev-line-missing",
+        "wrong-manifest",
         "checkpoint-unknown-key", "checkpoint-bad-value", "checkpoint-version-1"])
 def test_bad_input_exits_with_one_error_line(pipeline, tmp_path, make_argv, code, detail):
     argv = make_argv(pipeline, tmp_path)

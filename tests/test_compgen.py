@@ -274,6 +274,18 @@ def test_failed_write_keeps_every_file_whole(tmp_path, corpus, monkeypatch, fail
                     == [ex.to_dict() for ex in corpus.split(name)])
 
 
+def test_load_rejects_split_sizes_off_the_manifest(tmp_path, corpus):
+    write_corpus(corpus, tmp_path)
+    lines = (tmp_path / "dev.jsonl").read_text().splitlines(keepends=True)
+    (tmp_path / "dev.jsonl").write_text("".join(lines[:-1]))
+    with pytest.raises(ValueError, match=f"dev.jsonl holds {len(lines) - 1} examples"):
+        load_corpus(tmp_path)
+    write_corpus(corpus, tmp_path)
+    (tmp_path / "test.jsonl").unlink()
+    with pytest.raises(ValueError, match="test.jsonl holds 0 examples"):
+        load_corpus(tmp_path)
+
+
 def test_load_without_manifest_fails(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_corpus(tmp_path)

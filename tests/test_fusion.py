@@ -151,6 +151,24 @@ def test_fuse_matches_per_position_oracle():
         assert np.max(np.abs(probs[i].data - want_probs[i])) < 1e-12
 
 
+def test_fuse_batch_with_layer_mask_matches_oracle_per_sentence():
+    d, h, batch, seq, n_hist = 6, 2, 3, 4, 3
+    params = AttentionParams.create(rng(31), d_model=d, n_heads=h)
+    r = rng(32)
+    outs = [Tensor(r.standard_normal((batch, seq, d))) for _ in range(n_hist)]
+    q = Tensor(r.standard_normal((batch, seq, d)))
+    mask = np.array([True, False, True])
+    core, probs = fuse_attention_core(q, outs, params, layer_mask=mask)
+    assert core.shape == (batch, seq, d)
+    assert [p.shape for p in probs] == [(batch, seq, n_hist)] * h
+    for b in range(batch):
+        want_out, want_probs = naive_fuse_attention(
+            q.data[b], [t.data[b] for t in outs], params, mask)
+        assert np.max(np.abs(core.data[b] - want_out)) < 1e-12
+        for i in range(h):
+            assert np.max(np.abs(probs[i].data[b] - want_probs[i])) < 1e-12
+
+
 def test_fuse_probability_rows_normalized():
     params = AttentionParams.create(rng(16), d_model=4, n_heads=2)
     outs = history(17, 4, 6, 4)
@@ -188,10 +206,12 @@ def test_fuse_sublayer_is_residual_plus_plain_norm():
     params = AttentionParams.create(rng(24), d_model=d, n_heads=2)
     outs = history(25, 2, 3, d)
     q = Tensor(rng(26).standard_normal((3, d)))
-    got, _ = fuse_attention(q, outs, params)
-    core, _ = fuse_attention_core(q, outs, params)
+    got, probs = fuse_attention(q, outs, params)
+    core, per_head = fuse_attention_core(q, outs, params)
     want = layer_norm(q + core, Tensor(np.ones(d)), Tensor(np.zeros(d)))
     assert np.array_equal(got.data, want.data)
+    # One [seq, h, n_history] array holding the per-head rows.
+    assert np.array_equal(np.moveaxis(probs, -2, 0), [p.data for p in per_head])
 
 
 # -- probability recording -----------------------------------------------------------
@@ -199,7 +219,7 @@ def test_fuse_sublayer_is_residual_plus_plain_norm():
 
 def test_recorder_layer_one_row():
     rec = FuseProbRecorder()
-    rec.add("encoder", 0, [Tensor(np.ones((3, 1)))])
+    rec.add("encoder", 0, np.ones((3, 1)))
     avg = rec.averaged()
     assert np.array_equal(avg["encoder"][0], [1.0])
 
@@ -209,8 +229,8 @@ def test_recorder_rows_have_layer_many_entries():
     rec = FuseProbRecorder()
     for layer in range(3):
         outs = history(28 + layer, layer + 1, 4, 4)
-        _, probs = fuse_attention_core(Tensor(rng(40).standard_normal((4, 4))),
-                                       outs, params)
+        _, probs = fuse_attention(Tensor(rng(40).standard_normal((4, 4))),
+                                  outs, params)
         rec.add("encoder", layer, probs)
     avg = rec.averaged()
     for layer in range(3):
@@ -226,7 +246,7 @@ def test_recorder_average_matches_raw_recount():
     for _ in range(5):
         block = r.dirichlet(np.ones(3), size=4)
         raw.append(block)
-        rec.add("decoder", 2, [Tensor(block[:2]), Tensor(block[2:])])
+        rec.add("decoder", 2, block.reshape(2, 2, 3))
     want = np.concatenate(raw, axis=0).mean(axis=0)
     got = rec.averaged()["decoder"][2]
     assert np.max(np.abs(got - want)) < 1e-12

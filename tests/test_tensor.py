@@ -384,14 +384,6 @@ def test_no_grad_disables_graph():
         backward(out)
 
 
-def test_detach_cuts_history():
-    x = Tensor(np.array([2.0]), requires_grad=True)
-    y = (x * x).detach()
-    assert not y.requires_grad
-    backward((y * x).sum())
-    assert np.array_equal(x.grad, [4.0])
-
-
 def test_tape_orders_parents_before_children():
     x = Tensor(np.ones(2), requires_grad=True)
     y = x * 2.0

@@ -177,9 +177,9 @@ def test_train_loop_writes_each_checkpoint_once(tmp_path, monkeypatch, steps,
     saves = []
     real_save = training.save_checkpoint
 
-    def counting_save(path, model, state=None, extra=None):
+    def counting_save(path, model, state=None):
         saves.append((Path(path).name, state.step))
-        real_save(path, model, state, extra)
+        real_save(path, model, state)
 
     monkeypatch.setattr(training, "save_checkpoint", counting_save)
     cfg = train_cfg(steps=steps, checkpoint_interval=interval)
