@@ -50,6 +50,7 @@ from .training import (
     TrainState,
     eval_loss,
     greedy_decode,
+    greedy_decode_batch,
     load_checkpoint,
     lr_at,
     save_checkpoint,

@@ -29,6 +29,7 @@ from .compgen import (
     triples,
     write_corpus,
 )
+from . import training
 from .fileio import atomic_write
 from .fusion import FusionError, extract_fuse_probs, parse_variant
 from .model import ModelConfig, Seq2SeqModel
@@ -36,7 +37,7 @@ from .training import (
     CheckpointError,
     TrainConfig,
     TrainingError,
-    greedy_decode,
+    greedy_decode_batch,
     load_checkpoint,
     train_loop,
 )
@@ -137,7 +138,19 @@ def _resolve(args) -> dict:
         cfg["train"]["seed"] = args.seed
     if args.out is not None:
         cfg["out_dir"] = args.out
+    _check_run_settings(cfg)
     return cfg
+
+
+def _check_run_settings(cfg: dict) -> None:
+    """The eval and analyze settings, checked before any command does work."""
+    for key in ("eval_max_new_tokens", "analysis_examples"):
+        value = cfg[key]
+        if type(value) is not int or value < 1:
+            raise UsageError(f"{key} must be an integer >= 1, got {value!r}")
+    if cfg["eval_split"] not in SPLITS:
+        raise UsageError(
+            f"eval_split must be one of {', '.join(SPLITS)}, got {cfg['eval_split']!r}")
 
 
 def _corpus_spec(cfg: dict) -> CorpusSpec:
@@ -218,14 +231,21 @@ def _added_params(model: Seq2SeqModel) -> int:
 
 
 def _decode_split(model, corpus: Corpus, examples, max_new: int):
-    preds, flags = [], []
-    for ex in examples:
-        ids, truncated = greedy_decode(
-            model, corpus.src_vocab.encode(ex.src), BOS, EOS, max_new
-        )
-        preds.append(corpus.tgt_vocab.decode(ids))
-        flags.append(truncated)
-    return preds, flags
+    """Greedy-decode ``examples``; returns predictions and truncation flags.
+
+    Sources are decoded in batches of training.EVAL_BATCH after sorting by
+    length, so a batch pads little; results come back in input order.
+    """
+    sources = [corpus.src_vocab.encode(ex.src) for ex in examples]
+    order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
+    decoded = [None] * len(sources)
+    for start in range(0, len(order), training.EVAL_BATCH):
+        chunk = order[start:start + training.EVAL_BATCH]
+        results = greedy_decode_batch(model, [sources[i] for i in chunk], BOS, EOS, max_new)
+        for i, result in zip(chunk, results):
+            decoded[i] = result
+    return ([corpus.tgt_vocab.decode(ids) for ids, _ in decoded],
+            [truncated for _, truncated in decoded])
 
 
 def _write_json(path: Path, obj) -> None:
@@ -414,6 +434,11 @@ def cmd_sweep(cfg: dict, variants=None, seeds=None) -> int:
         raise UsageError(f"seeds must be comma-separated integers: {exc}") from exc
     for v in variants:
         parse_variant(v)
+    # A repeat would train twice into one run directory.
+    for name, values in (("variants", variants), ("seeds", seeds)):
+        repeated = sorted({str(x) for x in values if values.count(x) > 1})
+        if repeated:
+            raise UsageError(f"--{name} repeats {', '.join(repeated)}")
     out_dir = Path(cfg["out_dir"])
     corpus = generate_corpus(_corpus_spec(cfg))
     write_corpus(corpus, out_dir / "data")

@@ -134,7 +134,8 @@ class DecodeState:
     ``ids`` is the target prefix already run. ``self_kv[k]`` holds decoder
     layer k's self-attention keys and values for those positions and
     ``cross_kv[k]`` its cross-attention keys and values of the encoder
-    output. A new state is empty; the first decode fills it.
+    output. A new state is empty; the first decode fills it. A batch of
+    prefixes keeps its rows on axis 0 of ``ids`` and of every cache.
     """
 
     ids: np.ndarray | None = None
@@ -156,6 +157,16 @@ class DecodeState:
                 f"{self.ids.tolist()}"
             )
         return n
+
+    def keep(self, rows) -> None:
+        """Keep only batch rows ``rows`` (indices or a boolean mask) of the
+        cached prefix, keys and values, for a batch that drops finished rows.
+
+        The kept keys and values are new tensors with no gradient history.
+        """
+        self.ids = self.ids[rows]
+        for cache in self.self_kv + self.cross_kv:
+            cache.k, cache.v = Tensor(cache.k.data[rows]), Tensor(cache.v.data[rows])
 
 
 class _LayerNormParams:
@@ -362,8 +373,10 @@ class Seq2SeqModel:
         logits and the cache cover those new positions only, and equal the
         stateless rows up to rounding. Each later call must pass the same
         ``enc_out`` and the previous prefix plus at least one position, or it
-        raises ShapeError. A padded target batch (``lengths``) cannot be
-        decoded this way.
+        raises ShapeError. A padded source batch decodes this way with
+        ``src_lengths`` and a [B, t] prefix, every row one length (after
+        ``state.keep``, the kept rows of ``enc_out`` and ``src_lengths``). A
+        padded target batch (``lengths``) cannot be decoded this way.
         """
         ids = np.asarray(tgt_prefix_ids, dtype=np.int64)
         start, kv = 0, None

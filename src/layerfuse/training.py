@@ -45,6 +45,7 @@ __all__ = [
     "eval_loss",
     "token_accuracy",
     "greedy_decode",
+    "greedy_decode_batch",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -53,7 +54,8 @@ __all__ = [
 _TAG_ORDER = 1
 _TAG_DROPOUT = 2
 
-# Sentences per padded forward in eval_loss and token_accuracy.
+# Sentences per padded forward in eval_loss and token_accuracy, and per
+# greedy_decode_batch chunk when the CLI decodes a split.
 EVAL_BATCH = 64
 
 CHECKPOINT_VERSION = 2
@@ -314,26 +316,79 @@ def greedy_decode(
     budget ran out before EOS appeared.
 
     Decoding is incremental: the source is encoded once, and each step hands
-    the whole prefix to ``model.decode`` with one DecodeState, so only the
-    newest position runs through the decoder.
+    the whole prefix [t] to ``model.decode`` with one DecodeState, so only
+    the newest position runs through the decoder.
     """
+    budget = _budget(model, max_new_tokens)
+    (result,) = _greedy(model, np.asarray(src_ids, dtype=np.int64), None,
+                        bos_id, eos_id, budget)
+    return result
+
+
+def greedy_decode_batch(
+    model: Seq2SeqModel,
+    sources,
+    bos_id: int,
+    eos_id: int,
+    max_new_tokens: int,
+) -> list[tuple[list[int], bool]]:
+    """``greedy_decode`` of every source in ``sources``, run together.
+
+    The sources are right-padded into one [B, S] batch and encoded once;
+    each step runs one new position per row still decoding. A row that emits
+    EOS leaves the batch and its cached keys and values. Returns one
+    (tokens, truncated) pair per source, in input order.
+    """
+    budget = _budget(model, max_new_tokens)
+    if not len(sources):
+        return []
+    src, lengths = pad_ids(sources)
+    # Rows of one length need no padding mask.
+    return _greedy(model, src, None if (lengths == lengths[0]).all() else lengths,
+                   bos_id, eos_id, budget)
+
+
+def _budget(model: Seq2SeqModel, max_new_tokens: int) -> int:
     if max_new_tokens < 1:
         raise ValueError("max_new_tokens must be >= 1")
-    budget = min(max_new_tokens, model.config.max_len - 1)
-    out: list[int] = []
+    return min(max_new_tokens, model.config.max_len - 1)
+
+
+def _greedy(model, src, src_lengths, bos_id, eos_id, budget):
+    """The decode loop of one source [S] or a padded batch [B, S].
+
+    Returns a (tokens, truncated) pair per source. The loop keeps the
+    prefixes as [rows, t] whatever the source's form, and hands ``decode``
+    an unbatched [t] prefix for a single source. ``live`` maps each row of
+    the shrinking batch to its source.
+    """
+    batched = src.ndim == 2
+    prefix = np.full((len(src) if batched else 1, 1), bos_id, dtype=np.int64)
+    live = np.arange(len(prefix))
+    results = [None] * len(prefix)
     with no_grad():
-        enc_out, _ = model.encode(src_ids)
+        enc_out, _ = model.encode(src, lengths=src_lengths)
         state = DecodeState()
-        prefix = [bos_id]
-        while len(out) < budget:
-            logits, _ = model.decode(np.asarray(prefix, dtype=np.int64), enc_out,
-                                     state=state)
-            nxt = int(np.argmax(logits.data[-1]))
-            if nxt == eos_id:
-                return out, False
-            out.append(nxt)
-            prefix.append(nxt)
-    return out, True
+        for _ in range(budget):
+            logits, _ = model.decode(prefix if batched else prefix[0], enc_out,
+                                     src_lengths=src_lengths, state=state)
+            nxt = logits.data[..., -1, :].argmax(axis=-1).reshape(-1)
+            stopped = nxt == eos_id
+            if stopped.any():
+                for row, ids in zip(live[stopped], prefix[stopped]):
+                    results[row] = (ids[1:].tolist(), False)
+                going = ~stopped
+                if not going.any():
+                    return results
+                live, prefix, nxt = live[going], prefix[going], nxt[going]
+                enc_out = Tensor(enc_out.data[going])
+                if src_lengths is not None:
+                    src_lengths = src_lengths[going]
+                state.keep(going)
+            prefix = np.concatenate([prefix, nxt[:, None]], axis=1)
+    for row, ids in zip(live, prefix):
+        results[row] = (ids[1:].tolist(), True)
+    return results
 
 
 # -- checkpoints -------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from layerfuse import cli, training
 from layerfuse.cli import (
     UsageError,
     apply_override,
@@ -17,8 +18,8 @@ from layerfuse.cli import (
     load_config,
     main,
 )
-from layerfuse.compgen import load_corpus
-from layerfuse.training import load_checkpoint
+from layerfuse.compgen import BOS, EOS, load_corpus
+from layerfuse.training import greedy_decode, load_checkpoint
 from oracles import oracle_cter, oracle_exact_match
 
 TINY_SETS = [
@@ -281,6 +282,30 @@ def test_eval_plain_split_has_no_cter(pipeline):
     assert "cter" not in metrics
 
 
+def test_decode_split_batches_keep_input_order(pipeline, monkeypatch):
+    corpus = load_corpus(pipeline["data"])
+    model, _ = load_checkpoint(pipeline["run"] / "checkpoint.npz")
+    examples = corpus.cg_test
+    want = [greedy_decode(model, corpus.src_vocab.encode(ex.src), BOS, EOS, 8)
+            for ex in examples]
+    monkeypatch.setattr(training, "EVAL_BATCH", 3)
+    batches = []
+    real_batch = cli.greedy_decode_batch
+
+    def spy(model, sources, *args):
+        batches.append([len(src) for src in sources])
+        return real_batch(model, sources, *args)
+
+    monkeypatch.setattr(cli, "greedy_decode_batch", spy)
+    preds, flags = cli._decode_split(model, corpus, examples, 8)
+    assert preds == [corpus.tgt_vocab.decode(ids) for ids, _ in want]
+    assert flags == [truncated for _, truncated in want]
+    assert len({tuple(p) for p in preds}) > 1 and set(flags) == {False, True}
+    lengths = [n for batch in batches for n in batch]
+    assert lengths == sorted(len(ex.src) for ex in examples)
+    assert [len(batch) for batch in batches] == [3] * (len(examples) // 3)
+
+
 def test_eval_missing_checkpoint_exits_2(pipeline, tmp_path, capsys):
     rc = main(["eval", "--out", str(tmp_path / "empty")]
               + sets(data_dir=str(pipeline["data"])))
@@ -358,17 +383,6 @@ def test_sweep_two_variants_two_rows(tmp_path):
     assert len(md) == 4  # header, rule, one line per variant
 
 
-def test_sweep_duplicate_variant_rows_identical(tmp_path):
-    out = tmp_path / "sweep"
-    rc = main(["sweep", "--out", str(out), "--variants", "fuse,fuse",
-               "--seeds", "1"] + sets())
-    assert rc == 0
-    rows = read_sweep_rows(out)
-    assert len(rows) == 2
-    assert rows[0] == rows[1]
-    assert (out / "runs" / "fuse-s1" / "fuse_probs.csv").exists()
-
-
 def test_sweep_rejects_unknown_variant(tmp_path, capsys):
     rc = main(["sweep", "--out", str(tmp_path / "s"), "--variants", "dense",
                "--seeds", "0"] + sets())
@@ -444,10 +458,18 @@ def checkpoint_with(version=None, **model_config):
     return make
 
 
-def sweep_seeds(seeds):
+def sweep_seeds(seeds, variants="vanilla", *extra):
     def make(pipeline, tmp_path):
-        return ["sweep", "--out", str(tmp_path / "s"), "--variants", "vanilla",
-                "--seeds", seeds] + sets()
+        return ["sweep", "--out", str(tmp_path / "s"), "--variants", variants,
+                "--seeds", seeds] + sets(*extra)
+    return make
+
+
+def run_with(command, *extra):
+    def make(pipeline, tmp_path):
+        return ([command, "--out", str(tmp_path),
+                 "--checkpoint", str(pipeline["run"] / "checkpoint.npz")]
+                + sets(*extra, data_dir=str(pipeline["data"])))
     return make
 
 
@@ -460,9 +482,22 @@ def sweep_seeds(seeds):
     (checkpoint_with(dense_layers=2), 3, "dense_layers"),
     (checkpoint_with(fusion_mode="dense"), 3, "fusion_mode"),
     (checkpoint_with(version=1), 3, "version 1"),
+    (run_with("eval", "eval_max_new_tokens=0"), 2, "eval_max_new_tokens"),
+    (run_with("eval", "eval_max_new_tokens=x"), 2, "eval_max_new_tokens"),
+    (run_with("eval", "eval_max_new_tokens=null"), 2, "eval_max_new_tokens"),
+    (run_with("eval", "eval_max_new_tokens=1.5"), 2, "eval_max_new_tokens"),
+    (run_with("eval", "eval_max_new_tokens=true"), 2, "eval_max_new_tokens"),
+    (run_with("analyze", "analysis_examples=0"), 2, "analysis_examples"),
+    (run_with("eval", "eval_split=nosplit"), 2, "eval_split"),
+    (sweep_seeds("0", "vanilla", "eval_max_new_tokens=0"), 2, "eval_max_new_tokens"),
+    (sweep_seeds("0", "vanilla,accum,vanilla"), 2, "--variants repeats vanilla"),
+    (sweep_seeds("0,1,00"), 2, "--seeds repeats 0"),
 ], ids=["seeds-not-int", "seeds-empty", "truncated-dev-line", "dev-line-missing",
         "wrong-manifest",
-        "checkpoint-unknown-key", "checkpoint-bad-value", "checkpoint-version-1"])
+        "checkpoint-unknown-key", "checkpoint-bad-value", "checkpoint-version-1",
+        "max-new-zero", "max-new-string", "max-new-null", "max-new-float",
+        "max-new-bool", "analysis-examples-zero", "eval-split-unknown",
+        "sweep-max-new-zero", "sweep-repeated-variant", "sweep-repeated-seed"])
 def test_bad_input_exits_with_one_error_line(pipeline, tmp_path, make_argv, code, detail):
     argv = make_argv(pipeline, tmp_path)
     result = subprocess.run([sys.executable, "-m", "layerfuse.cli"] + argv,
@@ -472,6 +507,8 @@ def test_bad_input_exits_with_one_error_line(pipeline, tmp_path, make_argv, code
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
     assert detail in lines[0]
+    if argv[0] == "sweep":  # rejected before the corpus is written
+        assert not (tmp_path / "s").exists()
 
 
 # -- module entry point -------------------------------------------------------------

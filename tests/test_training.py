@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from layerfuse import model as model_module
 from layerfuse import training
 from layerfuse.model import DecodeState, ModelConfig, Seq2SeqModel, _Layer
 from layerfuse.tensor import ShapeError, no_grad
@@ -16,6 +17,7 @@ from layerfuse.training import (
     batch_indices,
     eval_loss,
     greedy_decode,
+    greedy_decode_batch,
     init_state,
     load_checkpoint,
     lr_at,
@@ -259,6 +261,9 @@ def test_greedy_decode_respects_positional_budget():
 def test_greedy_decode_max_len_one_emits_nothing():
     model = tiny_model(max_len=1)
     assert greedy_decode(model, np.array([3]), 1, 2, max_new_tokens=5) == ([], True)
+    sources = [np.array([3]), np.array([4]), np.array([5])]
+    assert greedy_decode_batch(model, sources, 1, 2, max_new_tokens=5) == [([], True)] * 3
+    assert greedy_decode_batch(model, [], 1, 2, max_new_tokens=5) == []
 
 
 # -- incremental decoding against full recompute ------------------------------------
@@ -309,6 +314,47 @@ def test_greedy_decode_matches_full_recompute(variant, monkeypatch):
         for got, ref in zip(step_logits, logits):
             assert np.max(np.abs(got - ref)) <= 1e-12
     assert {truncated for _, truncated, _ in want} == {False, True}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_greedy_decode_batch_matches_full_recompute(variant, monkeypatch):
+    model = decode_model(variant)
+    sources = [src for src, _, _ in decode_pairs()]
+    want = [full_recompute_greedy_decode(model, src, 1, 2, MAX_NEW)[:2] for src in sources]
+    rows = []   # batch rows of the prefix and of every cache, per decode call
+    real_decode = model.decode
+
+    def spy(prefix, enc_out, *, state, **kw):
+        out = real_decode(prefix, enc_out, state=state, **kw)
+        caches = state.self_kv + state.cross_kv
+        rows.append({len(prefix), len(enc_out.data), len(kw["src_lengths"])}
+                    | {len(c.k.data) for c in caches} | {len(c.v.data) for c in caches})
+        return out
+
+    monkeypatch.setattr(model, "decode", spy)
+    assert greedy_decode_batch(model, sources, 1, 2, MAX_NEW) == want
+    # Row r decodes until its EOS step len(tokens), or through the budget.
+    live = [sum(t < len(tokens) + (not truncated) for tokens, truncated in want)
+            for t in range(MAX_NEW)]
+    assert rows == [{n} for n in live if n]
+    assert len({len(src) for src in sources}) > 1
+    assert len({len(tokens) for tokens, truncated in want if not truncated}) > 1
+    assert {truncated for _, truncated in want} == {False, True}
+
+
+def test_greedy_decode_batch_of_one_length_builds_no_padding_mask(monkeypatch):
+    model = decode_model("fuse")
+    sources = [src for src, _, _ in decode_pairs() if len(src) == 5]
+    want = [greedy_decode(model, src, 1, 2, MAX_NEW) for src in sources]
+
+    def no_mask(*args):
+        raise AssertionError("padding mask built for rows of one length")
+
+    monkeypatch.setattr(model_module, "make_padding_mask", no_mask)
+    assert len(sources) > 1
+    assert greedy_decode_batch(model, sources, 1, 2, MAX_NEW) == want
+    with pytest.raises(AssertionError, match="padding mask"):
+        greedy_decode_batch(model, sources + [np.array([3, 4])], 1, 2, MAX_NEW)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
