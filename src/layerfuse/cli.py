@@ -65,14 +65,12 @@ def default_config() -> dict:
             "n_dec_layers": 2,
             "max_len": 48,
             "dropout": 0.1,
-            "fusion_mode": "fuse",
-            "fusion_sides": "both",
             "seed": 0,
         },
         "train": TrainConfig().to_dict(),
         "data_dir": "data",
         "out_dir": "out",
-        "variant": None,
+        "variant": "fuse",
         "eval_split": "cg_test",
         "eval_max_new_tokens": 30,
         "analysis_examples": 64,
@@ -126,6 +124,8 @@ def apply_override(cfg: dict, assignment: str) -> None:
     leaf = parts[-1]
     if not isinstance(node, dict) or leaf not in node:
         raise UsageError(f"unknown config key {key!r}")
+    if isinstance(node[leaf], dict) and not isinstance(value, dict):
+        raise UsageError(f"config section {key!r} must be an object")
     node[leaf] = value
 
 
@@ -171,21 +171,20 @@ def _check_lengths(corpus: Corpus, max_len: int) -> None:
         )
 
 
-def _model_config(cfg: dict, corpus: Corpus) -> ModelConfig:
+def _model_config(cfg: dict, corpus: Corpus | None = None) -> ModelConfig:
+    """The model section with cfg["variant"]; without a corpus, vocab sizes
+    of 1 stand in, so the section is checked before a corpus exists."""
     section = dict(cfg["model"])
-    variant = cfg.get("variant")
-    if variant:
-        mode, sides = parse_variant(variant)
-        section["fusion_mode"] = mode
-        section["fusion_sides"] = sides
-    section["src_vocab"] = len(corpus.src_vocab)
-    section["tgt_vocab"] = len(corpus.tgt_vocab)
+    section["fusion_mode"], section["fusion_sides"] = parse_variant(cfg["variant"])
+    section["src_vocab"] = len(corpus.src_vocab) if corpus is not None else 1
+    section["tgt_vocab"] = len(corpus.tgt_vocab) if corpus is not None else 1
     try:
         mcfg = ModelConfig.from_dict(section)
         mcfg.validate(min_layers=1)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad model section: {exc}") from exc
-    _check_lengths(corpus, mcfg.max_len)
+    if corpus is not None:
+        _check_lengths(corpus, mcfg.max_len)
     return mcfg
 
 
@@ -432,46 +431,47 @@ def cmd_sweep(cfg: dict, variants=None, seeds=None) -> int:
         seeds = [int(s) for s in (seeds if seeds is not None else (0, 1, 2))]
     except ValueError as exc:
         raise UsageError(f"seeds must be comma-separated integers: {exc}") from exc
-    for v in variants:
-        parse_variant(v)
     # A repeat would train twice into one run directory.
     for name, values in (("variants", variants), ("seeds", seeds)):
         repeated = sorted({str(x) for x in values if values.count(x) > 1})
         if repeated:
             raise UsageError(f"--{name} repeats {', '.join(repeated)}")
     out_dir = Path(cfg["out_dir"])
-    corpus = generate_corpus(_corpus_spec(cfg))
-    write_corpus(corpus, out_dir / "data")
-
-    rows = []
+    runs = []
     for variant in variants:
         for seed in seeds:
             run_cfg = json.loads(json.dumps(cfg))
             run_cfg["variant"] = variant
             run_cfg["out_dir"] = str(out_dir / "runs" / f"{variant}-s{seed}")
             run_cfg["model"]["seed"] = run_cfg["train"]["seed"] = seed
-            tcfg = _train_config(run_cfg)
-            model = Seq2SeqModel(_model_config(run_cfg, corpus))
-            # No dev-loss passes: the sweep reports cg_test only, and a pass
-            # over the default 500 dev sentences outweighs a short run.
-            summary = _train_run(run_cfg, corpus, model, tcfg, dev=False)
-            metrics, report = _eval_run(run_cfg, corpus, model, "cg_test")
-            _analyze_run(run_cfg, corpus, model, report)
-            row = {
-                "variant": variant,
-                "seed": seed,
-                "params": model.param_count(),
-                "added_params": _added_params(model),
-                "cter_instance": metrics["cter"]["instance_rate"],
-                "cter_aggregate": metrics["cter"]["aggregate_rate"],
-                "exact_match": metrics["exact_match"],
-                "final_loss": summary["final_loss"],
-            }
-            rows.append(row)
-            print(f"[sweep] {variant} seed={seed} "
-                  f"cter_inst={row['cter_instance']:.4f} "
-                  f"cter_aggr={row['cter_aggregate']:.4f} "
-                  f"em={row['exact_match']:.4f} params={row['params']}")
+            _model_config(run_cfg)  # every run is checked before any work
+            runs.append((variant, seed, run_cfg, _train_config(run_cfg)))
+    corpus = generate_corpus(_corpus_spec(cfg))
+    write_corpus(corpus, out_dir / "data")
+
+    rows = []
+    for variant, seed, run_cfg, tcfg in runs:
+        model = Seq2SeqModel(_model_config(run_cfg, corpus))
+        # No dev-loss passes: the sweep reports cg_test only, and a pass
+        # over the default 500 dev sentences outweighs a short run.
+        summary = _train_run(run_cfg, corpus, model, tcfg, dev=False)
+        metrics, report = _eval_run(run_cfg, corpus, model, "cg_test")
+        _analyze_run(run_cfg, corpus, model, report)
+        row = {
+            "variant": variant,
+            "seed": seed,
+            "params": model.param_count(),
+            "added_params": _added_params(model),
+            "cter_instance": metrics["cter"]["instance_rate"],
+            "cter_aggregate": metrics["cter"]["aggregate_rate"],
+            "exact_match": metrics["exact_match"],
+            "final_loss": summary["final_loss"],
+        }
+        rows.append(row)
+        print(f"[sweep] {variant} seed={seed} "
+              f"cter_inst={row['cter_instance']:.4f} "
+              f"cter_aggr={row['cter_aggregate']:.4f} "
+              f"em={row['exact_match']:.4f} params={row['params']}")
 
     _write_csv(out_dir / "sweep_results.csv", list(rows[0]),
                [list(row.values()) for row in rows])

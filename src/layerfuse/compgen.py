@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write
+from .fileio import atomic_write, check_int_fields
 
 __all__ = [
     "PAD", "BOS", "EOS", "SPECIALS", "PATTERNS",
@@ -88,16 +88,13 @@ class CorpusSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if min(self.n_np, self.n_vp, self.n_pp, self.n_mod) < 0:
-            raise GenerationError("atom counts must be >= 0")
+        check_int_fields(self, GenerationError)
         if self.n_context_tokens < 1 or self.n_contexts < 1:
             raise GenerationError("need at least one context token and template")
-        if not 0 <= self.min_context_len <= self.max_context_len:
+        if self.min_context_len > self.max_context_len:
             raise GenerationError("bad context length range")
         if self.n_train < 1:
             raise GenerationError("n_train must be >= 1")
-        if self.n_dev < 0 or self.n_test < 0 or self.n_cg_compounds < 0:
-            raise GenerationError("split sizes must be >= 0")
         if self.contexts_per_compound < 1:
             raise GenerationError("contexts_per_compound must be >= 1")
         if self.n_cg_compounds > 0 and self.n_contexts < self.contexts_per_compound:

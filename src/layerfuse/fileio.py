@@ -1,11 +1,22 @@
-"""Crash-safe file writes shared by the corpus, checkpoint and run writers."""
+"""Crash-safe file writes shared by the corpus, checkpoint and run writers,
+and the integer check shared by their config dataclasses."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 from pathlib import Path
 
-__all__ = ["atomic_write"]
+__all__ = ["atomic_write", "check_int_fields"]
+
+
+def check_int_fields(config, error=ValueError) -> None:
+    """Raise ``error`` unless every int field of dataclass ``config`` holds an
+    int >= 0; bools and floats are refused."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type in (int, "int") and (type(value) is not int or value < 0):
+            raise error(f"{f.name} must be an integer >= 0, got {value!r}")
 
 
 @contextlib.contextmanager

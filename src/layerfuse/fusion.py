@@ -34,7 +34,6 @@ __all__ = [
     "accumulate_previous",
     "fuse_attention_core",
     "fuse_attention",
-    "FuseProbRecorder",
     "extract_fuse_probs",
 ]
 
@@ -61,7 +60,7 @@ def parse_variant(name: str) -> tuple[str, str]:
     """Map a shorthand variant name to (fusion_mode, fusion_sides)."""
     try:
         return VARIANT_NAMES[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise FusionError(
             f"unknown variant {name!r}; expected one of {sorted(VARIANT_NAMES)}"
         ) from None
@@ -170,7 +169,6 @@ def fuse_attention(
     query_state: Tensor,
     prev_outputs,
     params: AttentionParams,
-    layer_mask: np.ndarray | None = None,
     *,
     dropout=None,
 ) -> tuple[Tensor, np.ndarray]:
@@ -181,46 +179,19 @@ def fuse_attention(
     _plain_norm_params). ``dropout`` is an optional callable applied to the
     core output.
     """
-    core, probs = _attend_history(query_state, prev_outputs, params, layer_mask)
+    core, probs = _attend_history(query_state, prev_outputs, params)
     if dropout is not None:
         core = dropout(core)
     gamma, beta = _plain_norm_params(query_state.shape[-1])
     return layer_norm(query_state + core, gamma, beta), probs
 
 
-class FuseProbRecorder:
-    """Running average of fuse-attention probabilities per (side, layer).
-
-    The average is flat over every (example, head, position) triple, so each
-    recorded row is a distribution and the average stays one.
-    """
-
-    def __init__(self):
-        self._sums: dict[tuple[str, int], np.ndarray] = {}
-        self._counts: dict[tuple[str, int], int] = {}
-
-    def add(self, side: str, layer_idx: int, probs: np.ndarray) -> None:
-        """Record probability rows: every row of ``probs`` [..., n_history]."""
-        rows = probs.reshape(-1, probs.shape[-1])
-        key = (side, layer_idx)
-        if key in self._sums:
-            self._sums[key] = self._sums[key] + rows.sum(axis=0)
-            self._counts[key] += rows.shape[0]
-        else:
-            self._sums[key] = rows.sum(axis=0)
-            self._counts[key] = rows.shape[0]
-
-    def averaged(self) -> dict[str, dict[int, np.ndarray]]:
-        out: dict[str, dict[int, np.ndarray]] = {}
-        for (side, layer_idx), total in sorted(self._sums.items()):
-            out.setdefault(side, {})[layer_idx] = total / self._counts[(side, layer_idx)]
-        return out
-
-
 def extract_fuse_probs(model, batch) -> dict[str, dict[int, np.ndarray]]:
     """Average fuse-attention distributions over a batch of (src, tgt_in) pairs.
 
-    The pairs run as one padded forward; only real positions are recorded.
+    The pairs run as one padded encode and decode; the real positions of
+    each side's ``LayerCache.fuse_probs`` are averaged flat over every
+    (example, position, head) row, so each average is a distribution.
     Returns {side: {layer_idx: probs[len n_history]}} with 0-based layer
     indices; layer 0's history holds only the embedding, so its row is [1.0].
     Raises FusionError when the model has no fuse-attention sublayers.
@@ -230,10 +201,14 @@ def extract_fuse_probs(model, batch) -> dict[str, dict[int, np.ndarray]]:
         raise FusionError(
             f"variant {cfg.variant!r} has no fuse-attention sublayers to inspect"
         )
-    recorder = FuseProbRecorder()
     src, src_len = pad_ids([src_ids for src_ids, _ in batch])
     tgt_in, tgt_len = pad_ids([tgt_in_ids for _, tgt_in_ids in batch])
     with no_grad():
-        model.forward(src, tgt_in, src_lengths=src_len, tgt_lengths=tgt_len,
-                      recorder=recorder)
-    return recorder.averaged()
+        enc_out, enc = model.encode(src, lengths=src_len)
+        _, dec = model.decode(tgt_in, enc_out, src_lengths=src_len, lengths=tgt_len)
+    averaged: dict[str, dict[int, np.ndarray]] = {}
+    for side, cache, lengths in (("encoder", enc, src_len), ("decoder", dec, tgt_len)):
+        for k, probs in cache.fuse_probs.items():
+            rows = probs[np.arange(probs.shape[1]) < lengths[:, None]].reshape(-1, k + 1)
+            averaged.setdefault(side, {})[k] = rows.sum(axis=0) / rows.shape[0]
+    return averaged

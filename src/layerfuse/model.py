@@ -12,8 +12,9 @@ decoder self-attention needs no padding mask, since causality already keeps
 every real position from seeing the pads after it.
 
 Every forward keeps a per-side LayerCache: the embedding output plus each
-layer's output, and the tensor actually fed to each layer (which differs
-from the previous output only in accum mode).
+layer's output, the tensor actually fed to each layer (which differs from
+the previous output only in accum mode), and each fused layer's
+fuse-attention probabilities.
 
 Decoding can be incremental: a DecodeState keeps each decoder layer's
 self-attention keys and values and its cross-attention keys and values of
@@ -36,6 +37,7 @@ from .attention import (
     make_padding_mask,
     multi_head_attention,
 )
+from .fileio import check_int_fields
 from .fusion import (
     MODES,
     SIDES,
@@ -71,10 +73,11 @@ class ModelConfig:
     def validate(self, min_layers: int = 0) -> None:
         # min_layers=0 admits degenerate stacks used in tests; the CLI
         # validates with min_layers=1.
-        if self.d_model < 1 or self.d_model % self.n_heads != 0:
+        check_int_fields(self)
+        if self.n_heads < 1 or self.d_model < 1 or self.d_model % self.n_heads != 0:
             raise ValueError(
-                f"d_model {self.d_model} must be a positive multiple of "
-                f"n_heads {self.n_heads}"
+                f"n_heads {self.n_heads} must be >= 1 and d_model "
+                f"{self.d_model} a positive multiple of it"
             )
         if self.src_vocab < 1 or self.tgt_vocab < 1:
             raise ValueError("vocab sizes must be >= 1")
@@ -121,10 +124,14 @@ class LayerCache:
 
     outputs[0] is the embedding output; outputs[j] is layer j-1's output.
     layer_inputs[k] is the tensor actually consumed by layer k.
+    fuse_probs[k] is fused layer k's fuse-attention probabilities
+    [..., T, h, k + 1] over its history, pad positions included (the
+    caller's lengths tell them apart); unfused layers have no entry.
     """
 
     outputs: list = field(default_factory=list)
     layer_inputs: list = field(default_factory=list)
+    fuse_probs: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -344,7 +351,7 @@ class Seq2SeqModel:
         scaled = embedding_lookup(table, ids) * math.sqrt(self.config.d_model)
         return scaled + embedding_lookup(pos, np.arange(start, n))
 
-    def encode(self, src_ids, *, lengths=None, drop_masks=None, recorder=None):
+    def encode(self, src_ids, *, lengths=None, drop_masks=None):
         """Run the encoder stack; returns (top output, LayerCache).
 
         ``lengths`` gives the real length of each row of a padded batch
@@ -354,12 +361,12 @@ class Seq2SeqModel:
         """
         src_ids = np.asarray(src_ids, dtype=np.int64)
         h = self.embed(src_ids, "encoder")
-        cache = self._run_stack("encoder", h, src_ids, lengths, drop_masks, recorder,
+        cache = self._run_stack("encoder", h, drop_masks,
                                 mask=_key_mask(src_ids.shape[-1], lengths))
         return cache.outputs[-1], cache
 
     def decode(self, tgt_prefix_ids, enc_out, *, src_lengths=None, lengths=None,
-               drop_masks=None, recorder=None, state=None):
+               drop_masks=None, state=None):
         """Run the decoder stack on a target prefix; returns (logits, cache).
 
         Without ``state``, logits has one row per prefix position; the last
@@ -370,13 +377,14 @@ class Seq2SeqModel:
 
         With a DecodeState, ``tgt_prefix_ids`` is still the whole prefix,
         but only the positions the state has not seen run through the stack:
-        logits and the cache cover those new positions only, and equal the
-        stateless rows up to rounding. Each later call must pass the same
-        ``enc_out`` and the previous prefix plus at least one position, or it
-        raises ShapeError. A padded source batch decodes this way with
-        ``src_lengths`` and a [B, t] prefix, every row one length (after
-        ``state.keep``, the kept rows of ``enc_out`` and ``src_lengths``). A
-        padded target batch (``lengths``) cannot be decoded this way.
+        logits and the cache, ``fuse_probs`` included, cover those new
+        positions only, and equal the stateless rows up to rounding. Each
+        later call must pass the same ``enc_out`` and the previous prefix
+        plus at least one position, or it raises ShapeError. A padded source
+        batch decodes this way with ``src_lengths`` and a [B, t] prefix,
+        every row one length (after ``state.keep``, the kept rows of
+        ``enc_out`` and ``src_lengths``). A padded target batch (``lengths``)
+        cannot be decoded this way.
         """
         ids = np.asarray(tgt_prefix_ids, dtype=np.int64)
         start, kv = 0, None
@@ -392,15 +400,15 @@ class Seq2SeqModel:
         h = self.embed(new, "decoder", start)
         # The newest position sees every key: one new row needs no mask.
         mask = None if new.shape[-1] == 1 else make_causal_mask(ids.shape[-1])[start:]
-        cache = self._run_stack("decoder", h, new, lengths, drop_masks, recorder, mask,
+        cache = self._run_stack("decoder", h, drop_masks, mask,
                                 enc_out=enc_out,
                                 src_mask=_key_mask(enc_out.shape[-2], src_lengths), kv=kv)
         if state is not None:
             state.ids = ids
         return cache.outputs[-1].matmul(self.out_proj), cache
 
-    def _run_stack(self, side, h, ids, lengths, drop_masks, recorder, mask,
-                   enc_out=None, src_mask=None, kv=None) -> LayerCache:
+    def _run_stack(self, side, h, drop_masks, mask, enc_out=None, src_mask=None,
+                   kv=None) -> LayerCache:
         """Run the embedding output ``h`` through every layer of ``side``.
 
         ``kv`` gives each layer its (self, cross) KVCache pair, or is None.
@@ -416,13 +424,15 @@ class Seq2SeqModel:
             cache.layer_inputs.append(x)
             y, probs = layer.forward(x, list(cache.outputs), mask, enc_out, src_mask, drop,
                                      kv[k] if kv else (None, None))
-            _record(recorder, side, k, probs, ids, lengths)
+            if probs is not None:
+                cache.fuse_probs[k] = probs
             cache.outputs.append(y)
         return cache
 
     def forward(self, src_ids, tgt_in_ids, *, src_lengths=None, tgt_lengths=None,
-                drop_rng=None, recorder=None) -> Tensor:
-        """Teacher-forced logits for one sentence pair or a padded batch."""
+                drop_rng=None) -> Tensor:
+        """Teacher-forced logits for one sentence pair or a padded batch
+        (``encode`` and ``decode`` also return each side's LayerCache)."""
         src_ids = np.asarray(src_ids, dtype=np.int64)
         tgt_in_ids = np.asarray(tgt_in_ids, dtype=np.int64)
         if src_ids.shape[:-1] != tgt_in_ids.shape[:-1]:
@@ -432,11 +442,9 @@ class Seq2SeqModel:
             )
         enc_drop, dec_drop = self.dropout_masks(
             drop_rng, src_ids, src_lengths, tgt_in_ids, tgt_lengths)
-        enc_out, _ = self.encode(src_ids, lengths=src_lengths, drop_masks=enc_drop,
-                                 recorder=recorder)
+        enc_out, _ = self.encode(src_ids, lengths=src_lengths, drop_masks=enc_drop)
         logits, _ = self.decode(tgt_in_ids, enc_out, src_lengths=src_lengths,
-                                lengths=tgt_lengths, drop_masks=dec_drop,
-                                recorder=recorder)
+                                lengths=tgt_lengths, drop_masks=dec_drop)
         return logits
 
     def dropout_masks(self, rng, src_ids, src_lengths, tgt_ids, tgt_lengths):
@@ -488,11 +496,3 @@ def _key_mask(n_keys: int, lengths):
     """[B, 1, n_keys] mask of the real keys of a padded batch, or None."""
     return None if lengths is None else make_padding_mask(1, lengths, n_keys)
 
-
-def _record(recorder, side: str, layer_idx: int, probs, ids, lengths) -> None:
-    """Pass a layer's fuse-attention rows of real positions to ``recorder``."""
-    if recorder is None or probs is None:
-        return
-    if lengths is not None:
-        probs = probs[np.arange(ids.shape[-1]) < np.asarray(lengths)[:, None]]
-    recorder.add(side, layer_idx, probs)

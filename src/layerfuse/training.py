@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attention import pad_ids
-from .fileio import atomic_write
+from .fileio import atomic_write, check_int_fields
 from .model import DecodeState, ModelConfig, Seq2SeqModel
 from .tensor import ShapeError, Tensor, backward, cross_entropy, embedding_lookup, no_grad
 
@@ -84,8 +84,9 @@ class TrainConfig:
     checkpoint_interval: int = 200
 
     def validate(self) -> None:
-        if self.steps < 0 or self.batch_size < 1 or self.warmup < 1:
-            raise ValueError("steps >= 0, batch_size >= 1, warmup >= 1 required")
+        check_int_fields(self)
+        if self.batch_size < 1 or self.warmup < 1:
+            raise ValueError("batch_size >= 1 and warmup >= 1 required")
         if self.lr <= 0 or self.clip_norm <= 0 or self.adam_eps <= 0:
             raise ValueError("lr, clip_norm and adam_eps must be positive")
         if not 0.0 <= self.label_smoothing < 1.0:
@@ -266,8 +267,8 @@ def train_loop(
 
     Writes one JSON line per step to ``log_stream`` and, when ``out_dir`` is
     set, saves checkpoint.npz every checkpoint_interval steps and once at the
-    end, plus best.npz whenever the dev loss improves. Returns the final state
-    and the list of per-step records.
+    end, plus best.npz whenever the dev loss improves (never without a
+    ``dev_set``). Returns the final state and the list of per-step records.
     """
     cfg.validate()
     if not train_set:
@@ -297,8 +298,6 @@ def train_loop(
         history.append(rec)
     if out_path is not None:
         save_checkpoint(out_path / "checkpoint.npz", model, state)
-        if not (out_path / "best.npz").exists():
-            save_checkpoint(out_path / "best.npz", model, state)
     return state, history
 
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from layerfuse.fusion import FuseProbRecorder, extract_fuse_probs
+from layerfuse.fusion import extract_fuse_probs
 from layerfuse.model import ModelConfig, Seq2SeqModel
 from layerfuse.tensor import backward, no_grad
 from layerfuse.training import (
@@ -107,13 +107,15 @@ def test_fuse_probs_of_a_padded_batch_skip_pad_positions():
     model = make_model("fuse")
     pairs = [(src, tgt_in) for src, tgt_in, _ in mixed_batch(seed=4)]
     got = extract_fuse_probs(model, pairs)
-    recorder = FuseProbRecorder()
+    rows = {}
     with no_grad():
         for src, tgt_in in pairs:
-            model.forward(src, tgt_in, recorder=recorder)
-    want = recorder.averaged()
-    assert set(got) == set(want)
-    for side in want:
-        assert set(got[side]) == set(want[side])
-        for layer, row in want[side].items():
-            assert np.max(np.abs(got[side][layer] - row)) <= 1e-12
+            enc_out, enc = model.encode(src)
+            _, dec = model.decode(tgt_in, enc_out)
+            for side, cache in (("encoder", enc), ("decoder", dec)):
+                for k, probs in cache.fuse_probs.items():
+                    rows.setdefault((side, k), []).append(probs.reshape(-1, k + 1))
+    assert {(side, k) for side in got for k in got[side]} == set(rows)
+    for (side, k), blocks in rows.items():
+        want = np.concatenate(blocks).mean(axis=0)
+        assert np.max(np.abs(got[side][k] - want)) <= 1e-12

@@ -473,6 +473,13 @@ def run_with(command, *extra):
     return make
 
 
+def command_with(command, *extra, flags=()):
+    def make(pipeline, tmp_path):
+        return ([command, "--out", str(tmp_path / "r"), *flags]
+                + sets(*extra, data_dir=str(pipeline["data"])))
+    return make
+
+
 @pytest.mark.parametrize("make_argv, code, detail", [
     (sweep_seeds("0,x"), 2, "seeds"),
     (sweep_seeds(""), 2, "seeds"),
@@ -492,12 +499,32 @@ def run_with(command, *extra):
     (sweep_seeds("0", "vanilla", "eval_max_new_tokens=0"), 2, "eval_max_new_tokens"),
     (sweep_seeds("0", "vanilla,accum,vanilla"), 2, "--variants repeats vanilla"),
     (sweep_seeds("0,1,00"), 2, "--seeds repeats 0"),
+    (command_with("train", "model.n_heads=0"), 2, "n_heads 0"),
+    (command_with("train", "model=3"), 2, "'model' must be an object"),
+    (command_with("train", flags=("--seed", "-1")), 2, "seed must be an integer >= 0"),
+    (command_with("train", "model.seed=-1"), 2, "seed must be an integer >= 0"),
+    (command_with("train", "train.seed=-1"), 2, "seed must be an integer >= 0"),
+    (command_with("gen", "corpus.seed=-1"), 2, "seed must be an integer >= 0"),
+    (command_with("train", "train.batch_size=1.5"), 2, "batch_size must be an integer"),
+    (command_with("train", "model.d_ffn=1.5"), 2, "d_ffn must be an integer"),
+    (command_with("train", "model.n_enc_layers=1.5"), 2, "n_enc_layers must be an integer"),
+    (command_with("gen", "corpus.n_np=1.5"), 2, "n_np must be an integer"),
+    (command_with("gen", "corpus.n_train=2.5"), 2, "n_train must be an integer"),
+    (command_with("train", "train.steps=2.5"), 2, "steps must be an integer"),
+    (command_with("train", "model.seed=true"), 2, "seed must be an integer"),
+    (command_with("train", "model.fusion_mode=fuse"), 2, "unknown config key"),
+    (sweep_seeds("-1"), 2, "seed must be an integer >= 0"),
+    (sweep_seeds("0", "vanilla", "model.n_heads=0"), 2, "n_heads 0"),
 ], ids=["seeds-not-int", "seeds-empty", "truncated-dev-line", "dev-line-missing",
         "wrong-manifest",
         "checkpoint-unknown-key", "checkpoint-bad-value", "checkpoint-version-1",
         "max-new-zero", "max-new-string", "max-new-null", "max-new-float",
         "max-new-bool", "analysis-examples-zero", "eval-split-unknown",
-        "sweep-max-new-zero", "sweep-repeated-variant", "sweep-repeated-seed"])
+        "sweep-max-new-zero", "sweep-repeated-variant", "sweep-repeated-seed",
+        "n-heads-zero", "model-section-int", "seed-flag-negative", "model-seed-negative",
+        "train-seed-negative", "corpus-seed-negative", "batch-size-float", "d-ffn-float",
+        "n-enc-layers-float", "n-np-float", "n-train-float", "steps-float",
+        "model-seed-bool", "fusion-mode-key", "sweep-seed-negative", "sweep-n-heads-zero"])
 def test_bad_input_exits_with_one_error_line(pipeline, tmp_path, make_argv, code, detail):
     argv = make_argv(pipeline, tmp_path)
     result = subprocess.run([sys.executable, "-m", "layerfuse.cli"] + argv,
@@ -507,8 +534,8 @@ def test_bad_input_exits_with_one_error_line(pipeline, tmp_path, make_argv, code
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
     assert detail in lines[0]
-    if argv[0] == "sweep":  # rejected before the corpus is written
-        assert not (tmp_path / "s").exists()
+    if argv[0] in ("sweep", "gen", "train"):  # rejected before anything is written
+        assert not (tmp_path / "s").exists() and not (tmp_path / "r").exists()
 
 
 # -- module entry point -------------------------------------------------------------

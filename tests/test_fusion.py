@@ -4,7 +4,6 @@ import pytest
 
 from layerfuse.attention import AttentionParams
 from layerfuse.fusion import (
-    FuseProbRecorder,
     FusionError,
     accumulate_previous,
     accumulates,
@@ -212,44 +211,6 @@ def test_fuse_sublayer_is_residual_plus_plain_norm():
     assert np.array_equal(got.data, want.data)
     # One [seq, h, n_history] array holding the per-head rows.
     assert np.array_equal(np.moveaxis(probs, -2, 0), [p.data for p in per_head])
-
-
-# -- probability recording -----------------------------------------------------------
-
-
-def test_recorder_layer_one_row():
-    rec = FuseProbRecorder()
-    rec.add("encoder", 0, np.ones((3, 1)))
-    avg = rec.averaged()
-    assert np.array_equal(avg["encoder"][0], [1.0])
-
-
-def test_recorder_rows_have_layer_many_entries():
-    params = AttentionParams.create(rng(27), d_model=4, n_heads=2)
-    rec = FuseProbRecorder()
-    for layer in range(3):
-        outs = history(28 + layer, layer + 1, 4, 4)
-        _, probs = fuse_attention(Tensor(rng(40).standard_normal((4, 4))),
-                                  outs, params)
-        rec.add("encoder", layer, probs)
-    avg = rec.averaged()
-    for layer in range(3):
-        row = avg["encoder"][layer]
-        assert row.shape == (layer + 1,)
-        assert abs(row.sum() - 1.0) < 1e-9
-
-
-def test_recorder_average_matches_raw_recount():
-    rec = FuseProbRecorder()
-    raw = []
-    r = rng(29)
-    for _ in range(5):
-        block = r.dirichlet(np.ones(3), size=4)
-        raw.append(block)
-        rec.add("decoder", 2, block.reshape(2, 2, 3))
-    want = np.concatenate(raw, axis=0).mean(axis=0)
-    got = rec.averaged()["decoder"][2]
-    assert np.max(np.abs(got - want)) < 1e-12
 
 
 # -- model-level extraction ------------------------------------------------------------

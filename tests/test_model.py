@@ -7,6 +7,7 @@ import pytest
 from layerfuse.attention import make_causal_mask, multi_head_attention
 from layerfuse.fusion import accumulate_previous
 from layerfuse.model import (
+    DecodeState,
     ModelConfig,
     Seq2SeqModel,
     _FeedForward,
@@ -314,6 +315,42 @@ def test_fuse_model_cache_inputs_are_previous_outputs():
         _, cache = model.encode(np.array([3, 4]))
     for i, consumed in enumerate(cache.layer_inputs):
         assert consumed is cache.outputs[i]
+
+
+@pytest.mark.parametrize(
+    "variant", ["vanilla", "fuse", "fuse_enc", "fuse_dec", "fuse_top", "accum"])
+def test_cache_fuse_probs_hold_each_fused_layer(variant):
+    cfg = tiny_config(n_enc_layers=3).with_variant(variant)
+    model = Seq2SeqModel(cfg)
+    with no_grad():
+        enc_out, enc = model.encode(np.array([3, 4, 5, 6]))
+        _, dec = model.decode(np.array([1, 5, 7]), enc_out)
+    for side, cache, seq in (("encoder", enc, 4), ("decoder", dec, 3)):
+        assert sorted(cache.fuse_probs) == cfg.fused_layers(side)
+        for k, probs in cache.fuse_probs.items():
+            assert probs.shape == (seq, cfg.n_heads, k + 1)
+            assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) <= 1e-12
+            if k == 0:  # the embedding is layer 0's whole history
+                assert np.array_equal(probs, np.ones_like(probs))
+    if variant in ("vanilla", "accum"):
+        assert enc.fuse_probs == {} and dec.fuse_probs == {}
+
+
+@pytest.mark.parametrize("variant", ["fuse", "fuse_dec", "fuse_top"])
+def test_incremental_decode_fuse_probs_cover_the_new_positions(variant):
+    cfg = tiny_config().with_variant(variant)
+    model = Seq2SeqModel(cfg)
+    prefix = np.array([1, 5, 7, 2, 8])
+    state = DecodeState()
+    with no_grad():
+        enc_out, _ = model.encode(np.array([3, 4, 5, 6]))
+        _, full = model.decode(prefix, enc_out)
+        for start, stop in ((0, 2), (2, 3), (3, 5)):
+            _, cache = model.decode(prefix[:stop], enc_out, state=state)
+            assert sorted(cache.fuse_probs) == cfg.fused_layers("decoder")
+            for k, probs in cache.fuse_probs.items():
+                assert probs.shape == (stop - start, cfg.n_heads, k + 1)
+                assert np.max(np.abs(probs - full.fuse_probs[k][start:stop])) <= 1e-12
 
 
 # -- parameter registry ---------------------------------------------------------------

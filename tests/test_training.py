@@ -171,8 +171,8 @@ def test_train_loop_logs_and_checkpoints(tmp_path):
 
 
 @pytest.mark.parametrize("steps, interval, want", [
-    (4, 200, [("checkpoint.npz", 4), ("best.npz", 4)]),
-    (6, 3, [("checkpoint.npz", 3), ("checkpoint.npz", 6), ("best.npz", 6)]),
+    (4, 200, [("checkpoint.npz", 4)]),
+    (6, 3, [("checkpoint.npz", 3), ("checkpoint.npz", 6)]),
 ])
 def test_train_loop_writes_each_checkpoint_once(tmp_path, monkeypatch, steps,
                                                 interval, want):
