@@ -29,7 +29,6 @@ from .compgen import (
     triples,
     write_corpus,
 )
-from . import training
 from .fileio import atomic_write
 from .fusion import FusionError, extract_fuse_probs, parse_variant
 from .model import ModelConfig, Seq2SeqModel
@@ -78,7 +77,7 @@ def default_config() -> dict:
 
 
 def load_config(path: str | None) -> dict:
-    """Defaults overlaid with the JSON file at ``path`` (section by section)."""
+    """Defaults overlaid with the JSON file at ``path`` (key by key)."""
     cfg = default_config()
     if path is None:
         return cfg
@@ -91,23 +90,30 @@ def load_config(path: str | None) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    for key, value in user.items():
-        if key not in cfg:
-            raise UsageError(f"unknown config section or key {key!r}")
-        if isinstance(cfg[key], dict):
-            if not isinstance(value, dict):
-                raise UsageError(f"config section {key!r} must be an object")
-            for sub, subval in value.items():
-                if sub not in cfg[key]:
-                    raise UsageError(f"unknown config key {key}.{sub!r}")
-                cfg[key][sub] = subval
-        else:
-            cfg[key] = value
+    _merge(cfg, user)
     return cfg
 
 
+def _merge(node: dict, user: dict, prefix: str = "") -> None:
+    """Overlay ``user`` on the config ``node`` in place, section by section
+    and key by key; ``prefix`` is the dot path of ``node``."""
+    for key, value in user.items():
+        path = prefix + key
+        if key not in node:
+            raise UsageError(f"unknown config key {path!r}")
+        if isinstance(node[key], dict):
+            if not isinstance(value, dict):
+                raise UsageError(f"config section {path!r} must be an object")
+            _merge(node[key], value, path + ".")
+        else:
+            node[key] = value
+
+
 def apply_override(cfg: dict, assignment: str) -> None:
-    """Apply one --set key=value override with a dot-path key, in place."""
+    """Apply one --set key=value override with a dot-path key, in place.
+
+    An object value merges into its section key by key, like a config file.
+    """
     key, sep, raw = assignment.partition("=")
     if not sep or not key:
         raise UsageError(f"--set expects key=value, got {assignment!r}")
@@ -115,18 +121,9 @@ def apply_override(cfg: dict, assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node = cfg
-    parts = key.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise UsageError(f"unknown config key {key!r}")
-        node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise UsageError(f"unknown config key {key!r}")
-    if isinstance(node[leaf], dict) and not isinstance(value, dict):
-        raise UsageError(f"config section {key!r} must be an object")
-    node[leaf] = value
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    _merge(cfg, value)
 
 
 def _resolve(args) -> dict:
@@ -137,13 +134,17 @@ def _resolve(args) -> dict:
         cfg["model"]["seed"] = args.seed
         cfg["train"]["seed"] = args.seed
     if args.out is not None:
-        cfg["out_dir"] = args.out
+        cfg["data_dir" if args.command == "gen" else "out_dir"] = args.out
     _check_run_settings(cfg)
     return cfg
 
 
 def _check_run_settings(cfg: dict) -> None:
-    """The eval and analyze settings, checked before any command does work."""
+    """The paths and the eval and analyze settings, checked before any
+    command does work."""
+    for key in ("data_dir", "out_dir"):
+        if not isinstance(cfg[key], str) or not cfg[key]:
+            raise UsageError(f"{key} must be a non-empty path, got {cfg[key]!r}")
     for key in ("eval_max_new_tokens", "analysis_examples"):
         value = cfg[key]
         if type(value) is not int or value < 1:
@@ -230,19 +231,9 @@ def _added_params(model: Seq2SeqModel) -> int:
 
 
 def _decode_split(model, corpus: Corpus, examples, max_new: int):
-    """Greedy-decode ``examples``; returns predictions and truncation flags.
-
-    Sources are decoded in batches of training.EVAL_BATCH after sorting by
-    length, so a batch pads little; results come back in input order.
-    """
+    """Greedy-decode ``examples``; returns predictions and truncation flags."""
     sources = [corpus.src_vocab.encode(ex.src) for ex in examples]
-    order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
-    decoded = [None] * len(sources)
-    for start in range(0, len(order), training.EVAL_BATCH):
-        chunk = order[start:start + training.EVAL_BATCH]
-        results = greedy_decode_batch(model, [sources[i] for i in chunk], BOS, EOS, max_new)
-        for i, result in zip(chunk, results):
-            decoded[i] = result
+    decoded = greedy_decode_batch(model, sources, BOS, EOS, max_new)
     return ([corpus.tgt_vocab.decode(ids) for ids, _ in decoded],
             [truncated for _, truncated in decoded])
 
@@ -511,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="dot-path config override, repeatable")
         p.add_argument("--seed", type=int, default=None,
                        help="override model.seed and train.seed")
-        p.add_argument("--out", default=None, help="override out_dir")
+        p.add_argument("--out", default=None, help="override out_dir (data_dir for gen)")
 
     p = sub.add_parser("gen", help="generate the synthetic corpus")
     common(p)
@@ -542,8 +533,6 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         if args.command == "gen":
-            if args.out is not None:
-                cfg["data_dir"] = args.out
             return cmd_gen(cfg)
         if args.command == "train":
             return cmd_train(cfg, resume=args.resume)

@@ -280,7 +280,6 @@ class Corpus:
     src_vocab: Vocabulary
     tgt_vocab: Vocabulary
     dictionary: AtomDictionary
-    contexts: list
     train: list = field(default_factory=list)
     dev: list = field(default_factory=list)
     test: list = field(default_factory=list)
@@ -529,7 +528,6 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
         src_vocab=Vocabulary(src_tokens),
         tgt_vocab=Vocabulary(tgt_tokens),
         dictionary=dictionary,
-        contexts=contexts,
         train=train,
         dev=dev,
         test=test,
@@ -587,14 +585,11 @@ def load_corpus(data_dir: str | Path) -> Corpus:
         raise ValueError(
             f"{manifest_path} is not a version-1 corpus manifest: {exc!r}"
         ) from exc
-    inventories = _inventories(spec)
     corpus = Corpus(
         spec=spec,
         src_vocab=src_vocab,
         tgt_vocab=tgt_vocab,
-        dictionary=_build_dictionary(spec, inventories),
-        contexts=_build_contexts(spec,
-                                 np.random.default_rng([spec.seed, _TAG_CONTEXTS])),
+        dictionary=_build_dictionary(spec, _inventories(spec)),
     )
     for name in ("train", "dev", "test", "cg_test"):
         path = data / f"{name}.jsonl"

@@ -205,7 +205,7 @@ def extract_fuse_probs(model, batch) -> dict[str, dict[int, np.ndarray]]:
     tgt_in, tgt_len = pad_ids([tgt_in_ids for _, tgt_in_ids in batch])
     with no_grad():
         enc_out, enc = model.encode(src, lengths=src_len)
-        _, dec = model.decode(tgt_in, enc_out, src_lengths=src_len, lengths=tgt_len)
+        _, dec = model.decode(tgt_in, enc_out, src_lengths=src_len)
     averaged: dict[str, dict[int, np.ndarray]] = {}
     for side, cache, lengths in (("encoder", enc, src_len), ("decoder", dec, tgt_len)):
         for k, probs in cache.fuse_probs.items():

@@ -16,11 +16,11 @@ layer's output, the tensor actually fed to each layer (which differs from
 the previous output only in accum mode), and each fused layer's
 fuse-attention probabilities.
 
-Decoding can be incremental: a DecodeState keeps each decoder layer's
-self-attention keys and values and its cross-attention keys and values of
-the encoder output, so a longer prefix runs only its new positions through
-the stack. Fuse-attention and accum need nothing more, since each position's
-layer history is its own.
+Decoding runs on a DecodeState, which keeps the source mask and each
+decoder layer's self-attention keys and values and its cross-attention keys
+and values of the encoder output, so a longer prefix runs only its new
+positions through the stack. Fuse-attention and accum need nothing more,
+since each position's layer history is its own.
 """
 from __future__ import annotations
 
@@ -136,16 +136,18 @@ class LayerCache:
 
 @dataclass
 class DecodeState:
-    """What incremental ``Seq2SeqModel.decode`` calls keep about one prefix.
+    """What ``Seq2SeqModel.decode`` keeps about one prefix between calls.
 
-    ``ids`` is the target prefix already run. ``self_kv[k]`` holds decoder
-    layer k's self-attention keys and values for those positions and
+    ``ids`` is the target prefix already run and ``src_mask`` the mask of
+    the real encoder keys (None without padding). ``self_kv[k]`` holds
+    decoder layer k's self-attention keys and values for those positions and
     ``cross_kv[k]`` its cross-attention keys and values of the encoder
     output. A new state is empty; the first decode fills it. A batch of
-    prefixes keeps its rows on axis 0 of ``ids`` and of every cache.
+    prefixes keeps its rows on axis 0 of ``ids``, ``src_mask`` and every cache.
     """
 
     ids: np.ndarray | None = None
+    src_mask: np.ndarray | None = None
     self_kv: list = field(default_factory=list)
     cross_kv: list = field(default_factory=list)
 
@@ -167,11 +169,14 @@ class DecodeState:
 
     def keep(self, rows) -> None:
         """Keep only batch rows ``rows`` (indices or a boolean mask) of the
-        cached prefix, keys and values, for a batch that drops finished rows.
+        cached prefix, source mask, keys and values, for a batch that drops
+        finished rows.
 
         The kept keys and values are new tensors with no gradient history.
         """
         self.ids = self.ids[rows]
+        if self.src_mask is not None:
+            self.src_mask = self.src_mask[rows]
         for cache in self.self_kv + self.cross_kv:
             cache.k, cache.v = Tensor(cache.k.data[rows]), Tensor(cache.v.data[rows])
 
@@ -365,46 +370,35 @@ class Seq2SeqModel:
                                 mask=_key_mask(src_ids.shape[-1], lengths))
         return cache.outputs[-1], cache
 
-    def decode(self, tgt_prefix_ids, enc_out, *, src_lengths=None, lengths=None,
-               drop_masks=None, state=None):
+    def decode(self, tgt_prefix_ids, enc_out, *, src_lengths=None, drop_masks=None,
+               state=None):
         """Run the decoder stack on a target prefix; returns (logits, cache).
 
-        Without ``state``, logits has one row per prefix position; the last
-        row scores the next token. Self-attention is causally masked, so row
-        t never depends on positions after t. For a padded batch,
-        ``src_lengths`` masks the padded encoder keys and ``lengths`` marks
-        the real target positions.
-
-        With a DecodeState, ``tgt_prefix_ids`` is still the whole prefix,
-        but only the positions the state has not seen run through the stack:
-        logits and the cache, ``fuse_probs`` included, cover those new
-        positions only, and equal the stateless rows up to rounding. Each
-        later call must pass the same ``enc_out`` and the previous prefix
-        plus at least one position, or it raises ShapeError. A padded source
-        batch decodes this way with ``src_lengths`` and a [B, t] prefix,
-        every row one length (after ``state.keep``, the kept rows of
-        ``enc_out`` and ``src_lengths``). A padded target batch (``lengths``)
-        cannot be decoded this way.
+        ``state`` is a DecodeState (default: a fresh one). The prefix is
+        always the whole prefix, but only the positions the state has not
+        seen run through the causally masked stack, so logits and the cache,
+        ``fuse_probs`` included, cover those positions; the last logits row
+        scores the next token. A later call must pass the previous prefix
+        plus at least one position, or it raises ShapeError. ``enc_out`` and
+        ``src_lengths`` (real lengths of a padded source batch) are read on
+        the state's first call only. A padded target batch [B, t] needs no
+        lengths: causality keeps real positions from the pads after them.
         """
         ids = np.asarray(tgt_prefix_ids, dtype=np.int64)
-        start, kv = 0, None
-        if state is not None:
-            if lengths is not None:
-                raise ShapeError("a decode state takes unpadded target prefixes")
-            start = state.cached_positions(ids)
-            if start == 0:
-                state.self_kv = [KVCache() for _ in self.dec_layers]
-                state.cross_kv = [KVCache(static=True) for _ in self.dec_layers]
-            kv = list(zip(state.self_kv, state.cross_kv))
+        state = DecodeState() if state is None else state
+        start = state.cached_positions(ids)
+        if start == 0:
+            state.src_mask = _key_mask(enc_out.shape[-2], src_lengths)
+            state.self_kv = [KVCache() for _ in self.dec_layers]
+            state.cross_kv = [KVCache(static=True) for _ in self.dec_layers]
         new = ids[..., start:]
         h = self.embed(new, "decoder", start)
         # The newest position sees every key: one new row needs no mask.
         mask = None if new.shape[-1] == 1 else make_causal_mask(ids.shape[-1])[start:]
-        cache = self._run_stack("decoder", h, drop_masks, mask,
-                                enc_out=enc_out,
-                                src_mask=_key_mask(enc_out.shape[-2], src_lengths), kv=kv)
-        if state is not None:
-            state.ids = ids
+        cache = self._run_stack("decoder", h, drop_masks, mask, enc_out=enc_out,
+                                src_mask=state.src_mask,
+                                kv=list(zip(state.self_kv, state.cross_kv)))
+        state.ids = ids
         return cache.outputs[-1].matmul(self.out_proj), cache
 
     def _run_stack(self, side, h, drop_masks, mask, enc_out=None, src_mask=None,
@@ -444,7 +438,7 @@ class Seq2SeqModel:
             drop_rng, src_ids, src_lengths, tgt_in_ids, tgt_lengths)
         enc_out, _ = self.encode(src_ids, lengths=src_lengths, drop_masks=enc_drop)
         logits, _ = self.decode(tgt_in_ids, enc_out, src_lengths=src_lengths,
-                                lengths=tgt_lengths, drop_masks=dec_drop)
+                                drop_masks=dec_drop)
         return logits
 
     def dropout_masks(self, rng, src_ids, src_lengths, tgt_ids, tgt_lengths):

@@ -441,32 +441,24 @@ def cross_entropy(
 
 def grad_check(
     f,
-    x: Tensor | Sequence[Tensor] | None = None,
     *,
-    wrt: Iterable[Tensor] | None = None,
+    wrt: Iterable[Tensor],
     eps: float = 1e-5,
     max_coords: int | None = None,
     seed: int = 0,
 ) -> float:
     """Max relative error between tape gradients and central differences.
 
-    ``f`` is called as f(*tensors) when ``x`` is given, or as f() with the
-    differentiation targets listed in ``wrt``. The relative error per
-    coordinate is |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
-    ``max_coords`` caps the checked coordinates per tensor (seeded sample);
-    by default every coordinate is checked. ``f`` must be deterministic.
+    ``f`` is called as f() with the differentiation targets listed in
+    ``wrt``. The relative error per coordinate is
+    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8). ``max_coords``
+    caps the checked coordinates per tensor (seeded sample); by default
+    every coordinate is checked. ``f`` must be deterministic.
     """
-    if x is not None:
-        tensors = [x] if isinstance(x, Tensor) else list(x)
-        call = lambda: f(*tensors)
-    elif wrt is not None:
-        tensors = list(wrt)
-        call = f
-    else:
-        raise ValueError("grad_check needs x or wrt")
+    tensors = list(wrt)
     for t in tensors:
         t.grad = None
-    loss = call()
+    loss = f()
     if loss.data.size != 1:
         raise GradError("grad_check needs a scalar-valued f")
     backward(loss)
@@ -490,9 +482,9 @@ def grad_check(
                 index = np.unravel_index(i, t.data.shape)
                 orig = t.data[index]
                 t.data[index] = orig + eps
-                plus = float(call().data.reshape(()))
+                plus = float(f().data.reshape(()))
                 t.data[index] = orig - eps
-                minus = float(call().data.reshape(()))
+                minus = float(f().data.reshape(()))
                 t.data[index] = orig
                 numeric = (plus - minus) / (2.0 * eps)
                 rel = abs(ana_flat[i] - numeric) / max(

@@ -55,7 +55,7 @@ _TAG_ORDER = 1
 _TAG_DROPOUT = 2
 
 # Sentences per padded forward in eval_loss and token_accuracy, and per
-# greedy_decode_batch chunk when the CLI decodes a split.
+# length-sorted chunk of greedy_decode_batch.
 EVAL_BATCH = 64
 
 CHECKPOINT_VERSION = 2
@@ -331,20 +331,26 @@ def greedy_decode_batch(
     eos_id: int,
     max_new_tokens: int,
 ) -> list[tuple[list[int], bool]]:
-    """``greedy_decode`` of every source in ``sources``, run together.
+    """``greedy_decode`` of every source in ``sources``, run in batches.
 
-    The sources are right-padded into one [B, S] batch and encoded once;
-    each step runs one new position per row still decoding. A row that emits
-    EOS leaves the batch and its cached keys and values. Returns one
-    (tokens, truncated) pair per source, in input order.
+    The sources are sorted by length, so a batch pads little, and each chunk
+    of EVAL_BATCH is right-padded into one [B, S] batch and encoded once.
+    Each step runs one new position per row still decoding; a row that emits
+    EOS leaves the batch and its DecodeState. Returns one (tokens, truncated)
+    pair per source, in input order.
     """
     budget = _budget(model, max_new_tokens)
-    if not len(sources):
-        return []
-    src, lengths = pad_ids(sources)
-    # Rows of one length need no padding mask.
-    return _greedy(model, src, None if (lengths == lengths[0]).all() else lengths,
-                   bos_id, eos_id, budget)
+    order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
+    results = [None] * len(sources)
+    for start in range(0, len(order), EVAL_BATCH):
+        chunk = order[start:start + EVAL_BATCH]
+        src, lengths = pad_ids([sources[i] for i in chunk])
+        # Rows of one length need no padding mask.
+        decoded = _greedy(model, src, None if (lengths == lengths[0]).all() else lengths,
+                          bos_id, eos_id, budget)
+        for i, result in zip(chunk, decoded):
+            results[i] = result
+    return results
 
 
 def _budget(model: Seq2SeqModel, max_new_tokens: int) -> int:
@@ -380,9 +386,6 @@ def _greedy(model, src, src_lengths, bos_id, eos_id, budget):
                 if not going.any():
                     return results
                 live, prefix, nxt = live[going], prefix[going], nxt[going]
-                enc_out = Tensor(enc_out.data[going])
-                if src_lengths is not None:
-                    src_lengths = src_lengths[going]
                 state.keep(going)
             prefix = np.concatenate([prefix, nxt[:, None]], axis=1)
     for row, ids in zip(live, prefix):

@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layerfuse import cli, training
 from layerfuse.cli import (
     UsageError,
     apply_override,
@@ -18,8 +17,8 @@ from layerfuse.cli import (
     load_config,
     main,
 )
-from layerfuse.compgen import BOS, EOS, load_corpus
-from layerfuse.training import greedy_decode, load_checkpoint
+from layerfuse.compgen import load_corpus
+from layerfuse.training import load_checkpoint
 from oracles import oracle_cter, oracle_exact_match
 
 TINY_SETS = [
@@ -93,6 +92,16 @@ def test_apply_override_rejects_unknown_or_malformed():
         apply_override(cfg, "nosuch=1")
     with pytest.raises(UsageError):
         apply_override(cfg, "train.lr")
+
+
+def test_apply_override_merges_a_section_key_by_key():
+    cfg = default_config()
+    apply_override(cfg, 'model={"d_model": 32}')
+    apply_override(cfg, "train={}")
+    want = default_config()
+    want["model"]["d_model"] = 32
+    assert cfg == want
+    assert cfg["model"]["max_len"] == 48
 
 
 def test_load_config_overlay(tmp_path):
@@ -282,30 +291,6 @@ def test_eval_plain_split_has_no_cter(pipeline):
     assert "cter" not in metrics
 
 
-def test_decode_split_batches_keep_input_order(pipeline, monkeypatch):
-    corpus = load_corpus(pipeline["data"])
-    model, _ = load_checkpoint(pipeline["run"] / "checkpoint.npz")
-    examples = corpus.cg_test
-    want = [greedy_decode(model, corpus.src_vocab.encode(ex.src), BOS, EOS, 8)
-            for ex in examples]
-    monkeypatch.setattr(training, "EVAL_BATCH", 3)
-    batches = []
-    real_batch = cli.greedy_decode_batch
-
-    def spy(model, sources, *args):
-        batches.append([len(src) for src in sources])
-        return real_batch(model, sources, *args)
-
-    monkeypatch.setattr(cli, "greedy_decode_batch", spy)
-    preds, flags = cli._decode_split(model, corpus, examples, 8)
-    assert preds == [corpus.tgt_vocab.decode(ids) for ids, _ in want]
-    assert flags == [truncated for _, truncated in want]
-    assert len({tuple(p) for p in preds}) > 1 and set(flags) == {False, True}
-    lengths = [n for batch in batches for n in batch]
-    assert lengths == sorted(len(ex.src) for ex in examples)
-    assert [len(batch) for batch in batches] == [3] * (len(examples) // 3)
-
-
 def test_eval_missing_checkpoint_exits_2(pipeline, tmp_path, capsys):
     rc = main(["eval", "--out", str(tmp_path / "empty")]
               + sets(data_dir=str(pipeline["data"])))
@@ -473,6 +458,13 @@ def run_with(command, *extra):
     return make
 
 
+def without_out(argv, *extra):
+    """``argv`` and --set flags with no --out, which would override a path setting."""
+    def make(pipeline, tmp_path):
+        return argv + sets(*extra)
+    return make
+
+
 def command_with(command, *extra, flags=()):
     def make(pipeline, tmp_path):
         return ([command, "--out", str(tmp_path / "r"), *flags]
@@ -515,6 +507,11 @@ def command_with(command, *extra, flags=()):
     (command_with("train", "model.fusion_mode=fuse"), 2, "unknown config key"),
     (sweep_seeds("-1"), 2, "seed must be an integer >= 0"),
     (sweep_seeds("0", "vanilla", "model.n_heads=0"), 2, "n_heads 0"),
+    (command_with("train", 'model={"bogus": 1}'), 2, "unknown config key 'model.bogus'"),
+    (without_out(["gen"], "data_dir=5"), 2, "data_dir must be a non-empty path"),
+    (without_out(["gen"], "data_dir=null"), 2, "data_dir must be a non-empty path"),
+    (without_out(["sweep", "--seeds", "0", "--variants", "vanilla"], "out_dir=7"), 2,
+     "out_dir must be a non-empty path"),
 ], ids=["seeds-not-int", "seeds-empty", "truncated-dev-line", "dev-line-missing",
         "wrong-manifest",
         "checkpoint-unknown-key", "checkpoint-bad-value", "checkpoint-version-1",
@@ -524,7 +521,8 @@ def command_with(command, *extra, flags=()):
         "n-heads-zero", "model-section-int", "seed-flag-negative", "model-seed-negative",
         "train-seed-negative", "corpus-seed-negative", "batch-size-float", "d-ffn-float",
         "n-enc-layers-float", "n-np-float", "n-train-float", "steps-float",
-        "model-seed-bool", "fusion-mode-key", "sweep-seed-negative", "sweep-n-heads-zero"])
+        "model-seed-bool", "fusion-mode-key", "sweep-seed-negative", "sweep-n-heads-zero",
+        "model-object-unknown-key", "data-dir-int", "data-dir-null", "sweep-out-dir-int"])
 def test_bad_input_exits_with_one_error_line(pipeline, tmp_path, make_argv, code, detail):
     argv = make_argv(pipeline, tmp_path)
     result = subprocess.run([sys.executable, "-m", "layerfuse.cli"] + argv,

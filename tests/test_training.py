@@ -321,13 +321,14 @@ def test_greedy_decode_batch_matches_full_recompute(variant, monkeypatch):
     model = decode_model(variant)
     sources = [src for src, _, _ in decode_pairs()]
     want = [full_recompute_greedy_decode(model, src, 1, 2, MAX_NEW)[:2] for src in sources]
-    rows = []   # batch rows of the prefix and of every cache, per decode call
+    rows = []   # batch rows of the prefix, the source mask and every cache, per call
     real_decode = model.decode
 
     def spy(prefix, enc_out, *, state, **kw):
         out = real_decode(prefix, enc_out, state=state, **kw)
         caches = state.self_kv + state.cross_kv
-        rows.append({len(prefix), len(enc_out.data), len(kw["src_lengths"])}
+        # Sources of mixed lengths build a source mask.
+        rows.append({len(prefix), len(state.src_mask)}
                     | {len(c.k.data) for c in caches} | {len(c.v.data) for c in caches})
         return out
 
@@ -339,6 +340,27 @@ def test_greedy_decode_batch_matches_full_recompute(variant, monkeypatch):
     assert rows == [{n} for n in live if n]
     assert len({len(src) for src in sources}) > 1
     assert len({len(tokens) for tokens, truncated in want if not truncated}) > 1
+    assert {truncated for _, truncated in want} == {False, True}
+
+
+def test_greedy_decode_batch_chunks_keep_input_order(monkeypatch):
+    model = decode_model("fuse")
+    sources = [src for src, _, _ in decode_pairs()]
+    want = [greedy_decode(model, src, 1, 2, MAX_NEW) for src in sources]
+    monkeypatch.setattr(training, "EVAL_BATCH", 3)
+    chunks = []   # source lengths of each chunk handed to the decode loop
+    real_greedy = training._greedy
+
+    def spy(model, src, src_lengths, *args):
+        chunks.append([src.shape[1]] * len(src) if src_lengths is None
+                      else src_lengths.tolist())
+        return real_greedy(model, src, src_lengths, *args)
+
+    monkeypatch.setattr(training, "_greedy", spy)
+    assert greedy_decode_batch(model, sources, 1, 2, MAX_NEW) == want
+    assert [n for chunk in chunks for n in chunk] == sorted(len(src) for src in sources)
+    assert [len(chunk) for chunk in chunks] == [3] * (len(sources) // 3)
+    assert len({len(src) for src in sources}) > 1
     assert {truncated for _, truncated in want} == {False, True}
 
 
@@ -378,6 +400,23 @@ def test_decode_in_chunks_equals_stateless_decode(variant):
         assert [c.k.shape[-2] for c in state.self_kv] == [7, 7]
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stateless_decode_is_a_fresh_state(variant):
+    model = decode_model(variant, steps=0)
+    src = np.array([[3, 4, 5, 6], [7, 8, 0, 0]])
+    prefix = np.array([[1, 5, 7, 2], [1, 9, 0, 0]])
+    with no_grad():
+        enc_out, _ = model.encode(src, lengths=[4, 2])
+        runs = [model.decode(prefix, enc_out, src_lengths=[4, 2], **kw)
+                for kw in ({}, {"state": DecodeState()})]
+    (a, cache_a), (b, cache_b) = runs
+    assert np.array_equal(a.data, b.data)
+    assert all(np.array_equal(x.data, y.data)
+               for x, y in zip(cache_a.outputs, cache_b.outputs, strict=True))
+    assert sorted(cache_a.fuse_probs) == sorted(cache_b.fuse_probs)
+    assert all(np.array_equal(p, cache_b.fuse_probs[k]) for k, p in cache_a.fuse_probs.items())
+
+
 def test_decode_state_rejects_a_prefix_that_does_not_extend():
     model = decode_model("fuse", steps=0)
     with no_grad():
@@ -387,8 +426,6 @@ def test_decode_state_rejects_a_prefix_that_does_not_extend():
         for bad in ([1, 4, 5], [1, 4], [1, 6, 5, 3], [[1, 4, 5, 3]]):
             with pytest.raises(ShapeError):
                 model.decode(np.array(bad), enc_out, state=state)
-        with pytest.raises(ShapeError):
-            model.decode(np.array([1, 4, 5, 3]), enc_out, state=state, lengths=[4])
         # A rejected prefix leaves the state as it was.
         got, _ = model.decode(np.array([1, 4, 5, 3]), enc_out, state=state)
         whole, _ = model.decode(np.array([1, 4, 5, 3]), enc_out)
