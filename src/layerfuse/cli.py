@@ -30,7 +30,7 @@ from .compgen import (
     write_corpus,
 )
 from .fileio import atomic_write
-from .fusion import FusionError, extract_fuse_probs, parse_variant
+from .fusion import VARIANT_NAMES, FusionError, extract_fuse_probs, parse_variant
 from .model import ModelConfig, Seq2SeqModel
 from .training import (
     CheckpointError,
@@ -46,7 +46,7 @@ __all__ = ["main", "default_config", "load_config", "apply_override",
            "UsageError"]
 
 SPLITS = ("train", "dev", "test", "cg_test")
-DEFAULT_VARIANTS = ("vanilla", "fuse", "fuse_enc", "fuse_dec", "fuse_top", "accum")
+DEFAULT_VARIANTS = tuple(VARIANT_NAMES)
 
 
 class UsageError(ValueError):
@@ -181,7 +181,7 @@ def _model_config(cfg: dict, corpus: Corpus | None = None) -> ModelConfig:
     section["tgt_vocab"] = len(corpus.tgt_vocab) if corpus is not None else 1
     try:
         mcfg = ModelConfig.from_dict(section)
-        mcfg.validate(min_layers=1)
+        mcfg.validate()
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad model section: {exc}") from exc
     if corpus is not None:
@@ -218,10 +218,6 @@ def _load_run_model(cfg: dict, corpus: Corpus, checkpoint: str | None) -> Seq2Se
     model, _ = load_checkpoint(ckpt)
     _check_lengths(corpus, model.config.max_len)
     return model
-
-
-def _fused(mcfg: ModelConfig) -> bool:
-    return bool(mcfg.fused_layers("encoder") or mcfg.fused_layers("decoder"))
 
 
 def _added_params(model: Seq2SeqModel) -> int:
@@ -332,7 +328,7 @@ def _analyze_run(cfg: dict, corpus: Corpus, model: Seq2SeqModel,
     """fuse_probs.csv (fused variants), cter_by_*.csv and analysis_summary.json;
     cg_test is decoded here unless the eval stage's ``report`` is given."""
     out_dir = Path(cfg["out_dir"])
-    if _fused(model.config):
+    if model.config.fuses:
         pool = corpus.cg_test or corpus.test or corpus.train
         sample = pool[: cfg["analysis_examples"]]
         batch = [(src, tgt_in) for src, tgt_in, _ in
@@ -380,6 +376,11 @@ def cmd_train(cfg: dict, resume: str | None = None) -> int:
         model, state = load_checkpoint(resume)
         if state is None:
             raise UsageError(f"{resume} has no optimizer state to resume from")
+        # Batch order and dropout come from train.seed, and the checkpoint
+        # carries its run's seed into every later checkpoint.
+        if state.seed != tcfg.seed:
+            raise UsageError(f"{resume} was trained with seed {state.seed}, but "
+                             f"train.seed is {tcfg.seed}; resume with --seed {state.seed}")
         _check_lengths(corpus, model.config.max_len)
     else:
         model = Seq2SeqModel(_model_config(cfg, corpus))
@@ -406,7 +407,7 @@ def cmd_eval(cfg: dict, checkpoint: str | None = None,
 def cmd_analyze(cfg: dict, checkpoint: str | None = None) -> int:
     corpus = _load_corpus(cfg)
     model = _load_run_model(cfg, corpus, checkpoint)
-    if not _fused(model.config):
+    if not model.config.fuses:
         raise FusionError(f"variant {model.config.variant!r} has no "
                           "fuse-attention sublayers to inspect")
     _analyze_run(cfg, corpus, model)

@@ -598,11 +598,18 @@ def load_corpus(data_dir: str | Path) -> Corpus:
             with open(path, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, 1):
                     try:
-                        examples.append(Example.from_dict(json.loads(line)))
+                        example = Example.from_dict(json.loads(line))
+                        unknown = [tok for vocab, seq in ((src_vocab, example.src),
+                                                          (tgt_vocab, example.tgt))
+                                   for tok in seq if tok not in vocab.index]
                     except (ValueError, KeyError, TypeError) as exc:
                         raise ValueError(
                             f"{path} line {lineno} is not a corpus example: {exc!r}"
                         ) from exc
+                    if unknown:
+                        raise ValueError(f"{path} line {lineno} has tokens outside the "
+                                         f"manifest vocabularies: {unknown}")
+                    examples.append(example)
         if len(examples) != counts.get(name):
             raise ValueError(f"{path} holds {len(examples)} examples, but "
                              f"{manifest_path} counts {counts.get(name)}")

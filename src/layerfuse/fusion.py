@@ -7,12 +7,14 @@ per position and that position's stacked history as the key sequence. Keys
 never cross positions: position t sees only its own layer history, so
 decoder causality is preserved by construction.
 
-Variants:
+Variants, as (fusion_mode, fusion_sides) pairs; VARIANT_NAMES lists the
+only pairs a model accepts:
   vanilla   no fusion; plain transformer layers
   fuse      fuse-attention in every layer of the selected sides
-  fuse_top  fuse-attention only in the topmost layer of the selected sides
-  accum     no fuse-attention; the input of layer i is replaced by the
-            elementwise sum of all previous layer outputs (adds no params)
+  fuse_top  fuse-attention only in the topmost layer of both sides
+  accum     no fuse-attention; the input of layer i on both sides is replaced
+            by the elementwise sum of all previous layer outputs (adds no
+            params)
 """
 from __future__ import annotations
 
@@ -23,14 +25,8 @@ from .tensor import Tensor, layer_norm, no_grad, stack
 
 __all__ = [
     "FusionError",
-    "MODES",
-    "SIDES",
     "VARIANT_NAMES",
     "parse_variant",
-    "variant_name",
-    "side_selected",
-    "fused_layer_indices",
-    "accumulates",
     "accumulate_previous",
     "fuse_attention_core",
     "fuse_attention",
@@ -42,10 +38,8 @@ class FusionError(ValueError):
     """Misconfigured fusion: empty layer history, bad variant name, etc."""
 
 
-MODES = ("vanilla", "fuse", "accum", "fuse_top")
-SIDES = ("encoder", "decoder", "both")
-
-# Shorthand variant names used by configs, the CLI and sweep tables.
+# The variants by name, in the order of the CLI's default sweep; their
+# (fusion_mode, fusion_sides) pairs are the only fusion configurations.
 VARIANT_NAMES = {
     "vanilla": ("vanilla", "both"),
     "fuse": ("fuse", "both"),
@@ -64,34 +58,6 @@ def parse_variant(name: str) -> tuple[str, str]:
         raise FusionError(
             f"unknown variant {name!r}; expected one of {sorted(VARIANT_NAMES)}"
         ) from None
-
-
-def variant_name(mode: str, sides: str) -> str:
-    for name, pair in VARIANT_NAMES.items():
-        if pair == (mode, sides):
-            return name
-    return f"{mode}_{sides}"
-
-
-def side_selected(sides: str, side: str) -> bool:
-    if sides not in SIDES:
-        raise FusionError(f"unknown fusion side {sides!r}")
-    return sides == "both" or sides == side
-
-
-def fused_layer_indices(mode: str, sides: str, side: str, n_layers: int) -> list[int]:
-    """Indices (0-based) of the layers on ``side`` that carry fuse-attention."""
-    if mode not in MODES:
-        raise FusionError(f"unknown fusion mode {mode!r}")
-    if mode in ("vanilla", "accum") or not side_selected(sides, side):
-        return []
-    if mode == "fuse_top":
-        return [n_layers - 1] if n_layers > 0 else []
-    return list(range(n_layers))
-
-
-def accumulates(mode: str, sides: str, side: str) -> bool:
-    return mode == "accum" and side_selected(sides, side)
 
 
 def accumulate_previous(outputs) -> Tensor:
@@ -196,10 +162,9 @@ def extract_fuse_probs(model, batch) -> dict[str, dict[int, np.ndarray]]:
     indices; layer 0's history holds only the embedding, so its row is [1.0].
     Raises FusionError when the model has no fuse-attention sublayers.
     """
-    cfg = model.config
-    if not (cfg.fused_layers("encoder") or cfg.fused_layers("decoder")):
+    if not model.config.fuses:
         raise FusionError(
-            f"variant {cfg.variant!r} has no fuse-attention sublayers to inspect"
+            f"variant {model.config.variant!r} has no fuse-attention sublayers to inspect"
         )
     src, src_len = pad_ids([src_ids for src_ids, _ in batch])
     tgt_in, tgt_len = pad_ids([tgt_in_ids for _, tgt_in_ids in batch])

@@ -25,7 +25,7 @@ since each position's layer history is its own.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -38,16 +38,7 @@ from .attention import (
     multi_head_attention,
 )
 from .fileio import check_int_fields
-from .fusion import (
-    MODES,
-    SIDES,
-    accumulate_previous,
-    accumulates,
-    fuse_attention,
-    fused_layer_indices,
-    parse_variant,
-    variant_name,
-)
+from .fusion import VARIANT_NAMES, accumulate_previous, fuse_attention, parse_variant
 from .tensor import ShapeError, Tensor, embedding_lookup, layer_norm
 
 __all__ = ["ModelConfig", "LayerCache", "DecodeState", "Seq2SeqModel"]
@@ -70,9 +61,7 @@ class ModelConfig:
     fusion_sides: str = "both"
     seed: int = 0
 
-    def validate(self, min_layers: int = 0) -> None:
-        # min_layers=0 admits degenerate stacks used in tests; the CLI
-        # validates with min_layers=1.
+    def validate(self) -> None:
         check_int_fields(self)
         if self.n_heads < 1 or self.d_model < 1 or self.d_model % self.n_heads != 0:
             raise ValueError(
@@ -81,34 +70,39 @@ class ModelConfig:
             )
         if self.src_vocab < 1 or self.tgt_vocab < 1:
             raise ValueError("vocab sizes must be >= 1")
-        if self.n_enc_layers < min_layers or self.n_dec_layers < min_layers:
-            raise ValueError(f"layer counts must be >= {min_layers}")
+        if self.n_enc_layers < 1 or self.n_dec_layers < 1:
+            raise ValueError("layer counts must be >= 1")
         if self.d_ffn < 1 or self.max_len < 1:
             raise ValueError("d_ffn and max_len must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.fusion_mode not in MODES:
-            raise ValueError(f"fusion_mode must be one of {MODES}")
-        if self.fusion_sides not in SIDES:
-            raise ValueError(f"fusion_sides must be one of {SIDES}")
+        if (self.fusion_mode, self.fusion_sides) not in VARIANT_NAMES.values():
+            raise ValueError(
+                f"fusion_mode {self.fusion_mode!r} with fusion_sides "
+                f"{self.fusion_sides!r} is not a variant; expected one of "
+                f"{list(VARIANT_NAMES.values())}"
+            )
 
     def fused_layers(self, side: str) -> list[int]:
+        """0-based indices of the layers on ``side`` that carry fuse-attention."""
+        if not self.fuses or self.fusion_sides not in ("both", side):
+            return []
         n = self.n_enc_layers if side == "encoder" else self.n_dec_layers
-        return fused_layer_indices(self.fusion_mode, self.fusion_sides, side, n)
+        return [n - 1] if self.fusion_mode == "fuse_top" else list(range(n))
 
-    def accumulates(self, side: str) -> bool:
-        return accumulates(self.fusion_mode, self.fusion_sides, side)
+    @property
+    def fuses(self) -> bool:
+        """Whether any layer carries fuse-attention."""
+        return self.fusion_mode in ("fuse", "fuse_top")
 
     @property
     def variant(self) -> str:
-        return variant_name(self.fusion_mode, self.fusion_sides)
+        return {pair: name for name, pair in VARIANT_NAMES.items()}[
+            (self.fusion_mode, self.fusion_sides)]
 
     def with_variant(self, name: str) -> "ModelConfig":
         mode, sides = parse_variant(name)
-        cfg = ModelConfig(**asdict(self))
-        cfg.fusion_mode = mode
-        cfg.fusion_sides = sides
-        return cfg
+        return replace(self, fusion_mode=mode, fusion_sides=sides)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -411,7 +405,7 @@ class Seq2SeqModel:
         if drop is not None:
             h = drop(h)
         cache = LayerCache(outputs=[h])
-        accum = self.config.accumulates(side)
+        accum = self.config.fusion_mode == "accum"
         layers = self.enc_layers if side == "encoder" else self.dec_layers
         for k, layer in enumerate(layers):
             x = accumulate_previous(cache.outputs) if accum else cache.outputs[-1]

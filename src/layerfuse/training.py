@@ -427,7 +427,10 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[Seq2SeqModel, TrainState | None]:
-    """Rebuild the model (and optimizer state, if saved) from a checkpoint."""
+    """Rebuild the model (and optimizer state, if saved) from a checkpoint.
+
+    Raises CheckpointError for a file that is not a well-formed checkpoint.
+    """
     try:
         archive = np.load(path, allow_pickle=False)
     except FileNotFoundError:
@@ -435,13 +438,11 @@ def load_checkpoint(path: str | Path) -> tuple[Seq2SeqModel, TrainState | None]:
     except Exception as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     with archive:
-        if "meta" not in archive.files:
-            raise CheckpointError(f"{path} has no meta entry")
         try:
-            meta = json.loads(bytes(archive["meta"].tobytes()).decode("utf-8"))
+            meta = json.loads(bytes(_entry(archive, path, "meta").tobytes()).decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             raise CheckpointError(f"{path} meta entry is corrupt: {exc}") from exc
-        if meta.get("format") != "layerfuse-checkpoint":
+        if not isinstance(meta, dict) or meta.get("format") != "layerfuse-checkpoint":
             raise CheckpointError(f"{path} is not a checkpoint file")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
@@ -453,25 +454,40 @@ def load_checkpoint(path: str | Path) -> tuple[Seq2SeqModel, TrainState | None]:
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path} has a bad model_config: {exc}") from exc
         for name, p in model.parameters().items():
-            key = f"param/{name}"
-            if key not in archive.files:
-                raise CheckpointError(f"{path} is missing parameter {name}")
-            arr = archive[key]
-            if arr.shape != p.data.shape:
-                raise CheckpointError(
-                    f"{path} parameter {name} has shape {arr.shape}, "
-                    f"expected {p.data.shape}"
-                )
-            p.data = np.array(arr, dtype=np.float64)
+            p.data = _stored_array(archive, path, f"param/{name}", p.data.shape)
         state = None
         if meta.get("has_optimizer"):
-            state = TrainState(step=int(meta["step"]), seed=int(meta["seed"]),
-                               best_dev_loss=meta.get("best_dev_loss"))
+            try:
+                state = TrainState(step=meta["step"], seed=meta["seed"],
+                                   best_dev_loss=meta.get("best_dev_loss"))
+            except KeyError as exc:
+                raise CheckpointError(f"{path} meta has no {exc} entry") from exc
+            check_int_fields(state, lambda msg: CheckpointError(f"{path} meta: {msg}"))
+            best = state.best_dev_loss
+            if best is not None and type(best) not in (int, float):
+                raise CheckpointError(f"{path} meta: best_dev_loss {best!r} is not a number")
             for name, p in model.parameters().items():
-                for field_name, store in (("adam_m", state.adam_m),
-                                          ("adam_v", state.adam_v)):
-                    key = f"{field_name}/{name}"
-                    if key not in archive.files:
-                        raise CheckpointError(f"{path} is missing {key}")
-                    store[name] = np.array(archive[key], dtype=np.float64)
+                for kind, store in (("adam_m", state.adam_m), ("adam_v", state.adam_v)):
+                    store[name] = _stored_array(archive, path, f"{kind}/{name}", p.data.shape)
     return model, state
+
+
+def _entry(archive, path, key: str) -> np.ndarray:
+    """The checkpoint's array ``key``; CheckpointError if it is missing or
+    unreadable (a corrupt zip member, say)."""
+    if key not in archive.files:
+        raise CheckpointError(f"{path} is missing {key}")
+    try:
+        return archive[key]
+    except Exception as exc:
+        raise CheckpointError(f"{path} entry {key} is unreadable: {exc}") from exc
+
+
+def _stored_array(archive, path, key: str, shape: tuple) -> np.ndarray:
+    """A copy of the checkpoint's float64 array ``key``, which must have ``shape``."""
+    arr = _entry(archive, path, key)
+    if arr.dtype != np.float64 or arr.shape != shape:
+        raise CheckpointError(
+            f"{path} {key} is {arr.dtype} {arr.shape}, expected float64 {shape}"
+        )
+    return np.array(arr)

@@ -2,6 +2,7 @@
 import csv
 import hashlib
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -12,12 +13,14 @@ import pytest
 
 from layerfuse.cli import (
     UsageError,
+    _build_parser,
     apply_override,
     default_config,
     load_config,
     main,
 )
 from layerfuse.compgen import load_corpus
+from layerfuse.fusion import VARIANT_NAMES
 from layerfuse.training import load_checkpoint
 from oracles import oracle_cter, oracle_exact_match
 
@@ -70,6 +73,14 @@ def test_default_config_sections():
     cfg = default_config()
     assert {"corpus", "model", "train"} <= set(cfg)
     assert {"data_dir", "out_dir", "variant", "eval_split"} <= set(cfg)
+
+
+def test_readme_and_sweep_default_list_the_variant_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Variants\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| `(\w+)`", section, flags=re.M) == list(VARIANT_NAMES)
+    sweep = _build_parser().parse_args(["sweep"])
+    assert sweep.variants.split(",") == list(VARIANT_NAMES)
 
 
 def test_apply_override_parses_json_values():
@@ -232,6 +243,30 @@ def test_resume_after_kill_logs_each_step_once(pipeline, tmp_path):
 
     assert [r["step"] for r in records(run)] == [1, 2, 3, 4]
     assert records(run) == records(full)
+
+
+def test_resume_keeps_the_run_seed(pipeline, tmp_path, capsys):
+    data = str(pipeline["data"])
+    half = tmp_path / "half"
+    assert main(["train", "--out", str(half), "--seed", "3"]
+                + sets("train.steps=2", data_dir=data)) == 0
+    resumed = tmp_path / "resumed"
+    resume = ["train", "--out", str(resumed), "--resume", str(half / "checkpoint.npz")]
+    capsys.readouterr()
+    assert main(resume + sets("train.steps=4", data_dir=data)) == 2
+    err = capsys.readouterr().err
+    assert "seed 3" in err and "train.seed is 0" in err
+    assert not resumed.exists()
+
+    assert main(resume + ["--seed", "3"] + sets("train.steps=4", data_dir=data)) == 0
+    full = tmp_path / "full"
+    assert main(["train", "--out", str(full), "--seed", "3"]
+                + sets("train.steps=4", data_dir=data)) == 0
+    a, a_state = load_checkpoint(full / "checkpoint.npz")
+    b, b_state = load_checkpoint(resumed / "checkpoint.npz")
+    assert a_state.seed == b_state.seed == 3
+    for name, p in a.parameters().items():
+        assert np.array_equal(p.data, b.parameters()[name].data), name
 
 
 def test_train_missing_corpus_exits_2(tmp_path, capsys):
@@ -402,21 +437,26 @@ def test_sweep_run_dir_equals_standalone_pipeline(pipeline, tmp_path):
 # -- exit codes ------------------------------------------------------------------
 
 
-def truncate_dev_line(pipeline, tmp_path):
-    data = tmp_path / "data"
-    shutil.copytree(pipeline["data"], data)
-    lines = (data / "dev.jsonl").read_text().splitlines(keepends=True)
-    lines[2] = lines[2][: len(lines[2]) // 2] + "\n"
-    (data / "dev.jsonl").write_text("".join(lines))
-    return ["train", "--out", str(tmp_path / "r")] + sets(data_dir=str(data))
+def edited_dev(edit):
+    """argv training on a copy of the pipeline's corpus whose dev.jsonl lines
+    went through ``edit``."""
+    def make(pipeline, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        lines = (data / "dev.jsonl").read_text().splitlines(keepends=True)
+        (data / "dev.jsonl").write_text("".join(edit(lines)))
+        return ["train", "--out", str(tmp_path / "r")] + sets(data_dir=str(data))
+    return make
 
 
-def drop_dev_line(pipeline, tmp_path):
-    data = tmp_path / "data"
-    shutil.copytree(pipeline["data"], data)
-    lines = (data / "dev.jsonl").read_text().splitlines(keepends=True)
-    (data / "dev.jsonl").write_text("".join(lines[1:]))
-    return ["train", "--out", str(tmp_path / "r")] + sets(data_dir=str(data))
+def truncate_line_3(lines):
+    return lines[:2] + [lines[2][: len(lines[2]) // 2] + "\n"] + lines[3:]
+
+
+def unknown_token_in_line_3(lines):
+    record = json.loads(lines[2])
+    record["src"][0] = "zzz"
+    return lines[:2] + [json.dumps(record) + "\n"] + lines[3:]
 
 
 def wrong_manifest(pipeline, tmp_path):
@@ -428,19 +468,43 @@ def wrong_manifest(pipeline, tmp_path):
     return ["eval", "--out", str(pipeline["run"])] + sets(data_dir=str(data))
 
 
-def checkpoint_with(version=None, **model_config):
+def edited_checkpoint(edit_meta=None, arrays=(), command="eval"):
+    """argv running ``command`` (eval, or train --resume) on a copy of the
+    pipeline's checkpoint whose meta went through ``edit_meta`` and whose
+    entries ``arrays`` (pairs of key and function of the stored array) are
+    replaced."""
     def make(pipeline, tmp_path):
         with np.load(pipeline["run"] / "checkpoint.npz") as archive:
-            arrays = {k: archive[k] for k in archive.files}
-        meta = json.loads(arrays["meta"].tobytes())
+            stored = {k: archive[k] for k in archive.files}
+        meta = json.loads(stored["meta"].tobytes())
+        if edit_meta is not None:
+            meta = edit_meta(meta)
+        stored["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        for key, edit in arrays:
+            stored[key] = edit(stored[key])
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **stored)
+        flag = "--resume" if command == "train" else "--checkpoint"
+        return ([command, "--out", str(tmp_path / "r"), flag, str(bad)]
+                + sets(data_dir=str(pipeline["data"])))
+    return make
+
+
+def corrupt_checkpoint_meta(pipeline, tmp_path):
+    raw = bytearray((pipeline["run"] / "checkpoint.npz").read_bytes())
+    raw[raw.find(b'"format"') + 2] ^= 0x20  # the meta member's CRC-32 no longer holds
+    (tmp_path / "bad.npz").write_bytes(bytes(raw))
+    return (["eval", "--out", str(tmp_path / "r"), "--checkpoint", str(tmp_path / "bad.npz")]
+            + sets(data_dir=str(pipeline["data"])))
+
+
+def checkpoint_with(version=None, **model_config):
+    def edit(meta):
         meta["model_config"].update(model_config)
         if version is not None:
             meta["version"] = version
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(tmp_path / "bad.npz", **arrays)
-        return (["eval", "--out", str(tmp_path), "--checkpoint", str(tmp_path / "bad.npz")]
-                + sets(data_dir=str(pipeline["data"])))
-    return make
+        return meta
+    return edited_checkpoint(edit)
 
 
 def sweep_seeds(seeds, variants="vanilla", *extra):
@@ -475,12 +539,25 @@ def command_with(command, *extra, flags=()):
 @pytest.mark.parametrize("make_argv, code, detail", [
     (sweep_seeds("0,x"), 2, "seeds"),
     (sweep_seeds(""), 2, "seeds"),
-    (truncate_dev_line, 2, "dev.jsonl line 3"),
-    (drop_dev_line, 2, "dev.jsonl holds 15 examples"),
+    (edited_dev(truncate_line_3), 2, "dev.jsonl line 3"),
+    (edited_dev(lambda lines: lines[1:]), 2, "dev.jsonl holds 15 examples"),
+    (edited_dev(unknown_token_in_line_3), 2,
+     "dev.jsonl line 3 has tokens outside the manifest vocabularies: ['zzz']"),
     (wrong_manifest, 2, "manifest.json"),
     (checkpoint_with(dense_layers=2), 3, "dense_layers"),
     (checkpoint_with(fusion_mode="dense"), 3, "fusion_mode"),
+    (checkpoint_with(fusion_mode="vanilla", fusion_sides="encoder"), 3, "fusion_mode 'vanilla'"),
     (checkpoint_with(version=1), 3, "version 1"),
+    (edited_checkpoint(lambda meta: [meta]), 3, "is not a checkpoint file"),
+    (corrupt_checkpoint_meta, 3, "entry meta is unreadable"),
+    (edited_checkpoint(lambda meta: {k: v for k, v in meta.items() if k != "step"}), 3,
+     "meta has no 'step' entry"),
+    (edited_checkpoint(lambda meta: {**meta, "seed": "x"}), 3,
+     "seed must be an integer >= 0, got 'x'"),
+    (edited_checkpoint(arrays=[("param/out.w", lambda a: np.full(a.shape, "x"))]), 3,
+     "param/out.w is <U1"),
+    (edited_checkpoint(arrays=[("adam_m/out.w", lambda a: np.zeros(1))], command="train"),
+     3, "adam_m/out.w is float64 (1,)"),
     (run_with("eval", "eval_max_new_tokens=0"), 2, "eval_max_new_tokens"),
     (run_with("eval", "eval_max_new_tokens=x"), 2, "eval_max_new_tokens"),
     (run_with("eval", "eval_max_new_tokens=null"), 2, "eval_max_new_tokens"),
@@ -513,8 +590,11 @@ def command_with(command, *extra, flags=()):
     (without_out(["sweep", "--seeds", "0", "--variants", "vanilla"], "out_dir=7"), 2,
      "out_dir must be a non-empty path"),
 ], ids=["seeds-not-int", "seeds-empty", "truncated-dev-line", "dev-line-missing",
-        "wrong-manifest",
-        "checkpoint-unknown-key", "checkpoint-bad-value", "checkpoint-version-1",
+        "dev-token-unknown", "wrong-manifest",
+        "checkpoint-unknown-key", "checkpoint-bad-value", "checkpoint-unnamed-pair",
+        "checkpoint-version-1", "checkpoint-meta-list", "checkpoint-meta-crc",
+        "checkpoint-meta-no-step",
+        "checkpoint-seed-string", "checkpoint-param-strings", "resume-adam-moment-shape",
         "max-new-zero", "max-new-string", "max-new-null", "max-new-float",
         "max-new-bool", "analysis-examples-zero", "eval-split-unknown",
         "sweep-max-new-zero", "sweep-repeated-variant", "sweep-repeated-seed",

@@ -4,16 +4,13 @@ import pytest
 
 from layerfuse.attention import AttentionParams
 from layerfuse.fusion import (
+    VARIANT_NAMES,
     FusionError,
     accumulate_previous,
-    accumulates,
     extract_fuse_probs,
     fuse_attention,
     fuse_attention_core,
-    fused_layer_indices,
     parse_variant,
-    side_selected,
-    variant_name,
 )
 from layerfuse.model import ModelConfig, Seq2SeqModel
 from layerfuse.tensor import Tensor, concat, layer_norm
@@ -32,10 +29,16 @@ def history(seed, n_layers, seq, d):
 # -- variant naming ---------------------------------------------------------------
 
 
+def variant_config(name, n_layers=3):
+    return ModelConfig(src_vocab=5, tgt_vocab=5, d_model=8, n_heads=2,
+                       n_enc_layers=n_layers, n_dec_layers=n_layers).with_variant(name)
+
+
 def test_variant_round_trips():
-    for name in ("vanilla", "fuse", "fuse_enc", "fuse_dec", "fuse_top", "accum"):
-        mode, sides = parse_variant(name)
-        assert variant_name(mode, sides) == name
+    for name in VARIANT_NAMES:
+        cfg = variant_config(name)
+        assert (cfg.fusion_mode, cfg.fusion_sides) == parse_variant(name)
+        assert cfg.variant == name
 
 
 def test_parse_variant_rejects_unknown():
@@ -44,20 +47,21 @@ def test_parse_variant_rejects_unknown():
 
 
 def test_fused_layer_indices_by_mode():
-    assert fused_layer_indices("fuse", "both", "encoder", 3) == [0, 1, 2]
-    assert fused_layer_indices("fuse_top", "both", "decoder", 3) == [2]
-    assert fused_layer_indices("vanilla", "both", "encoder", 3) == []
-    assert fused_layer_indices("accum", "both", "encoder", 3) == []
-    assert fused_layer_indices("fuse", "encoder", "decoder", 3) == []
-    assert fused_layer_indices("fuse", "decoder", "decoder", 3) == [0, 1, 2]
+    assert variant_config("fuse").fused_layers("encoder") == [0, 1, 2]
+    assert variant_config("fuse_top").fused_layers("decoder") == [2]
+    assert variant_config("vanilla").fused_layers("encoder") == []
+    assert variant_config("accum").fused_layers("encoder") == []
+    assert variant_config("fuse_enc").fused_layers("decoder") == []
+    assert variant_config("fuse_dec").fused_layers("decoder") == [0, 1, 2]
+    assert variant_config("fuse_top", n_layers=1).fused_layers("encoder") == [0]
 
 
-def test_side_selection_and_accumulation_flags():
-    assert side_selected("both", "encoder") and side_selected("both", "decoder")
-    assert not side_selected("encoder", "decoder")
-    assert accumulates("accum", "both", "encoder")
-    assert not accumulates("fuse", "both", "encoder")
-    assert not accumulates("accum", "encoder", "decoder")
+def test_fuses_flags_the_fused_variants():
+    fused = {name for name in VARIANT_NAMES if variant_config(name).fuses}
+    assert fused == {"fuse", "fuse_enc", "fuse_dec", "fuse_top"}
+    for name in VARIANT_NAMES:
+        cfg = variant_config(name)
+        assert cfg.fuses == bool(cfg.fused_layers("encoder") or cfg.fused_layers("decoder"))
 
 
 # -- accumulation ---------------------------------------------------------------------

@@ -36,7 +36,7 @@ def weights_of(model):
 
 
 def test_config_round_trip():
-    cfg = tiny_config(fusion_mode="fuse_top", fusion_sides="decoder")
+    cfg = tiny_config(fusion_mode="fuse", fusion_sides="decoder")
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -55,16 +55,34 @@ def test_config_validation():
         tiny_config(fusion_mode="dense").validate()
     with pytest.raises(ValueError):
         tiny_config(src_vocab=0).validate()
-    tiny_config(n_enc_layers=0).validate(min_layers=0)
-    with pytest.raises(ValueError):
-        tiny_config(n_enc_layers=0).validate(min_layers=1)
+    tiny_config(n_enc_layers=1, n_dec_layers=1).validate()
+
+
+@pytest.mark.parametrize("kw, detail", [
+    (dict(fusion_mode="vanilla", fusion_sides="encoder"), "fusion_mode"),
+    (dict(fusion_mode="vanilla", fusion_sides="decoder"), "fusion_mode"),
+    (dict(fusion_mode="accum", fusion_sides="encoder"), "fusion_mode"),
+    (dict(fusion_mode="accum", fusion_sides="decoder"), "fusion_mode"),
+    (dict(fusion_mode="fuse_top", fusion_sides="encoder"), "fusion_mode"),
+    (dict(fusion_mode="fuse_top", fusion_sides="decoder"), "fusion_mode"),
+    (dict(n_enc_layers=0), "layer counts"),
+    (dict(n_dec_layers=0), "layer counts"),
+])
+def test_config_refuses_unnamed_pairs_and_empty_stacks(kw, detail):
+    with pytest.raises(ValueError, match=detail):
+        tiny_config(**kw).validate()
+    with pytest.raises(ValueError, match=detail):
+        Seq2SeqModel(tiny_config(**kw))
 
 
 def test_config_fused_layer_listing():
     cfg = tiny_config(fusion_mode="fuse_top", n_enc_layers=3)
     assert cfg.fused_layers("encoder") == [2]
-    assert tiny_config(fusion_mode="accum").fused_layers("encoder") == []
-    assert tiny_config(fusion_mode="accum").accumulates("decoder")
+    assert cfg.fused_layers("decoder") == [1]
+    assert cfg.fuses and cfg.variant == "fuse_top"
+    accum = tiny_config(fusion_mode="accum")
+    assert accum.fused_layers("encoder") == accum.fused_layers("decoder") == []
+    assert not accum.fuses and accum.variant == "accum"
 
 
 # -- embeddings --------------------------------------------------------------------
@@ -240,14 +258,6 @@ def test_ffn_matches_explicit_loop():
 
 
 # -- stacks -------------------------------------------------------------------------
-
-
-def test_encoder_no_layers_returns_embedding():
-    model = Seq2SeqModel(tiny_config(n_enc_layers=0))
-    src = np.array([3, 4, 5])
-    out, cache = model.encode(src)
-    assert np.array_equal(out.data, model.embed(src, "encoder").data)
-    assert len(cache.outputs) == 1
 
 
 def test_encoder_cache_length_invariant():

@@ -292,7 +292,7 @@ def test_grad_check_fused_encoder_layer():
     from layerfuse.model import ModelConfig, Seq2SeqModel
 
     cfg = ModelConfig(src_vocab=6, tgt_vocab=6, d_model=8, n_heads=2, d_ffn=8,
-                      n_enc_layers=1, n_dec_layers=0, max_len=5, dropout=0.0,
+                      n_enc_layers=1, n_dec_layers=1, max_len=5, dropout=0.0,
                       fusion_mode="fuse", fusion_sides="encoder", seed=3)
     model = Seq2SeqModel(cfg)
     src = np.array([3, 4, 5])
@@ -303,8 +303,11 @@ def test_grad_check_fused_encoder_layer():
         out, _ = model.encode(src)
         return cross_entropy(out.matmul(proj), targets)
 
-    err = grad_check(f, wrt=list(model.parameters().values()), max_coords=8,
-                     seed=7)
+    # The source side: embeddings and every enc.* parameter, fuse-attention's included.
+    enc = {name: p for name, p in model.parameters().items()
+           if name.startswith(("src_", "enc."))}
+    assert "enc.0.fuse.w_q" in enc
+    err = grad_check(f, wrt=list(enc.values()), max_coords=8, seed=7)
     assert err < 1e-4
 
 
