@@ -18,9 +18,9 @@ from pathlib import Path
 from .compgen import (
     BOS,
     EOS,
+    SPLITS,
     Corpus,
     CorpusSpec,
-    CTERReport,
     GenerationError,
     cter,
     exact_match,
@@ -45,7 +45,6 @@ __all__ = ["main", "default_config", "load_config", "apply_override",
            "cmd_gen", "cmd_train", "cmd_eval", "cmd_analyze", "cmd_sweep",
            "UsageError"]
 
-SPLITS = ("train", "dev", "test", "cg_test")
 DEFAULT_VARIANTS = tuple(VARIANT_NAMES)
 
 
@@ -70,7 +69,6 @@ def default_config() -> dict:
         "data_dir": "data",
         "out_dir": "out",
         "variant": "fuse",
-        "eval_split": "cg_test",
         "eval_max_new_tokens": 30,
         "analysis_examples": 64,
     }
@@ -149,9 +147,6 @@ def _check_run_settings(cfg: dict) -> None:
         value = cfg[key]
         if type(value) is not int or value < 1:
             raise UsageError(f"{key} must be an integer >= 1, got {value!r}")
-    if cfg["eval_split"] not in SPLITS:
-        raise UsageError(
-            f"eval_split must be one of {', '.join(SPLITS)}, got {cfg['eval_split']!r}")
 
 
 def _corpus_spec(cfg: dict) -> CorpusSpec:
@@ -294,10 +289,9 @@ def _train_run(cfg: dict, corpus: Corpus, model: Seq2SeqModel, tcfg: TrainConfig
     return summary
 
 
-def _eval_run(cfg: dict, corpus: Corpus, model: Seq2SeqModel,
-              split: str) -> tuple[dict, CTERReport | None]:
-    """Decode ``split`` into metrics_<split>.json and predictions_<split>.jsonl;
-    returns the metrics and, on cg_test, the CTER report."""
+def _eval_run(cfg: dict, corpus: Corpus, model: Seq2SeqModel, split: str) -> dict:
+    """Decode ``split`` into metrics_<split>.json and predictions_<split>.jsonl,
+    plus the cter_by_*.csv breakdowns on cg_test; returns the metrics."""
     examples = corpus.split(split)
     if not examples:
         raise UsageError(f"split {split!r} is empty")
@@ -309,48 +303,38 @@ def _eval_run(cfg: dict, corpus: Corpus, model: Seq2SeqModel,
         "truncated": int(sum(flags)),
         "variant": model.config.variant,
     }
-    report = None
+    out_dir = Path(cfg["out_dir"])
     if split == "cg_test":
         report = cter(preds, examples, corpus.dictionary)
         metrics["cter"] = report.to_dict()
-    out_dir = Path(cfg["out_dir"])
-    _write_json(out_dir / f"metrics_{split}.json", metrics)
-    with atomic_write(out_dir / f"predictions_{split}.jsonl") as fh:
-        for ex, pred, flag in zip(examples, preds, flags):
-            record = {"src": list(ex.src), "ref": list(ex.tgt), "pred": list(pred),
-                      "truncated": bool(flag)}
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return metrics, report
-
-
-def _analyze_run(cfg: dict, corpus: Corpus, model: Seq2SeqModel,
-                 report: CTERReport | None = None) -> None:
-    """fuse_probs.csv (fused variants), cter_by_*.csv and analysis_summary.json;
-    cg_test is decoded here unless the eval stage's ``report`` is given."""
-    out_dir = Path(cfg["out_dir"])
-    if model.config.fuses:
-        pool = corpus.cg_test or corpus.test or corpus.train
-        sample = pool[: cfg["analysis_examples"]]
-        batch = [(src, tgt_in) for src, tgt_in, _ in
-                 triples(sample, corpus.src_vocab, corpus.tgt_vocab)]
-        probs = extract_fuse_probs(model, batch)
-        # layer is 1-based; prev_layer is 0-based, 0 being the embedding output.
-        _write_csv(out_dir / "fuse_probs.csv", ["side", "layer", "prev_layer", "probability"],
-                   [[side, k + 1, prev, f"{p:.10f}"] for side in sorted(probs)
-                    for k in sorted(probs[side]) for prev, p in enumerate(probs[side][k])])
-    if corpus.cg_test:
-        if report is None:
-            preds, _ = _decode_split(model, corpus, corpus.cg_test,
-                                     cfg["eval_max_new_tokens"])
-            report = cter(preds, corpus.cg_test, corpus.dictionary)
         for name, breakdown in (("compound_length", report.by_compound_length),
                                 ("context_length", report.by_context_bucket),
                                 ("mod", report.by_mod)):
             _write_csv(out_dir / f"cter_by_{name}.csv", ["group", "errors", "total", "rate"],
                        [[group, cell["errors"], cell["total"], f"{cell['rate']:.6f}"]
                         for group, cell in breakdown.items()])
-        _write_json(out_dir / "analysis_summary.json",
-                    {"cter": report.to_dict(), "variant": model.config.variant})
+    _write_json(out_dir / f"metrics_{split}.json", metrics)
+    with atomic_write(out_dir / f"predictions_{split}.jsonl") as fh:
+        for ex, pred, flag in zip(examples, preds, flags):
+            record = {"src": list(ex.src), "ref": list(ex.tgt), "pred": list(pred),
+                      "truncated": bool(flag)}
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    return metrics
+
+
+def _analyze_run(cfg: dict, corpus: Corpus, model: Seq2SeqModel) -> None:
+    """fuse_probs.csv, the mean fuse-attention distribution of each fused
+    layer over an analysis sample; FusionError for an unfused variant."""
+    pool = corpus.cg_test or corpus.test or corpus.train
+    sample = pool[: cfg["analysis_examples"]]
+    batch = [(src, tgt_in) for src, tgt_in, _ in
+             triples(sample, corpus.src_vocab, corpus.tgt_vocab)]
+    probs = extract_fuse_probs(model, batch)
+    # layer is 1-based; prev_layer is 0-based, 0 being the embedding output.
+    _write_csv(Path(cfg["out_dir"]) / "fuse_probs.csv",
+               ["side", "layer", "prev_layer", "probability"],
+               [[side, k + 1, prev, f"{p:.10f}"] for side in sorted(probs)
+                for k in sorted(probs[side]) for prev, p in enumerate(probs[side][k])])
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -374,8 +358,6 @@ def cmd_train(cfg: dict, resume: str | None = None) -> int:
     state = None
     if resume is not None:
         model, state = load_checkpoint(resume)
-        if state is None:
-            raise UsageError(f"{resume} has no optimizer state to resume from")
         # Batch order and dropout come from train.seed, and the checkpoint
         # carries its run's seed into every later checkpoint.
         if state.seed != tcfg.seed:
@@ -390,12 +372,10 @@ def cmd_train(cfg: dict, resume: str | None = None) -> int:
     return 0
 
 
-def cmd_eval(cfg: dict, checkpoint: str | None = None,
-             split: str | None = None) -> int:
+def cmd_eval(cfg: dict, checkpoint: str | None = None, split: str = "cg_test") -> int:
     corpus = _load_corpus(cfg)
     model = _load_run_model(cfg, corpus, checkpoint)
-    split = split or cfg["eval_split"]
-    metrics, _ = _eval_run(cfg, corpus, model, split)
+    metrics = _eval_run(cfg, corpus, model, split)
     line = f"{split}: n={metrics['n']} exact_match={metrics['exact_match']:.4f}"
     if "cter" in metrics:
         line += (f" cter_instance={metrics['cter']['instance_rate']:.4f}"
@@ -407,9 +387,6 @@ def cmd_eval(cfg: dict, checkpoint: str | None = None,
 def cmd_analyze(cfg: dict, checkpoint: str | None = None) -> int:
     corpus = _load_corpus(cfg)
     model = _load_run_model(cfg, corpus, checkpoint)
-    if not model.config.fuses:
-        raise FusionError(f"variant {model.config.variant!r} has no "
-                          "fuse-attention sublayers to inspect")
     _analyze_run(cfg, corpus, model)
     print(f"analysis written to {cfg['out_dir']}")
     return 0
@@ -447,8 +424,9 @@ def cmd_sweep(cfg: dict, variants=None, seeds=None) -> int:
         # No dev-loss passes: the sweep reports cg_test only, and a pass
         # over the default 500 dev sentences outweighs a short run.
         summary = _train_run(run_cfg, corpus, model, tcfg, dev=False)
-        metrics, report = _eval_run(run_cfg, corpus, model, "cg_test")
-        _analyze_run(run_cfg, corpus, model, report)
+        metrics = _eval_run(run_cfg, corpus, model, "cg_test")
+        if model.config.fuses:
+            _analyze_run(run_cfg, corpus, model)
         row = {
             "variant": variant,
             "seed": seed,
@@ -513,10 +491,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="greedy-decode a split and report metrics")
     common(p)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--split", default=None,
-                   choices=("train", "dev", "test", "cg_test"))
-    p = sub.add_parser("analyze", help="dump fuse probabilities and error "
-                                       "breakdown CSVs")
+    p.add_argument("--split", default="cg_test", choices=SPLITS)
+    p = sub.add_parser("analyze", help="dump fuse-attention probabilities")
     common(p)
     p.add_argument("--checkpoint", default=None)
     p = sub.add_parser("sweep", help="train and evaluate a grid of variants "

@@ -31,7 +31,7 @@ import numpy as np
 from .fileio import atomic_write, check_int_fields
 
 __all__ = [
-    "PAD", "BOS", "EOS", "SPECIALS", "PATTERNS",
+    "PAD", "BOS", "EOS", "SPECIALS", "PATTERNS", "SPLITS",
     "GenerationError", "CorpusSpec", "Vocabulary", "AtomDictionary",
     "Compound", "CompoundAnnotation", "Example", "Corpus", "CTERReport",
     "realize_compound", "generate_corpus", "write_corpus", "load_corpus",
@@ -53,6 +53,8 @@ PATTERNS: dict[str, tuple[str, ...]] = {
     "vp_pp_np": ("vp", "pp", "np"),
     "vp_pp_np_mod": ("vp", "pp", "np", "mod"),
 }
+
+SPLITS = ("train", "dev", "test", "cg_test")
 
 _ROLE_PREFIX = {"np": "n", "vp": "v", "pp": "p", "mod": "m"}
 
@@ -286,7 +288,7 @@ class Corpus:
     cg_test: list = field(default_factory=list)
 
     def split(self, name: str) -> list:
-        if name not in ("train", "dev", "test", "cg_test"):
+        if name not in SPLITS:
             raise ValueError(f"unknown split {name!r}")
         return getattr(self, name)
 
@@ -549,7 +551,7 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> None:
     holds either the previous corpus's bytes or the new ones.
     """
     out = Path(out_dir)
-    for name in ("train", "dev", "test", "cg_test"):
+    for name in SPLITS:
         with atomic_write(out / f"{name}.jsonl") as fh:
             for ex in corpus.split(name):
                 fh.write(_canonical_json(ex.to_dict()) + "\n")
@@ -562,7 +564,7 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> None:
         "src_tokens": corpus.src_vocab.tokens,
         "tgt_tokens": corpus.tgt_vocab.tokens,
         "counts": {name: len(corpus.split(name))
-                   for name in ("train", "dev", "test", "cg_test")},
+                   for name in SPLITS},
     }
     with atomic_write(out / "manifest.json") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -578,6 +580,7 @@ def load_corpus(data_dir: str | Path) -> Corpus:
         if manifest.get("format") != "layerfuse-corpus" or manifest.get("version") != 1:
             raise ValueError("wrong format or version")
         spec = CorpusSpec.from_dict(manifest["spec"])
+        spec.validate()
         counts = dict(manifest["counts"])
         src_vocab = Vocabulary(manifest["src_tokens"])
         tgt_vocab = Vocabulary(manifest["tgt_tokens"])
@@ -591,7 +594,7 @@ def load_corpus(data_dir: str | Path) -> Corpus:
         tgt_vocab=tgt_vocab,
         dictionary=_build_dictionary(spec, _inventories(spec)),
     )
-    for name in ("train", "dev", "test", "cg_test"):
+    for name in SPLITS:
         path = data / f"{name}.jsonl"
         examples = []
         if path.exists():
@@ -609,6 +612,11 @@ def load_corpus(data_dir: str | Path) -> Corpus:
                     if unknown:
                         raise ValueError(f"{path} line {lineno} has tokens outside the "
                                          f"manifest vocabularies: {unknown}")
+                    if not example.src:
+                        raise ValueError(f"{path} line {lineno} has an empty source")
+                    if example.compound.pattern not in PATTERNS:
+                        raise ValueError(f"{path} line {lineno} has an unknown compound "
+                                         f"pattern {example.compound.pattern!r}")
                     examples.append(example)
         if len(examples) != counts.get(name):
             raise ValueError(f"{path} holds {len(examples)} examples, but "

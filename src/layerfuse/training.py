@@ -396,20 +396,16 @@ def _greedy(model, src, src_lengths, bos_id, eos_id, budget):
 # -- checkpoints -------------------------------------------------------------
 
 
-def save_checkpoint(
-    path: str | Path,
-    model: Seq2SeqModel,
-    state: TrainState | None = None,
-) -> None:
-    """Single-file .npz: versioned JSON meta + raw float64 parameter buffers."""
+def save_checkpoint(path: str | Path, model: Seq2SeqModel, state: TrainState) -> None:
+    """Single-file .npz: versioned JSON meta + raw float64 parameter and Adam
+    moment buffers."""
     meta = {
         "format": "layerfuse-checkpoint",
         "version": CHECKPOINT_VERSION,
         "model_config": model.config.to_dict(),
-        "step": state.step if state is not None else 0,
-        "seed": state.seed if state is not None else model.config.seed,
-        "best_dev_loss": state.best_dev_loss if state is not None else None,
-        "has_optimizer": state is not None,
+        "step": state.step,
+        "seed": state.seed,
+        "best_dev_loss": state.best_dev_loss,
     }
     arrays: dict[str, np.ndarray] = {
         "meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),
@@ -417,17 +413,16 @@ def save_checkpoint(
     }
     for name, p in model.parameters().items():
         arrays[f"param/{name}"] = p.data
-    if state is not None:
-        for name, m in state.adam_m.items():
-            arrays[f"adam_m/{name}"] = m
-        for name, v in state.adam_v.items():
-            arrays[f"adam_v/{name}"] = v
+    for name, m in state.adam_m.items():
+        arrays[f"adam_m/{name}"] = m
+    for name, v in state.adam_v.items():
+        arrays[f"adam_v/{name}"] = v
     with atomic_write(path, binary=True) as fh:
         np.savez(fh, **arrays)
 
 
-def load_checkpoint(path: str | Path) -> tuple[Seq2SeqModel, TrainState | None]:
-    """Rebuild the model (and optimizer state, if saved) from a checkpoint.
+def load_checkpoint(path: str | Path) -> tuple[Seq2SeqModel, TrainState]:
+    """Rebuild the model and its optimizer state from a checkpoint.
 
     Raises CheckpointError for a file that is not a well-formed checkpoint.
     """
@@ -455,20 +450,18 @@ def load_checkpoint(path: str | Path) -> tuple[Seq2SeqModel, TrainState | None]:
             raise CheckpointError(f"{path} has a bad model_config: {exc}") from exc
         for name, p in model.parameters().items():
             p.data = _stored_array(archive, path, f"param/{name}", p.data.shape)
-        state = None
-        if meta.get("has_optimizer"):
-            try:
-                state = TrainState(step=meta["step"], seed=meta["seed"],
-                                   best_dev_loss=meta.get("best_dev_loss"))
-            except KeyError as exc:
-                raise CheckpointError(f"{path} meta has no {exc} entry") from exc
-            check_int_fields(state, lambda msg: CheckpointError(f"{path} meta: {msg}"))
-            best = state.best_dev_loss
-            if best is not None and type(best) not in (int, float):
-                raise CheckpointError(f"{path} meta: best_dev_loss {best!r} is not a number")
-            for name, p in model.parameters().items():
-                for kind, store in (("adam_m", state.adam_m), ("adam_v", state.adam_v)):
-                    store[name] = _stored_array(archive, path, f"{kind}/{name}", p.data.shape)
+        try:
+            state = TrainState(step=meta["step"], seed=meta["seed"],
+                               best_dev_loss=meta.get("best_dev_loss"))
+        except KeyError as exc:
+            raise CheckpointError(f"{path} meta has no {exc} entry") from exc
+        check_int_fields(state, lambda msg: CheckpointError(f"{path} meta: {msg}"))
+        best = state.best_dev_loss
+        if best is not None and type(best) not in (int, float):
+            raise CheckpointError(f"{path} meta: best_dev_loss {best!r} is not a number")
+        for name, p in model.parameters().items():
+            for kind, store in (("adam_m", state.adam_m), ("adam_v", state.adam_v)):
+                store[name] = _stored_array(archive, path, f"{kind}/{name}", p.data.shape)
     return model, state
 
 

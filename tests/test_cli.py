@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from layerfuse import cli
 from layerfuse.cli import (
     UsageError,
     _build_parser,
@@ -72,12 +73,16 @@ def pipeline(tmp_path_factory):
 def test_default_config_sections():
     cfg = default_config()
     assert {"corpus", "model", "train"} <= set(cfg)
-    assert {"data_dir", "out_dir", "variant", "eval_split"} <= set(cfg)
+    assert {"data_dir", "out_dir", "variant"} <= set(cfg)
+
+
+def readme_section(heading):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"\n{heading}\n", 1)[1].split("\n#", 1)[0]
 
 
 def test_readme_and_sweep_default_list_the_variant_table():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Variants\n", 1)[1].split("\n## ", 1)[0]
+    section = readme_section("## Variants")
     assert re.findall(r"^\| `(\w+)`", section, flags=re.M) == list(VARIANT_NAMES)
     sweep = _build_parser().parse_args(["sweep"])
     assert sweep.variants.split(",") == list(VARIANT_NAMES)
@@ -347,8 +352,14 @@ def read_fuse_probs(path):
     return groups
 
 
+CTER_CSVS = {"cter_by_compound_length.csv", "cter_by_context_length.csv",
+             "cter_by_mod.csv"}
+
+
 def test_analyze_outputs(pipeline):
     data, run = pipeline["data"], pipeline["run"]
+    assert main(["eval", "--out", str(run), "--split", "cg_test"]
+                + sets(data_dir=str(data))) == 0
     rc = main(["analyze", "--out", str(run)] + sets(data_dir=str(data)))
     assert rc == 0
     groups = read_fuse_probs(run / "fuse_probs.csv")
@@ -358,14 +369,48 @@ def test_analyze_outputs(pipeline):
         assert abs(sum(p for _, p in cells) - 1.0) < 1e-6
     # first layer: the only previous representation is the embedding
     assert len(groups[("encoder", 1)]) == 1
-    summary = json.loads((run / "analysis_summary.json").read_text())
-    headline = summary["cter"]
-    for name in ("cter_by_compound_length.csv", "cter_by_context_length.csv",
-                 "cter_by_mod.csv"):
+    headline = json.loads((run / "metrics_cg_test.json").read_text())["cter"]
+    for name in sorted(CTER_CSVS):
         with open(run / name, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert sum(int(r["errors"]) for r in rows) == headline["instance_errors"]
         assert sum(int(r["total"]) for r in rows) == headline["n_instances"]
+
+
+def written_by(pipeline, tmp_path, command, *flags):
+    """The names of the files ``command`` writes into an empty run directory
+    from the pipeline's checkpoint."""
+    out = tmp_path / command
+    assert main([command, "--out", str(out), *flags,
+                 "--checkpoint", str(pipeline["run"] / "checkpoint.npz")]
+                + sets(data_dir=str(pipeline["data"]))) == 0
+    return {p.name for p in out.iterdir()}
+
+
+def test_analyze_decodes_nothing(pipeline, tmp_path, monkeypatch):
+    def no_decoding(*args, **kwargs):
+        raise AssertionError("analyze decoded")
+
+    monkeypatch.setattr(cli, "greedy_decode_batch", no_decoding)
+    assert written_by(pipeline, tmp_path, "analyze") == {"fuse_probs.csv"}
+
+
+def test_eval_writes_cter_breakdowns_on_cg_test_only(pipeline, tmp_path):
+    assert written_by(pipeline, tmp_path / "cg", "eval", "--split", "cg_test") == {
+        "metrics_cg_test.json", "predictions_cg_test.jsonl"} | CTER_CSVS
+    assert written_by(pipeline, tmp_path / "test", "eval", "--split", "test") == {
+        "metrics_test.json", "predictions_test.jsonl"}
+
+
+def test_readme_lists_the_files_eval_and_analyze_write(pipeline, tmp_path):
+    bullets = dict(re.findall(r"^- `(\w+)`: (.*?)(?=^- |\Z)", readme_section("### Files written"),
+                              flags=re.M | re.S))
+    named = {command: set(re.findall(r"`([\w<>]+\.(?:csv|json|jsonl|npz))`",
+                                     bullets[command]))
+             for command in ("eval", "analyze")}
+    assert {name.replace("<split>", "cg_test") for name in named["eval"]} == written_by(
+        pipeline, tmp_path, "eval", "--split", "cg_test")
+    assert named["analyze"] == written_by(pipeline, tmp_path, "analyze")
 
 
 def test_analyze_vanilla_has_no_probe_exits_2(pipeline, tmp_path, capsys):
@@ -373,10 +418,12 @@ def test_analyze_vanilla_has_no_probe_exits_2(pipeline, tmp_path, capsys):
     run = tmp_path / "vanilla"
     assert main(["train", "--out", str(run)]
                 + sets("variant=vanilla", data_dir=data)) == 0
+    trained = file_hashes(run)
     rc = main(["analyze", "--out", str(run)]
               + sets("variant=vanilla", data_dir=data))
     assert rc == 2
     assert "fuse" in capsys.readouterr().err
+    assert file_hashes(run) == trained
 
 
 # -- sweep -----------------------------------------------------------------------
@@ -428,24 +475,27 @@ def test_sweep_run_dir_equals_standalone_pipeline(pipeline, tmp_path):
     for name, p in a.parameters().items():
         assert np.array_equal(p.data, b.parameters()[name].data), name
     for name in ("metrics_cg_test.json", "predictions_cg_test.jsonl",
-                 "fuse_probs.csv", "cter_by_compound_length.csv",
-                 "cter_by_context_length.csv", "cter_by_mod.csv",
-                 "analysis_summary.json"):
+                 "fuse_probs.csv", *sorted(CTER_CSVS)):
         assert (swept / name).read_bytes() == (run / name).read_bytes(), name
+    assert not (swept / "analysis_summary.json").exists()
+    assert not (run / "analysis_summary.json").exists()
 
 
 # -- exit codes ------------------------------------------------------------------
 
 
-def edited_dev(edit):
-    """argv training on a copy of the pipeline's corpus whose dev.jsonl lines
-    went through ``edit``."""
+def edited_split(name, edit, command="train"):
+    """argv running ``command`` (train, or eval from the pipeline's checkpoint)
+    on a copy of the pipeline's corpus whose <name>.jsonl lines went through
+    ``edit``."""
     def make(pipeline, tmp_path):
         data = tmp_path / "data"
         shutil.copytree(pipeline["data"], data)
-        lines = (data / "dev.jsonl").read_text().splitlines(keepends=True)
-        (data / "dev.jsonl").write_text("".join(edit(lines)))
-        return ["train", "--out", str(tmp_path / "r")] + sets(data_dir=str(data))
+        path = data / f"{name}.jsonl"
+        path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+        flags = (["--checkpoint", str(pipeline["run"] / "checkpoint.npz")]
+                 if command == "eval" else [])
+        return [command, "--out", str(tmp_path / "r"), *flags] + sets(data_dir=str(data))
     return make
 
 
@@ -459,13 +509,31 @@ def unknown_token_in_line_3(lines):
     return lines[:2] + [json.dumps(record) + "\n"] + lines[3:]
 
 
-def wrong_manifest(pipeline, tmp_path):
-    data = tmp_path / "data"
-    shutil.copytree(pipeline["data"], data)
-    manifest = json.loads((data / "manifest.json").read_text())
-    manifest["format"] = "some-other-corpus"
-    (data / "manifest.json").write_text(json.dumps(manifest))
-    return ["eval", "--out", str(pipeline["run"])] + sets(data_dir=str(data))
+def empty_source_in_line_1(lines):
+    return [json.dumps({**json.loads(lines[0]), "src": []}) + "\n"] + lines[1:]
+
+
+def empty_sources(lines):
+    return [json.dumps({**json.loads(line), "src": []}) + "\n" for line in lines]
+
+
+def unknown_pattern_in_line_1(lines):
+    record = json.loads(lines[0])
+    record["compound"]["pattern"] = "bogus"
+    return [json.dumps(record) + "\n"] + lines[1:]
+
+
+def edited_manifest(edit):
+    """argv evaluating on a copy of the pipeline's corpus whose manifest went
+    through ``edit``, which changes it in place."""
+    def make(pipeline, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        edit(manifest)
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        return ["eval", "--out", str(pipeline["run"])] + sets(data_dir=str(data))
+    return make
 
 
 def edited_checkpoint(edit_meta=None, arrays=(), command="eval"):
@@ -539,11 +607,19 @@ def command_with(command, *extra, flags=()):
 @pytest.mark.parametrize("make_argv, code, detail", [
     (sweep_seeds("0,x"), 2, "seeds"),
     (sweep_seeds(""), 2, "seeds"),
-    (edited_dev(truncate_line_3), 2, "dev.jsonl line 3"),
-    (edited_dev(lambda lines: lines[1:]), 2, "dev.jsonl holds 15 examples"),
-    (edited_dev(unknown_token_in_line_3), 2,
+    (edited_split("dev", truncate_line_3), 2, "dev.jsonl line 3"),
+    (edited_split("dev", lambda lines: lines[1:]), 2, "dev.jsonl holds 15 examples"),
+    (edited_split("dev", unknown_token_in_line_3), 2,
      "dev.jsonl line 3 has tokens outside the manifest vocabularies: ['zzz']"),
-    (wrong_manifest, 2, "manifest.json"),
+    (edited_split("cg_test", empty_source_in_line_1, "eval"), 2,
+     "cg_test.jsonl line 1 has an empty source"),
+    (edited_split("train", empty_sources), 2, "train.jsonl line 1 has an empty source"),
+    (edited_split("cg_test", unknown_pattern_in_line_1, "eval"), 2,
+     "cg_test.jsonl line 1 has an unknown compound pattern 'bogus'"),
+    (edited_manifest(lambda manifest: manifest.update(format="some-other-corpus")), 2,
+     "manifest.json"),
+    (edited_manifest(lambda manifest: manifest["spec"].update(n_np="x")), 2,
+     "n_np must be an integer >= 0, got 'x'"),
     (checkpoint_with(dense_layers=2), 3, "dense_layers"),
     (checkpoint_with(fusion_mode="dense"), 3, "fusion_mode"),
     (checkpoint_with(fusion_mode="vanilla", fusion_sides="encoder"), 3, "fusion_mode 'vanilla'"),
@@ -564,7 +640,7 @@ def command_with(command, *extra, flags=()):
     (run_with("eval", "eval_max_new_tokens=1.5"), 2, "eval_max_new_tokens"),
     (run_with("eval", "eval_max_new_tokens=true"), 2, "eval_max_new_tokens"),
     (run_with("analyze", "analysis_examples=0"), 2, "analysis_examples"),
-    (run_with("eval", "eval_split=nosplit"), 2, "eval_split"),
+    (run_with("eval", "eval_split=test"), 2, "unknown config key 'eval_split'"),
     (sweep_seeds("0", "vanilla", "eval_max_new_tokens=0"), 2, "eval_max_new_tokens"),
     (sweep_seeds("0", "vanilla,accum,vanilla"), 2, "--variants repeats vanilla"),
     (sweep_seeds("0,1,00"), 2, "--seeds repeats 0"),
@@ -590,13 +666,14 @@ def command_with(command, *extra, flags=()):
     (without_out(["sweep", "--seeds", "0", "--variants", "vanilla"], "out_dir=7"), 2,
      "out_dir must be a non-empty path"),
 ], ids=["seeds-not-int", "seeds-empty", "truncated-dev-line", "dev-line-missing",
-        "dev-token-unknown", "wrong-manifest",
+        "dev-token-unknown", "cg-test-source-empty", "train-sources-empty",
+        "cg-test-pattern-unknown", "wrong-manifest", "manifest-n-np-string",
         "checkpoint-unknown-key", "checkpoint-bad-value", "checkpoint-unnamed-pair",
         "checkpoint-version-1", "checkpoint-meta-list", "checkpoint-meta-crc",
         "checkpoint-meta-no-step",
         "checkpoint-seed-string", "checkpoint-param-strings", "resume-adam-moment-shape",
         "max-new-zero", "max-new-string", "max-new-null", "max-new-float",
-        "max-new-bool", "analysis-examples-zero", "eval-split-unknown",
+        "max-new-bool", "analysis-examples-zero", "eval-split-key",
         "sweep-max-new-zero", "sweep-repeated-variant", "sweep-repeated-seed",
         "n-heads-zero", "model-section-int", "seed-flag-negative", "model-seed-negative",
         "train-seed-negative", "corpus-seed-negative", "batch-size-float", "d-ffn-float",

@@ -179,7 +179,7 @@ def test_train_loop_writes_each_checkpoint_once(tmp_path, monkeypatch, steps,
     saves = []
     real_save = training.save_checkpoint
 
-    def counting_save(path, model, state=None):
+    def counting_save(path, model, state):
         saves.append((Path(path).name, state.step))
         real_save(path, model, state)
 
@@ -496,12 +496,16 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
         assert np.array_equal(state.adam_v[name], rstate.adam_v[name])
 
 
-def test_checkpoint_without_state(tmp_path):
+def test_checkpoint_meta_holds_only_what_loading_reads(tmp_path):
     model = tiny_model(seed=19)
-    path = tmp_path / "weights.npz"
-    save_checkpoint(path, model)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, model, init_state(model, train_cfg(seed=4)))
+    with np.load(path) as archive:
+        meta = json.loads(archive["meta"].tobytes())
+    assert set(meta) == {"format", "version", "model_config", "step", "seed",
+                         "best_dev_loss"}
     restored, state = load_checkpoint(path)
-    assert state is None
+    assert (state.step, state.seed, state.best_dev_loss) == (0, 4, None)
     assert restored.config == model.config
 
 
