@@ -405,6 +405,9 @@ def cmd_sweep(cfg: dict, variants=None, seeds=None) -> int:
         repeated = sorted({str(x) for x in values if values.count(x) > 1})
         if repeated:
             raise UsageError(f"--{name} repeats {', '.join(repeated)}")
+    spec = _corpus_spec(cfg)
+    if spec.n_cg_compounds == 0:
+        raise UsageError("sweep scores cg_test only, but corpus.n_cg_compounds is 0")
     out_dir = Path(cfg["out_dir"])
     runs = []
     for variant in variants:
@@ -415,7 +418,7 @@ def cmd_sweep(cfg: dict, variants=None, seeds=None) -> int:
             run_cfg["model"]["seed"] = run_cfg["train"]["seed"] = seed
             _model_config(run_cfg)  # every run is checked before any work
             runs.append((variant, seed, run_cfg, _train_config(run_cfg)))
-    corpus = generate_corpus(_corpus_spec(cfg))
+    corpus = generate_corpus(spec)
     write_corpus(corpus, out_dir / "data")
 
     rows = []

@@ -255,26 +255,6 @@ class Example:
             "has_mod": self.has_mod,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Example":
-        c = d["compound"]
-        return cls(
-            src=tuple(d["src"]),
-            tgt=tuple(d["tgt"]),
-            compound=CompoundAnnotation(
-                pattern=c["pattern"],
-                atoms=tuple(c["atoms"]),
-                span=tuple(c["span"]),
-                realizations=tuple(tuple(r) for r in c["realizations"]),
-                compound_id=c["compound_id"],
-            ),
-            context_id=d["context_id"],
-            compound_length=d["compound_length"],
-            context_length=d["context_length"],
-            context_bucket=d["context_bucket"],
-            has_mod=d["has_mod"],
-        )
-
 
 @dataclass
 class Corpus:
@@ -544,17 +524,13 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_corpus(corpus: Corpus, out_dir: str | Path) -> None:
-    """Write the four splits, then manifest.json, each through atomic_write.
+def _split_lines(corpus: Corpus, name: str):
+    """The lines of <name>.jsonl, one example each."""
+    for ex in corpus.split(name):
+        yield _canonical_json(ex.to_dict()) + "\n"
 
-    A write that fails or is killed midway leaves every file whole: a file
-    holds either the previous corpus's bytes or the new ones.
-    """
-    out = Path(out_dir)
-    for name in SPLITS:
-        with atomic_write(out / f"{name}.jsonl") as fh:
-            for ex in corpus.split(name):
-                fh.write(_canonical_json(ex.to_dict()) + "\n")
+
+def _manifest_text(corpus: Corpus) -> str:
     spec_dict = corpus.spec.to_dict()
     manifest = {
         "format": "layerfuse-corpus",
@@ -566,62 +542,58 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> None:
         "counts": {name: len(corpus.split(name))
                    for name in SPLITS},
     }
+    return json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+
+
+def write_corpus(corpus: Corpus, out_dir: str | Path) -> None:
+    """Write the four splits, then manifest.json, each through atomic_write.
+
+    A write that fails or is killed midway leaves every file whole: a file
+    holds either the previous corpus's bytes or the new ones.
+    """
+    out = Path(out_dir)
+    for name in SPLITS:
+        with atomic_write(out / f"{name}.jsonl") as fh:
+            fh.writelines(_split_lines(corpus, name))
     with atomic_write(out / "manifest.json") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        fh.write(_manifest_text(corpus))
+
+
+def _check_lines(path: Path, got: list, want) -> None:
+    """Raise ValueError at the first line where ``got``, the byte lines read
+    from ``path``, differs from ``want``, the text lines written for it."""
+    for lineno, (line, wanted) in enumerate(itertools.zip_longest(got, want), 1):
+        if wanted is None or line != wanted.encode():
+            raise ValueError(f"{path} line {lineno} differs from what its "
+                             "manifest's spec generates")
 
 
 def load_corpus(data_dir: str | Path) -> Corpus:
+    """Regenerate the corpus from the spec in data_dir/manifest.json.
+
+    Every file must hold exactly what write_corpus writes for that corpus;
+    the first line that differs raises ValueError naming the file and line.
+    """
     data = Path(data_dir)
     manifest_path = data / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no corpus manifest at {manifest_path}")
+    manifest = manifest_path.read_bytes()
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        if manifest.get("format") != "layerfuse-corpus" or manifest.get("version") != 1:
-            raise ValueError("wrong format or version")
-        spec = CorpusSpec.from_dict(manifest["spec"])
-        spec.validate()
-        counts = dict(manifest["counts"])
-        src_vocab = Vocabulary(manifest["src_tokens"])
-        tgt_vocab = Vocabulary(manifest["tgt_tokens"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        corpus = generate_corpus(CorpusSpec.from_dict(json.loads(manifest)["spec"]))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"{manifest_path} is not a version-1 corpus manifest: {exc!r}"
         ) from exc
-    corpus = Corpus(
-        spec=spec,
-        src_vocab=src_vocab,
-        tgt_vocab=tgt_vocab,
-        dictionary=_build_dictionary(spec, _inventories(spec)),
-    )
+    _check_lines(manifest_path, manifest.splitlines(keepends=True),
+                 _manifest_text(corpus).splitlines(keepends=True))
     for name in SPLITS:
         path = data / f"{name}.jsonl"
-        examples = []
-        if path.exists():
-            with open(path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, 1):
-                    try:
-                        example = Example.from_dict(json.loads(line))
-                        unknown = [tok for vocab, seq in ((src_vocab, example.src),
-                                                          (tgt_vocab, example.tgt))
-                                   for tok in seq if tok not in vocab.index]
-                    except (ValueError, KeyError, TypeError) as exc:
-                        raise ValueError(
-                            f"{path} line {lineno} is not a corpus example: {exc!r}"
-                        ) from exc
-                    if unknown:
-                        raise ValueError(f"{path} line {lineno} has tokens outside the "
-                                         f"manifest vocabularies: {unknown}")
-                    if not example.src:
-                        raise ValueError(f"{path} line {lineno} has an empty source")
-                    if example.compound.pattern not in PATTERNS:
-                        raise ValueError(f"{path} line {lineno} has an unknown compound "
-                                         f"pattern {example.compound.pattern!r}")
-                    examples.append(example)
-        if len(examples) != counts.get(name):
-            raise ValueError(f"{path} holds {len(examples)} examples, but "
-                             f"{manifest_path} counts {counts.get(name)}")
-        setattr(corpus, name, examples)
+        lines = path.read_bytes().splitlines(keepends=True) if path.exists() else []
+        if len(lines) != len(corpus.split(name)):
+            raise ValueError(f"{path} holds {len(lines)} examples, but "
+                             f"{manifest_path} counts {len(corpus.split(name))}")
+        _check_lines(path, lines, _split_lines(corpus, name))
     return corpus
 
 

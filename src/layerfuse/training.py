@@ -228,29 +228,31 @@ def train_step(model: Seq2SeqModel, batch, cfg: TrainConfig, state: TrainState) 
     return {"loss": loss_val, "lr": lr, "grad_norm": grad_norm}
 
 
-def eval_loss(model: Seq2SeqModel, triples, label_smoothing: float = 0.0) -> float:
-    """Teacher-forced mean token loss without dropout."""
+def _eval_chunks(model: Seq2SeqModel, triples):
+    """teacher_forced's (logits, targets) for each EVAL_BATCH chunk, with no tape."""
     triples = list(triples)
-    total = 0.0
-    tokens = 0
     with no_grad():
         for i in range(0, len(triples), EVAL_BATCH):
-            logits, targets = teacher_forced(model, pad_batch(triples[i:i + EVAL_BATCH]))
-            total += cross_entropy(logits, targets, label_smoothing, reduction="sum").item()
-            tokens += len(targets)
+            yield teacher_forced(model, pad_batch(triples[i:i + EVAL_BATCH]))
+
+
+def eval_loss(model: Seq2SeqModel, triples, label_smoothing: float = 0.0) -> float:
+    """Teacher-forced mean token loss without dropout."""
+    total = 0.0
+    tokens = 0
+    for logits, targets in _eval_chunks(model, triples):
+        total += cross_entropy(logits, targets, label_smoothing, reduction="sum").item()
+        tokens += len(targets)
     return total / max(tokens, 1)
 
 
 def token_accuracy(model: Seq2SeqModel, triples) -> float:
     """Fraction of teacher-forced positions whose argmax hits the target."""
-    triples = list(triples)
     hits = 0
     tokens = 0
-    with no_grad():
-        for i in range(0, len(triples), EVAL_BATCH):
-            logits, targets = teacher_forced(model, pad_batch(triples[i:i + EVAL_BATCH]))
-            hits += int(np.sum(np.argmax(logits.data, axis=1) == targets))
-            tokens += len(targets)
+    for logits, targets in _eval_chunks(model, triples):
+        hits += int(np.sum(np.argmax(logits.data, axis=1) == targets))
+        tokens += len(targets)
     return hits / max(tokens, 1)
 
 

@@ -523,6 +523,29 @@ def unknown_pattern_in_line_1(lines):
     return [json.dumps(record) + "\n"] + lines[1:]
 
 
+def canonical(record):
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def one_atom_in_line_1(lines):
+    record = json.loads(lines[0])
+    record["compound"]["atoms"] = record["compound"]["atoms"][:1]
+    return [canonical(record)] + lines[1:]
+
+
+def compound_length_9_in_line_1(lines):
+    return [canonical({**json.loads(lines[0]), "compound_length": 9})] + lines[1:]
+
+
+def dev_from_seed_1(pipeline, tmp_path):
+    """argv training on the pipeline's corpus with dev.jsonl taken from the
+    corpus its spec generates with corpus.seed=1."""
+    other = tmp_path / "other"
+    assert main(["gen", "--out", str(other)] + sets("corpus.seed=1")) == 0
+    seed_1_dev = (other / "dev.jsonl").read_text().splitlines(keepends=True)
+    return edited_split("dev", lambda lines: seed_1_dev)(pipeline, tmp_path)
+
+
 def edited_manifest(edit):
     """argv evaluating on a copy of the pipeline's corpus whose manifest went
     through ``edit``, which changes it in place."""
@@ -609,13 +632,13 @@ def command_with(command, *extra, flags=()):
     (sweep_seeds(""), 2, "seeds"),
     (edited_split("dev", truncate_line_3), 2, "dev.jsonl line 3"),
     (edited_split("dev", lambda lines: lines[1:]), 2, "dev.jsonl holds 15 examples"),
-    (edited_split("dev", unknown_token_in_line_3), 2,
-     "dev.jsonl line 3 has tokens outside the manifest vocabularies: ['zzz']"),
-    (edited_split("cg_test", empty_source_in_line_1, "eval"), 2,
-     "cg_test.jsonl line 1 has an empty source"),
-    (edited_split("train", empty_sources), 2, "train.jsonl line 1 has an empty source"),
-    (edited_split("cg_test", unknown_pattern_in_line_1, "eval"), 2,
-     "cg_test.jsonl line 1 has an unknown compound pattern 'bogus'"),
+    (edited_split("dev", unknown_token_in_line_3), 2, "dev.jsonl line 3"),
+    (edited_split("cg_test", empty_source_in_line_1, "eval"), 2, "cg_test.jsonl line 1"),
+    (edited_split("train", empty_sources), 2, "train.jsonl line 1"),
+    (edited_split("cg_test", unknown_pattern_in_line_1, "eval"), 2, "cg_test.jsonl line 1"),
+    (edited_split("cg_test", one_atom_in_line_1, "eval"), 2, "cg_test.jsonl line 1"),
+    (edited_split("cg_test", compound_length_9_in_line_1, "eval"), 2, "cg_test.jsonl line 1"),
+    (dev_from_seed_1, 2, "dev.jsonl line 1"),
     (edited_manifest(lambda manifest: manifest.update(format="some-other-corpus")), 2,
      "manifest.json"),
     (edited_manifest(lambda manifest: manifest["spec"].update(n_np="x")), 2,
@@ -660,6 +683,7 @@ def command_with(command, *extra, flags=()):
     (command_with("train", "model.fusion_mode=fuse"), 2, "unknown config key"),
     (sweep_seeds("-1"), 2, "seed must be an integer >= 0"),
     (sweep_seeds("0", "vanilla", "model.n_heads=0"), 2, "n_heads 0"),
+    (sweep_seeds("0", "vanilla", "corpus.n_cg_compounds=0"), 2, "n_cg_compounds is 0"),
     (command_with("train", 'model={"bogus": 1}'), 2, "unknown config key 'model.bogus'"),
     (without_out(["gen"], "data_dir=5"), 2, "data_dir must be a non-empty path"),
     (without_out(["gen"], "data_dir=null"), 2, "data_dir must be a non-empty path"),
@@ -667,7 +691,8 @@ def command_with(command, *extra, flags=()):
      "out_dir must be a non-empty path"),
 ], ids=["seeds-not-int", "seeds-empty", "truncated-dev-line", "dev-line-missing",
         "dev-token-unknown", "cg-test-source-empty", "train-sources-empty",
-        "cg-test-pattern-unknown", "wrong-manifest", "manifest-n-np-string",
+        "cg-test-pattern-unknown", "cg-test-one-atom", "cg-test-compound-length-9",
+        "dev-from-seed-1", "wrong-manifest", "manifest-n-np-string",
         "checkpoint-unknown-key", "checkpoint-bad-value", "checkpoint-unnamed-pair",
         "checkpoint-version-1", "checkpoint-meta-list", "checkpoint-meta-crc",
         "checkpoint-meta-no-step",
@@ -679,6 +704,7 @@ def command_with(command, *extra, flags=()):
         "train-seed-negative", "corpus-seed-negative", "batch-size-float", "d-ffn-float",
         "n-enc-layers-float", "n-np-float", "n-train-float", "steps-float",
         "model-seed-bool", "fusion-mode-key", "sweep-seed-negative", "sweep-n-heads-zero",
+        "sweep-cg-test-empty",
         "model-object-unknown-key", "data-dir-int", "data-dir-null", "sweep-out-dir-int"])
 def test_bad_input_exits_with_one_error_line(pipeline, tmp_path, make_argv, code, detail):
     argv = make_argv(pipeline, tmp_path)

@@ -239,6 +239,26 @@ def test_written_files_match_pinned_hashes(tmp_path, corpus):
     assert got == PINNED_CORPUS_FILES
 
 
+# sha256 of each file write_corpus writes for the default CorpusSpec().
+# load_corpus refuses a corpus whose files differ from what its manifest's spec
+# generates, so a generator change that moves these makes every default corpus
+# already on disk unloadable.
+PINNED_DEFAULT_CORPUS_FILES = {
+    "train.jsonl": "787598daf0bea35a53de5a246c22696d3a0047c9a071e1a1e16a60a0e54edb06",
+    "dev.jsonl": "66a2bf7a5e069080b5120fee471bd6550e1488e529efd55832be8c6c5f15df5a",
+    "test.jsonl": "53d70a82ad032fe3597f847cd305d7edf9d565e13cb2b4b4af356101bc343e35",
+    "cg_test.jsonl": "46e1a8b21f3cca3066bcf40ce02dc7550ca58ac54001623b599b345a324e8443",
+    "manifest.json": "3d097c9f6788b4877dcbe77de583251712f6372186947689ed323fea8a174382",
+}
+
+
+def test_default_corpus_files_match_pinned_hashes(tmp_path):
+    write_corpus(generate_corpus(CorpusSpec()), tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in PINNED_DEFAULT_CORPUS_FILES}
+    assert got == PINNED_DEFAULT_CORPUS_FILES
+
+
 CORPUS_FILES = ("train.jsonl", "dev.jsonl", "test.jsonl", "cg_test.jsonl", "manifest.json")
 
 
@@ -265,13 +285,17 @@ def test_failed_write_keeps_every_file_whole(tmp_path, corpus, monkeypatch, fail
     got = {name: (tmp_path / "data" / name).read_bytes() for name in CORPUS_FILES}
     assert all(got[name] in (old[name], new[name]) for name in CORPUS_FILES)
     assert got["manifest.json"] == old["manifest.json"]  # the manifest goes last
-    loaded = load_corpus(tmp_path / "data")
-    assert loaded.spec == corpus.spec
     if fail_after < corpus.spec.n_train:
         assert got == old
+        loaded = load_corpus(tmp_path / "data")
+        assert loaded.spec == corpus.spec
         for name in ("train", "dev", "test", "cg_test"):
             assert ([ex.to_dict() for ex in loaded.split(name)]
                     == [ex.to_dict() for ex in corpus.split(name)])
+    else:  # the new train.jsonl beside the old dev split and manifest
+        assert got["train.jsonl"] == new["train.jsonl"]
+        with pytest.raises(ValueError, match="train.jsonl line 1 differs"):
+            load_corpus(tmp_path / "data")
 
 
 def test_load_rejects_split_sizes_off_the_manifest(tmp_path, corpus):
