@@ -6,6 +6,9 @@ batch [B, n, d]. Masks are boolean arrays shaped [n_queries, n_keys], or
 Masking is additive: blocked scores get -1e9 before the softmax, which
 underflows to an exact probability of 0.0 in float64 after max subtraction.
 
+A padded batch's other work runs on its packed real rows [N, d] (see
+Packing): only the score and context products see the [B, n, ·] grid.
+
 A KVCache keeps one attention site's projected keys and values between
 calls, for decoding one position at a time.
 """
@@ -16,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, concat, softmax
+from .tensor import ShapeError, Tensor, concat, gather_rows, scatter_rows, softmax
 
 __all__ = [
     "AttentionParams",
     "KVCache",
     "MaskError",
     "MASK_BIAS",
+    "Packing",
     "make_causal_mask",
     "make_padding_mask",
     "pad_ids",
@@ -69,6 +73,37 @@ def pad_ids(seqs) -> tuple[np.ndarray, np.ndarray]:
     for row, q in zip(ids, seqs):
         row[:len(q)] = q
     return ids, lengths
+
+
+class Packing:
+    """Where the real rows of a right-padded [B, width] batch sit.
+
+    A padded batch's activations are its N = sum(lengths) real rows, in
+    sentence order, as one [N, d] array; ``index`` holds their flat
+    positions b * width + t in the padded grid.
+    """
+
+    def __init__(self, lengths: np.ndarray, width: int):
+        self.lengths = lengths
+        self.width = width
+        self.index = np.flatnonzero(np.arange(width) < lengths[:, None])
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Each packed row's position in its sentence."""
+        return self.index % self.width
+
+    def take(self, ids: np.ndarray) -> np.ndarray:
+        """The packed real entries of padded ids [B, width]."""
+        return ids.reshape(-1)[self.index]
+
+    def pad(self, x: Tensor) -> Tensor:
+        """Packed rows [N, w] to the padded grid [B, width, w], zero at pads."""
+        return scatter_rows(x, self.index, (len(self.lengths), self.width, x.shape[-1]))
+
+    def pack(self, x: Tensor) -> Tensor:
+        """The real rows [N, w] of a padded grid [B, width, w]."""
+        return gather_rows(x, self.index)
 
 
 def _mask_bias(mask: np.ndarray, shape: tuple) -> np.ndarray:
@@ -146,16 +181,26 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """[..., n, h*d] -> [..., h, n, d]: one attention problem per head."""
+def _split_heads(x: Tensor, n_heads: int, packing: Packing | None = None) -> Tensor:
+    """[..., n, h*d] -> [..., h, n, d]: one attention problem per head.
+
+    With a ``packing``, ``x`` is packed rows [N, h*d], spread onto the padded
+    grid [B, n, h*d] first.
+    """
+    if packing is not None:
+        x = packing.pad(x)
     *lead, n, width = x.shape
     return x.reshape(*lead, n, n_heads, width // n_heads).swapaxes(-2, -3)
 
 
-def _merge_heads(x: Tensor) -> Tensor:
-    """[..., h, n, d] -> [..., n, h*d], heads concatenated in head order."""
+def _merge_heads(x: Tensor, packing: Packing | None = None) -> Tensor:
+    """[..., h, n, d] -> [..., n, h*d], heads concatenated in head order.
+
+    With a ``packing``, only the packed real rows [N, h*d] are kept.
+    """
     *lead, h, n, d = x.shape
-    return x.swapaxes(-2, -3).reshape(*lead, n, h * d)
+    x = x.swapaxes(-2, -3).reshape(*lead, n, h * d)
+    return x if packing is None else packing.pack(x)
 
 
 @dataclass
@@ -180,6 +225,8 @@ def multi_head_attention(
     params: AttentionParams,
     mask: np.ndarray | None = None,
     cache: KVCache | None = None,
+    q_packing: Packing | None = None,
+    kv_packing: Packing | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Concatenate per-head scaled dot attention and project back to d_model.
 
@@ -188,14 +235,19 @@ def multi_head_attention(
     probs), probs shaped [..., h, n_queries, n_keys]. With a ``cache`` the
     queries attend over the cached keys and values (see KVCache), so
     ``mask`` covers those too.
+
+    ``q_packing`` marks ``query`` as the packed rows [N, d] of a padded batch
+    and ``kv_packing`` does so for ``key`` and ``value``. Their projections
+    are spread onto the padded grid, zero at pads, for the attention
+    products, and the output comes back as packed rows.
     """
     h = params.n_heads
-    q = _split_heads(query.matmul(params.w_q), h)
+    q = _split_heads(query.matmul(params.w_q), h, q_packing)
     if cache is not None and cache.static and cache.k is not None:
         k, v = cache.k, cache.v
     else:
-        k = _split_heads(key.matmul(params.w_k), h)
-        v = _split_heads(value.matmul(params.w_v), h)
+        k = _split_heads(key.matmul(params.w_k), h, kv_packing)
+        v = _split_heads(value.matmul(params.w_v), h, kv_packing)
         if cache is not None:
             if cache.k is not None:
                 k = concat([cache.k, k], axis=-2)
@@ -204,4 +256,4 @@ def multi_head_attention(
     if mask is not None and np.ndim(mask) > 2:
         mask = np.expand_dims(mask, -3)  # one mask for every head
     out, probs = scaled_dot_attention(q, k, v, mask)
-    return _merge_heads(out).matmul(params.w_o), probs
+    return _merge_heads(out, q_packing).matmul(params.w_o), probs

@@ -129,6 +129,12 @@ class CorpusSpec:
             total += size
         return total
 
+    def split_sizes(self) -> dict[str, int]:
+        """Examples per split, by split name; generate_corpus makes exactly
+        these counts."""
+        return {"train": self.n_train, "dev": self.n_dev, "test": self.n_test,
+                "cg_test": self.n_cg_compounds * self.contexts_per_compound}
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["patterns"] = list(self.patterns)
@@ -573,6 +579,8 @@ def load_corpus(data_dir: str | Path) -> Corpus:
 
     Every file must hold exactly what write_corpus writes for that corpus;
     the first line that differs raises ValueError naming the file and line.
+    A split whose line count differs from the spec's is refused before the
+    corpus is generated, so the cost of a refusal does not follow the spec.
     """
     data = Path(data_dir)
     manifest_path = data / "manifest.json"
@@ -580,20 +588,29 @@ def load_corpus(data_dir: str | Path) -> Corpus:
         raise FileNotFoundError(f"no corpus manifest at {manifest_path}")
     manifest = manifest_path.read_bytes()
     try:
-        corpus = generate_corpus(CorpusSpec.from_dict(json.loads(manifest)["spec"]))
+        spec = CorpusSpec.from_dict(json.loads(manifest)["spec"])
+        spec.validate()
     except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{manifest_path} is not a version-1 corpus manifest: {exc!r}"
+        ) from exc
+    splits = {}
+    for name, count in spec.split_sizes().items():
+        path = data / f"{name}.jsonl"
+        splits[name] = path.read_bytes().splitlines(keepends=True) if path.exists() else []
+        if len(splits[name]) != count:
+            raise ValueError(f"{path} holds {len(splits[name])} examples, but "
+                             f"{manifest_path} counts {count}")
+    try:
+        corpus = generate_corpus(spec)
+    except GenerationError as exc:
         raise ValueError(
             f"{manifest_path} is not a version-1 corpus manifest: {exc!r}"
         ) from exc
     _check_lines(manifest_path, manifest.splitlines(keepends=True),
                  _manifest_text(corpus).splitlines(keepends=True))
-    for name in SPLITS:
-        path = data / f"{name}.jsonl"
-        lines = path.read_bytes().splitlines(keepends=True) if path.exists() else []
-        if len(lines) != len(corpus.split(name)):
-            raise ValueError(f"{path} holds {len(lines)} examples, but "
-                             f"{manifest_path} counts {len(corpus.split(name))}")
-        _check_lines(path, lines, _split_lines(corpus, name))
+    for name, lines in splits.items():
+        _check_lines(data / f"{name}.jsonl", lines, _split_lines(corpus, name))
     return corpus
 
 

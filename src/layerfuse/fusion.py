@@ -155,9 +155,10 @@ def fuse_attention(
 def extract_fuse_probs(model, batch) -> dict[str, dict[int, np.ndarray]]:
     """Average fuse-attention distributions over a batch of (src, tgt_in) pairs.
 
-    The pairs run as one padded encode and decode; the real positions of
-    each side's ``LayerCache.fuse_probs`` are averaged flat over every
-    (example, position, head) row, so each average is a distribution.
+    The pairs run as one padded encode and decode, so each side's
+    ``LayerCache.fuse_probs`` hold the real positions only; they are averaged
+    flat over every (example, position, head) row, so each average is a
+    distribution.
     Returns {side: {layer_idx: probs[len n_history]}} with 0-based layer
     indices; layer 0's history holds only the embedding, so its row is [1.0].
     Raises FusionError when the model has no fuse-attention sublayers.
@@ -170,10 +171,10 @@ def extract_fuse_probs(model, batch) -> dict[str, dict[int, np.ndarray]]:
     tgt_in, tgt_len = pad_ids([tgt_in_ids for _, tgt_in_ids in batch])
     with no_grad():
         enc_out, enc = model.encode(src, lengths=src_len)
-        _, dec = model.decode(tgt_in, enc_out, src_lengths=src_len)
+        _, dec = model.decode(tgt_in, enc_out, src_lengths=src_len, tgt_lengths=tgt_len)
     averaged: dict[str, dict[int, np.ndarray]] = {}
-    for side, cache, lengths in (("encoder", enc, src_len), ("decoder", dec, tgt_len)):
+    for side, cache in (("encoder", enc), ("decoder", dec)):
         for k, probs in cache.fuse_probs.items():
-            rows = probs[np.arange(probs.shape[1]) < lengths[:, None]].reshape(-1, k + 1)
+            rows = probs.reshape(-1, k + 1)
             averaged.setdefault(side, {})[k] = rows.sum(axis=0) / rows.shape[0]
     return averaged

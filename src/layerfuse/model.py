@@ -5,11 +5,15 @@ layer_norm(x + dropout(sublayer(x))). Embeddings are learned, absolute,
 scaled by sqrt(d_model); source/target tables and the output projection are
 all untied. Attention projections carry no biases.
 
-Token ids are one sentence [T] or a right-padded batch [B, T] with the real
-length of each row; activations are then [T, d] or [B, T, d]. Padded source
-keys are masked out of encoder self-attention and decoder cross-attention;
-decoder self-attention needs no padding mask, since causality already keeps
-every real position from seeing the pads after it.
+Token ids are one sentence [T] or a batch [B, T]; activations are then
+[T, d] or [B, T, d]. A right-padded batch, whose ``lengths`` leave some row
+shorter than T, runs packed: its activations are the N = sum(lengths) real
+rows [N, d] in sentence order, so embeddings, dropout, layer norms, the FFN,
+fuse-attention and the output projection skip the pads. Only the attention
+products see the [B, T] grid (see attention.Packing). Padded source keys are
+masked out of encoder self-attention and decoder cross-attention; decoder
+self-attention needs no padding mask, since causality already keeps every
+real position from seeing the pads after it.
 
 Every forward keeps a per-side LayerCache: the embedding output plus each
 layer's output, the tensor actually fed to each layer (which differs from
@@ -32,6 +36,7 @@ import numpy as np
 from .attention import (
     AttentionParams,
     KVCache,
+    Packing,
     _xavier,
     make_causal_mask,
     make_padding_mask,
@@ -119,8 +124,8 @@ class LayerCache:
     outputs[0] is the embedding output; outputs[j] is layer j-1's output.
     layer_inputs[k] is the tensor actually consumed by layer k.
     fuse_probs[k] is fused layer k's fuse-attention probabilities
-    [..., T, h, k + 1] over its history, pad positions included (the
-    caller's lengths tell them apart); unfused layers have no entry.
+    [..., T, h, k + 1] over its history, or [N, h, k + 1] for the packed
+    rows of a padded batch; unfused layers have no entry.
     """
 
     outputs: list = field(default_factory=list)
@@ -239,13 +244,16 @@ class _Layer:
         self.ffn = _FeedForward(reg, f"{prefix}.ffn", rng, d, cfg.d_ffn)
         self.norm_ffn = _LayerNormParams(reg, f"{prefix}.norm_ffn", d)
 
-    def self_block(self, x, mask=None, drop=None, cache=None):
-        out, _ = multi_head_attention(x, x, x, self.self_attn, mask, cache=cache)
+    def self_block(self, x, mask=None, drop=None, cache=None, packing=None):
+        out, _ = multi_head_attention(x, x, x, self.self_attn, mask, cache=cache,
+                                      q_packing=packing, kv_packing=packing)
         return _residual(x, out, self.norm_self, drop)
 
-    def cross_block(self, x, enc_out, mask=None, drop=None, cache=None):
+    def cross_block(self, x, enc_out, mask=None, drop=None, cache=None, packing=None,
+                    src_packing=None):
         out, _ = multi_head_attention(x, enc_out, enc_out, self.cross_attn, mask,
-                                      cache=cache)
+                                      cache=cache, q_packing=packing,
+                                      kv_packing=src_packing)
         return _residual(x, out, self.norm_cross, drop)
 
     def ffn_block(self, x, drop=None):
@@ -256,14 +264,16 @@ class _Layer:
         return 2 + (self.cross_attn is not None) + (self.fuse_params is not None)
 
     def forward(self, x, history, mask=None, enc_out=None, src_mask=None, drop=None,
-                kv=(None, None)):
+                kv=(None, None), packing=(None, None)):
         """Returns (output, fuse-attention probs or None).
 
-        ``kv`` is the (self, cross) pair of KVCache for incremental decoding.
+        ``kv`` is the (self, cross) pair of KVCache for incremental decoding;
+        ``packing`` is the Packing of ``x`` and of ``enc_out``, each None
+        unless packed.
         """
-        a = self.self_block(x, mask, drop, kv[0])
+        a = self.self_block(x, mask, drop, kv[0], packing[0])
         if self.cross_attn is not None:
-            a = self.cross_block(a, enc_out, src_mask, drop, kv[1])
+            a = self.cross_block(a, enc_out, src_mask, drop, kv[1], *packing)
         probs = None
         if self.fuse_params is not None:
             a, probs = fuse_attention(a, history, self.fuse_params, dropout=drop)
@@ -330,10 +340,12 @@ class Seq2SeqModel:
 
     # -- forward -------------------------------------------------------------
 
-    def embed(self, ids: np.ndarray, side: str, start: int = 0) -> Tensor:
+    def embed(self, ids: np.ndarray, side: str, start: int = 0,
+              packing: Packing | None = None) -> Tensor:
         """Scaled token embeddings plus positions for ids [T] or [B, T].
 
-        The ids sit at positions ``start``, ``start + 1``, ...
+        The ids sit at positions ``start``, ``start + 1``, ... A ``packing``
+        embeds only the real ids of a padded batch, as packed rows [N, d].
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size < 1:
@@ -347,25 +359,31 @@ class Seq2SeqModel:
             (self.src_embed, self.src_pos) if side == "encoder"
             else (self.tgt_embed, self.tgt_pos)
         )
+        if packing is not None:
+            ids, positions = packing.take(ids), packing.positions + start
+        else:
+            positions = np.arange(start, n)
         scaled = embedding_lookup(table, ids) * math.sqrt(self.config.d_model)
-        return scaled + embedding_lookup(pos, np.arange(start, n))
+        return scaled + embedding_lookup(pos, positions)
 
     def encode(self, src_ids, *, lengths=None, drop_masks=None):
         """Run the encoder stack; returns (top output, LayerCache).
 
-        ``lengths`` gives the real length of each row of a padded batch
-        [B, S]; padded keys are masked out of self-attention. ``drop_masks``
-        are the dropout masks of the stack's sublayers, in forward order (see
-        ``dropout_masks``); None runs without dropout.
+        ``lengths`` gives the real length of each row of a batch [B, S]; if
+        some row is shorter than S, the batch runs packed (the output is
+        [N, d]) and padded keys are masked out of self-attention.
+        ``drop_masks`` are the dropout masks of the stack's sublayers, in
+        forward order (see ``dropout_masks``); None runs without dropout.
         """
         src_ids = np.asarray(src_ids, dtype=np.int64)
-        h = self.embed(src_ids, "encoder")
-        cache = self._run_stack("encoder", h, drop_masks,
-                                mask=_key_mask(src_ids.shape[-1], lengths))
+        packing = _packing(lengths, *_grid(src_ids))
+        h = self.embed(src_ids, "encoder", packing=packing)
+        cache = self._run_stack("encoder", h, drop_masks, _key_mask(packing),
+                                packing=(packing, None))
         return cache.outputs[-1], cache
 
-    def decode(self, tgt_prefix_ids, enc_out, *, src_lengths=None, drop_masks=None,
-               state=None):
+    def decode(self, tgt_prefix_ids, enc_out, *, src_lengths=None, tgt_lengths=None,
+               drop_masks=None, state=None):
         """Run the decoder stack on a target prefix; returns (logits, cache).
 
         ``state`` is a DecodeState (default: a fresh one). The prefix is
@@ -373,33 +391,41 @@ class Seq2SeqModel:
         seen run through the causally masked stack, so logits and the cache,
         ``fuse_probs`` included, cover those positions; the last logits row
         scores the next token. A later call must pass the previous prefix
-        plus at least one position, or it raises ShapeError. ``enc_out`` and
-        ``src_lengths`` (real lengths of a padded source batch) are read on
-        the state's first call only. A padded target batch [B, t] needs no
-        lengths: causality keeps real positions from the pads after them.
+        plus at least one position, or it raises ShapeError.
+
+        ``enc_out`` is what ``encode`` returned for ``src_lengths``, and
+        ``tgt_lengths`` the real lengths of a padded target batch [B, t],
+        which then runs packed and gives the logits of its real positions,
+        [N, V]. These three are read on the state's first call only.
         """
         ids = np.asarray(tgt_prefix_ids, dtype=np.int64)
         state = DecodeState() if state is None else state
         start = state.cached_positions(ids)
+        packing = src_packing = None
         if start == 0:
-            state.src_mask = _key_mask(enc_out.shape[-2], src_lengths)
+            src_packing = _source_packing(enc_out, src_lengths)
+            state.src_mask = _key_mask(src_packing)
             state.self_kv = [KVCache() for _ in self.dec_layers]
             state.cross_kv = [KVCache(static=True) for _ in self.dec_layers]
+            packing = _packing(tgt_lengths, *_grid(ids))
         new = ids[..., start:]
-        h = self.embed(new, "decoder", start)
+        h = self.embed(new, "decoder", start, packing)
         # The newest position sees every key: one new row needs no mask.
         mask = None if new.shape[-1] == 1 else make_causal_mask(ids.shape[-1])[start:]
         cache = self._run_stack("decoder", h, drop_masks, mask, enc_out=enc_out,
                                 src_mask=state.src_mask,
-                                kv=list(zip(state.self_kv, state.cross_kv)))
+                                kv=list(zip(state.self_kv, state.cross_kv)),
+                                packing=(packing, src_packing))
         state.ids = ids
         return cache.outputs[-1].matmul(self.out_proj), cache
 
     def _run_stack(self, side, h, drop_masks, mask, enc_out=None, src_mask=None,
-                   kv=None) -> LayerCache:
+                   kv=None, packing=(None, None)) -> LayerCache:
         """Run the embedding output ``h`` through every layer of ``side``.
 
-        ``kv`` gives each layer its (self, cross) KVCache pair, or is None.
+        ``kv`` gives each layer its (self, cross) KVCache pair, or is None;
+        ``packing`` is the Packing of ``h`` and of ``enc_out`` (see
+        ``_Layer.forward``).
         """
         drop = _dropper(drop_masks)
         if drop is not None:
@@ -411,7 +437,7 @@ class Seq2SeqModel:
             x = accumulate_previous(cache.outputs) if accum else cache.outputs[-1]
             cache.layer_inputs.append(x)
             y, probs = layer.forward(x, list(cache.outputs), mask, enc_out, src_mask, drop,
-                                     kv[k] if kv else (None, None))
+                                     kv[k] if kv else (None, None), packing)
             if probs is not None:
                 cache.fuse_probs[k] = probs
             cache.outputs.append(y)
@@ -419,7 +445,8 @@ class Seq2SeqModel:
 
     def forward(self, src_ids, tgt_in_ids, *, src_lengths=None, tgt_lengths=None,
                 drop_rng=None) -> Tensor:
-        """Teacher-forced logits for one sentence pair or a padded batch
+        """Teacher-forced logits for one sentence pair [T, V], a batch
+        [B, T, V], or the real target positions of a padded batch [N, V]
         (``encode`` and ``decode`` also return each side's LayerCache)."""
         src_ids = np.asarray(src_ids, dtype=np.int64)
         tgt_in_ids = np.asarray(tgt_in_ids, dtype=np.int64)
@@ -432,20 +459,21 @@ class Seq2SeqModel:
             drop_rng, src_ids, src_lengths, tgt_in_ids, tgt_lengths)
         enc_out, _ = self.encode(src_ids, lengths=src_lengths, drop_masks=enc_drop)
         logits, _ = self.decode(tgt_in_ids, enc_out, src_lengths=src_lengths,
-                                drop_masks=dec_drop)
+                                tgt_lengths=tgt_lengths, drop_masks=dec_drop)
         return logits
 
     def dropout_masks(self, rng, src_ids, src_lengths, tgt_ids, tgt_lengths):
         """Inverted-dropout masks of every encoder and decoder sublayer.
 
         Returns (encoder masks, decoder masks), each a list in forward order
-        shaped like the activations, or (None, None) when ``rng`` is None or
-        the rate is 0. Each sentence draws rng.random((length, d_model)) per
-        sublayer: its encoder embedding, then self, fuse and ffn in each
-        encoder layer, then its decoder embedding and self, cross, fuse and
-        ffn in each decoder layer, before the next sentence draws. That is
-        the order in which sentences run one at a time consume the stream,
-        so a batch reproduces their masks exactly. Pad positions get 0.
+        shaped like the activations (packed rows for a padded batch), or
+        (None, None) when ``rng`` is None or the rate is 0. Each sentence
+        draws rng.random((length, d_model)) per sublayer: its encoder
+        embedding, then self, fuse and ffn in each encoder layer, then its
+        decoder embedding and self, cross, fuse and ffn in each decoder
+        layer, before the next sentence draws. That is the order in which
+        sentences run one at a time consume the stream, so a batch
+        reproduces their masks exactly.
         """
         rate = self.config.dropout
         if rng is None or rate == 0.0:
@@ -454,33 +482,65 @@ class Seq2SeqModel:
         sides = []
         for ids, lengths, layers in ((src_ids, src_lengths, self.enc_layers),
                                      (tgt_ids, tgt_lengths, self.dec_layers)):
-            rows = ids.reshape(-1, ids.shape[-1])
+            rows, width = _grid(ids)
+            packing = _packing(lengths, rows, width)
+            if packing is None:
+                lengths, shape = np.full(rows, width), ids.shape
+            else:
+                lengths, shape = packing.lengths, (len(packing.index),)
             n_sites = 1 + sum(layer.dropout_sites for layer in layers)
-            sides.append((_lengths(rows, lengths), np.zeros((n_sites,) + rows.shape + (d,))))
+            sides.append((lengths, np.cumsum(lengths) - lengths,
+                          np.empty((n_sites, lengths.sum(), d)), shape))
         scale = 1.0 / (1.0 - rate)
         for b in range(len(sides[0][0])):
-            for lengths, masks in sides:
+            for lengths, starts, masks, _ in sides:
                 # One block draw equals the per-sublayer draws in sequence.
                 draw = rng.random((len(masks), lengths[b], d))
-                masks[:, b, :lengths[b]] = (draw >= rate) * scale
-        return tuple(list(masks.reshape((len(masks),) + ids.shape + (d,)))
-                     for ids, (_, masks) in zip((src_ids, tgt_ids), sides))
+                masks[:, starts[b]:starts[b] + lengths[b]] = (draw >= rate) * scale
+        return tuple(list(masks.reshape((len(masks),) + shape + (d,)))
+                     for _, _, masks, shape in sides)
 
 
-def _lengths(rows: np.ndarray, lengths) -> np.ndarray:
-    """Real lengths of the rows of a padded [B, T] id array (default: full)."""
+def _grid(ids: np.ndarray) -> tuple[int, int]:
+    """(rows, width) of id array [T] or [B, T]."""
+    return (ids.shape[0] if ids.ndim == 2 else 1), ids.shape[-1]
+
+
+def _packing(lengths, rows: int, width: int) -> Packing | None:
+    """The Packing of a right-padded [rows, width] batch whose rows have the
+    real ``lengths``, or None when ``lengths`` is None or no row is padded."""
     if lengths is None:
-        return np.full(rows.shape[0], rows.shape[1])
+        return None
     lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.shape != rows.shape[:1] or (lengths < 1).any() \
-            or (lengths > rows.shape[1]).any():
+    if lengths.shape != (rows,) or (lengths < 1).any() or (lengths > width).any():
         raise ShapeError(
-            f"lengths {lengths.tolist()} do not fit padded ids {rows.shape}"
+            f"lengths {lengths.tolist()} do not fit padded ids {(rows, width)}"
         )
-    return lengths
+    return None if (lengths == width).all() else Packing(lengths, width)
 
 
-def _key_mask(n_keys: int, lengths):
-    """[B, 1, n_keys] mask of the real keys of a padded batch, or None."""
-    return None if lengths is None else make_padding_mask(1, lengths, n_keys)
+def _source_packing(enc_out: Tensor, lengths) -> Packing | None:
+    """The Packing of the encoder output ``encode`` returns for ``lengths``.
+
+    A packed output [N, d] does not show its padded width; the longest row
+    sets it. Raises ShapeError unless ``enc_out`` holds one row per real
+    position (packed) or per grid cell (no row padded).
+    """
+    if lengths is None:
+        return None
+    rows = np.size(lengths)
+    width = enc_out.shape[-2] if enc_out.ndim == 3 else int(np.max(lengths))
+    packing = _packing(lengths, rows, width)
+    n = rows * width if packing is None else len(packing.index)
+    if enc_out.data.size != n * enc_out.shape[-1]:
+        raise ShapeError(
+            f"encoder output {enc_out.shape} does not fit source lengths "
+            f"{np.asarray(lengths).tolist()}"
+        )
+    return packing
+
+
+def _key_mask(packing: Packing | None):
+    """[B, 1, width] mask of the real keys of a padded batch, or None."""
+    return None if packing is None else make_padding_mask(1, packing.lengths, packing.width)
 

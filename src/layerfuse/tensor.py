@@ -23,8 +23,10 @@ __all__ = [
     "concat",
     "cross_entropy",
     "embedding_lookup",
+    "gather_rows",
     "grad_check",
     "layer_norm",
+    "scatter_rows",
     "softmax",
     "stack",
 ]
@@ -83,9 +85,11 @@ class Tensor:
         return _result(data, (self,), bw)
 
     def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
-        data = np.swapaxes(self.data, axis1, axis2)
+        # ndarray methods here and in softmax: the same ufunc work as the
+        # np.* functions without their Python dispatch.
+        data = self.data.swapaxes(axis1, axis2)
         def bw(g, a=self, axis1=axis1, axis2=axis2):
-            _accum(a, np.swapaxes(g, axis1, axis2))
+            _accum(a, g.swapaxes(axis1, axis2))
         return _result(data, (self,), bw)
 
     def item(self) -> float:
@@ -133,32 +137,33 @@ class Tensor:
     def matmul(self, other: "Tensor") -> "Tensor":
         """Matrix product over the last two axes; leading axes broadcast.
 
-        A stack of operands runs one BLAS product per matrix, so each
-        matrix's result is bit-identical to the same 2D product on its own.
+        A stack of matrices times a shared 2D matrix runs as one product over
+        all the stack's rows, forward and backward.
         """
-        if (self.data.ndim < 2 or other.data.ndim < 2
-                or self.data.shape[-1] != other.data.shape[-2]):
+        lhs, rhs = self.data, other.data
+        if lhs.ndim < 2 or rhs.ndim < 2 or lhs.shape[-1] != rhs.shape[-2]:
             raise ShapeError(f"matmul operands do not fit: {self.shape} @ {other.shape}")
-        try:
-            data = np.matmul(self.data, other.data)
-        except ValueError as exc:
-            raise ShapeError(
-                f"matmul batch dims disagree: {self.shape} @ {other.shape}"
-            ) from exc
+        if lhs.ndim > 2 and rhs.ndim == 2 and lhs.size > lhs.shape[-2] * lhs.shape[-1]:
+            data = (_rows(lhs) @ rhs).reshape(lhs.shape[:-1] + rhs.shape[-1:])
+        else:
+            try:
+                data = np.matmul(lhs, rhs)
+            except ValueError as exc:
+                raise ShapeError(
+                    f"matmul batch dims disagree: {self.shape} @ {other.shape}"
+                ) from exc
         def bw(g, a=self, b=other):
             if b.data.ndim == 2:
-                # A matrix shared by the whole stack: one product over all
-                # rows instead of one per matrix.
                 if a.requires_grad:
                     _accum(a, (_rows(g) @ b.data.T).reshape(a.data.shape))
                 if b.requires_grad:
                     _accum(b, _rows(a.data).T @ _rows(g))
                 return
             if a.requires_grad:
-                _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                _accum(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)),
                                        a.data.shape))
             if b.requires_grad:
-                _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                _accum(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g),
                                        b.data.shape))
         return _result(data, (self, other), bw)
 
@@ -306,12 +311,12 @@ def backward(loss: Tensor) -> None:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Row-stochastic softmax with max subtraction for stability."""
-    m = np.max(x.data, axis=axis, keepdims=True)
+    m = x.data.max(axis=axis, keepdims=True)
     e = np.exp(x.data - m)
-    s = np.sum(e, axis=axis, keepdims=True)
+    s = e.sum(axis=axis, keepdims=True)
     p = e / s
     def bw(g, a=x, p=p, axis=axis):
-        dot = np.sum(g * p, axis=axis, keepdims=True)
+        dot = (g * p).sum(axis=axis, keepdims=True)
         _accum(a, p * (g - dot))
     return _result(p, (x,), bw)
 
@@ -342,6 +347,29 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         for i, t in enumerate(ts):
             _accum(t, np.take(g, i, axis=axis))
     return _result(data, ts, bw)
+
+
+def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """Rows ``index`` of ``x`` viewed as one matrix of rows, [len(index), w].
+
+    The indices must be distinct, so the backward is a plain indexed store.
+    """
+    data = _rows(x.data)[index]
+    def bw(g, a=x, index=index):
+        ga = np.zeros((a.data.size // a.data.shape[-1], a.data.shape[-1]))
+        ga[index] = g
+        _accum(a, ga.reshape(a.data.shape))
+    return _result(data, (x,), bw)
+
+
+def scatter_rows(x: Tensor, index: np.ndarray, shape: tuple) -> Tensor:
+    """A zero tensor of ``shape`` whose rows ``index`` hold the rows of the
+    2D ``x``, the rows counted as in ``gather_rows``; its inverse."""
+    data = np.zeros((math.prod(shape[:-1]), shape[-1]))
+    data[index] = x.data
+    def bw(g, a=x, index=index):
+        _accum(a, _rows(g)[index])
+    return _result(data.reshape(shape), (x,), bw)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:

@@ -8,7 +8,8 @@ optimizer moments.
 
 A batch is a list of (src_ids, tgt_in_ids, tgt_out_ids) triples. A step
 right-pads the batch to [B, T] id arrays and runs it as one forward and one
-backward; padded keys are masked and pad targets are left out of the loss,
+backward. The forward runs on the packed real positions only (see
+Seq2SeqModel): padded keys are masked and pad targets never reach the loss,
 so the step loss is the summed token NLL of the real targets divided by
 their count (mean over tokens). Dropout masks are drawn sentence by sentence
 (see Seq2SeqModel.dropout_masks), as if the sentences ran one at a time.
@@ -27,7 +28,7 @@ import numpy as np
 from .attention import pad_ids
 from .fileio import atomic_write, check_int_fields
 from .model import DecodeState, ModelConfig, Seq2SeqModel
-from .tensor import ShapeError, Tensor, backward, cross_entropy, embedding_lookup, no_grad
+from .tensor import ShapeError, Tensor, backward, cross_entropy, no_grad
 
 __all__ = [
     "TrainConfig",
@@ -184,9 +185,10 @@ def teacher_forced(model: Seq2SeqModel, batch: PaddedBatch,
     """
     logits = model.forward(batch.src, batch.tgt_in, src_lengths=batch.src_len,
                            tgt_lengths=batch.tgt_len, drop_rng=drop_rng)
-    real = np.flatnonzero(np.arange(batch.tgt_in.shape[1]) < batch.tgt_len[:, None])
-    flat = logits.reshape(-1, logits.shape[-1])
-    return embedding_lookup(flat, real), batch.tgt_out.reshape(-1)[real]
+    if logits.ndim == 3:  # no row is padded
+        logits = logits.reshape(-1, logits.shape[-1])
+    real = np.arange(batch.tgt_in.shape[1]) < batch.tgt_len[:, None]
+    return logits, batch.tgt_out[real]
 
 
 def batch_loss(model: Seq2SeqModel, batch: PaddedBatch, label_smoothing: float,
@@ -347,9 +349,7 @@ def greedy_decode_batch(
     for start in range(0, len(order), EVAL_BATCH):
         chunk = order[start:start + EVAL_BATCH]
         src, lengths = pad_ids([sources[i] for i in chunk])
-        # Rows of one length need no padding mask.
-        decoded = _greedy(model, src, None if (lengths == lengths[0]).all() else lengths,
-                          bos_id, eos_id, budget)
+        decoded = _greedy(model, src, lengths, bos_id, eos_id, budget)
         for i, result in zip(chunk, decoded):
             results[i] = result
     return results

@@ -4,7 +4,7 @@ import pytest
 
 from layerfuse.fusion import extract_fuse_probs
 from layerfuse.model import ModelConfig, Seq2SeqModel
-from layerfuse.tensor import backward, no_grad
+from layerfuse.tensor import ShapeError, Tensor, backward, no_grad
 from layerfuse.training import (
     _TAG_DROPOUT,
     TrainConfig,
@@ -45,17 +45,86 @@ def loss_and_grads(model, loss_fn):
     return loss.item(), {n: p.grad.copy() for n, p in model.parameters().items()}
 
 
+def pad_heavy_batch(seed=0, n=6):
+    """One sentence pair of the longest lengths, then length-1 pairs."""
+    r = np.random.default_rng(seed)
+    out = []
+    for length in [7] + [1] * (n - 1):
+        tgt = r.integers(3, 9, size=length)
+        out.append((r.integers(3, 9, size=length), np.concatenate([[1], tgt[:-1]]), tgt))
+    return out
+
+
+def padded_forward(model, batch):
+    return model.forward(batch.src, batch.tgt_in, src_lengths=batch.src_len,
+                         tgt_lengths=batch.tgt_len)
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_batched_logits_match_batch_of_one(variant):
     model = make_model(variant)
     triples = mixed_batch()
     batch = pad_batch(triples)
     with no_grad():
-        logits = model.forward(batch.src, batch.tgt_in, src_lengths=batch.src_len,
-                               tgt_lengths=batch.tgt_len).data
-        for b, (src, tgt_in, _) in enumerate(triples):
+        logits = padded_forward(model, batch).data
+        assert logits.shape == (sum(batch.tgt_len), 9)  # packed real positions
+        rows = np.split(logits, np.cumsum(batch.tgt_len)[:-1])
+        for (src, tgt_in, _), got in zip(triples, rows, strict=True):
             alone = model.forward(src, tgt_in).data
-            assert np.max(np.abs(logits[b, :len(tgt_in)] - alone)) <= 1e-12
+            assert np.max(np.abs(got - alone)) <= 1e-12
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_padded_encode_caches_only_real_rows(variant):
+    model = make_model(variant)
+    batch = pad_batch(mixed_batch(seed=5))
+    with no_grad():
+        enc_out, enc = model.encode(batch.src, lengths=batch.src_len)
+        _, dec = model.decode(batch.tgt_in, enc_out, src_lengths=batch.src_len,
+                              tgt_lengths=batch.tgt_len)
+    for cache, lengths in ((enc, batch.src_len), (dec, batch.tgt_len)):
+        entries = ([t.data for t in cache.outputs + cache.layer_inputs]
+                   + list(cache.fuse_probs.values()))
+        assert {len(x) for x in entries} == {sum(lengths)}
+
+
+def test_decode_refuses_an_encoder_output_that_does_not_fit_its_lengths():
+    model = make_model("fuse")
+    src = np.array([[3, 4, 5, 6], [7, 8, 0, 0]])
+    with no_grad():
+        packed, _ = model.encode(src, lengths=[4, 2])
+        padded, _ = model.encode(src)
+        short = Tensor(packed.data[:5])
+        for enc_out, lengths in ((packed, [4, 3]), (padded, [4, 2]), (short, [4, 2])):
+            with pytest.raises(ShapeError, match="does not fit source lengths"):
+                model.decode(np.array([[1, 5], [1, 6]]), enc_out, src_lengths=lengths)
+        model.decode(np.array([[1, 5], [1, 6]]), packed, src_lengths=[4, 2])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_rows_of_one_length_run_unpacked(variant):
+    model = make_model(variant)
+    r = np.random.default_rng(6)
+    src, tgt_in = r.integers(3, 9, size=(3, 5)), r.integers(3, 9, size=(3, 4))
+    with no_grad():
+        plain = model.forward(src, tgt_in).data
+        given = model.forward(src, tgt_in, src_lengths=[5, 5, 5],
+                              tgt_lengths=[4, 4, 4]).data
+    assert plain.shape == (3, 4, 9)
+    assert np.array_equal(plain, given)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_pad_heavy_batch_matches_per_sentence_oracle(variant):
+    model = make_model(variant)
+    triples = pad_heavy_batch()
+    got_loss, got = loss_and_grads(
+        model, lambda: batch_loss(model, pad_batch(triples), SMOOTHING))
+    want_loss, want = loss_and_grads(
+        model, lambda: per_sentence_loss(model, triples, SMOOTHING))
+    assert abs(got_loss - want_loss) <= 1e-10
+    for name in want:
+        assert np.max(np.abs(got[name] - want[name])) <= 1e-10, name
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layerfuse import compgen
 from layerfuse.compgen import (
     BOS,
     EOS,
@@ -308,6 +309,27 @@ def test_load_rejects_split_sizes_off_the_manifest(tmp_path, corpus):
     (tmp_path / "test.jsonl").unlink()
     with pytest.raises(ValueError, match="test.jsonl holds 0 examples"):
         load_corpus(tmp_path)
+
+
+def test_load_refuses_a_spec_count_off_the_files_before_generating(tmp_path, corpus,
+                                                                  monkeypatch):
+    write_corpus(corpus, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["spec"]["n_train"] = 50000
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+
+    def no_generation(spec):
+        raise AssertionError("generated a corpus for a spec its files do not fit")
+
+    monkeypatch.setattr(compgen, "generate_corpus", no_generation)
+    with pytest.raises(ValueError, match=f"train.jsonl holds {corpus.spec.n_train} "
+                                         "examples, but .*manifest.json counts 50000"):
+        load_corpus(tmp_path)
+
+
+def test_split_sizes_are_what_generation_makes(corpus):
+    assert corpus.spec.split_sizes() == {name: len(corpus.split(name))
+                                         for name in compgen.SPLITS}
 
 
 def test_load_without_manifest_fails(tmp_path):
