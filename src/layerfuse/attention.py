@@ -6,8 +6,9 @@ batch [B, n, d]. Masks are boolean arrays shaped [n_queries, n_keys], or
 Masking is additive: blocked scores get -1e9 before the softmax, which
 underflows to an exact probability of 0.0 in float64 after max subtraction.
 
-A padded batch's other work runs on its packed real rows [N, d] (see
-Packing): only the score and context products see the [B, n, ·] grid.
+Keys and values come from a memory on the grid. Queries alone may be the
+packed real rows [N, d] of a padded batch (see Packing): they meet the grid
+only in the score and context products.
 
 A KVCache keeps one attention site's projected keys and values between
 calls, for decoding one position at a time.
@@ -181,26 +182,16 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _split_heads(x: Tensor, n_heads: int, packing: Packing | None = None) -> Tensor:
-    """[..., n, h*d] -> [..., h, n, d]: one attention problem per head.
-
-    With a ``packing``, ``x`` is packed rows [N, h*d], spread onto the padded
-    grid [B, n, h*d] first.
-    """
-    if packing is not None:
-        x = packing.pad(x)
+def _split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """[..., n, h*d] -> [..., h, n, d]: one attention problem per head."""
     *lead, n, width = x.shape
     return x.reshape(*lead, n, n_heads, width // n_heads).swapaxes(-2, -3)
 
 
-def _merge_heads(x: Tensor, packing: Packing | None = None) -> Tensor:
-    """[..., h, n, d] -> [..., n, h*d], heads concatenated in head order.
-
-    With a ``packing``, only the packed real rows [N, h*d] are kept.
-    """
+def _merge_heads(x: Tensor) -> Tensor:
+    """[..., h, n, d] -> [..., n, h*d], heads concatenated in head order."""
     *lead, h, n, d = x.shape
-    x = x.swapaxes(-2, -3).reshape(*lead, n, h * d)
-    return x if packing is None else packing.pack(x)
+    return x.swapaxes(-2, -3).reshape(*lead, n, h * d)
 
 
 @dataclass
@@ -209,8 +200,8 @@ class KVCache:
 
     ``multi_head_attention`` fills an empty cache with the keys and values it
     projects. Later calls use a ``static`` cache (attention over a fixed
-    memory, such as the encoder output) as it is, without reading ``key`` and
-    ``value``; any other cache gains the new keys and values after its own.
+    memory, such as the encoder output) as it is, without reading ``memory``;
+    any other cache gains the new keys and values after its own.
     """
 
     static: bool = False
@@ -220,34 +211,34 @@ class KVCache:
 
 def multi_head_attention(
     query: Tensor,
-    key: Tensor,
-    value: Tensor,
+    memory: Tensor,
     params: AttentionParams,
     mask: np.ndarray | None = None,
     cache: KVCache | None = None,
-    q_packing: Packing | None = None,
-    kv_packing: Packing | None = None,
+    packing: Packing | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Concatenate per-head scaled dot attention and project back to d_model.
 
+    The queries come from ``query``, the keys and values from ``memory``.
     All heads run as one [..., h, n, d_k] attention. Head outputs are
     concatenated in head order before the w_o projection. Returns (output,
     probs), probs shaped [..., h, n_queries, n_keys]. With a ``cache`` the
     queries attend over the cached keys and values (see KVCache), so
     ``mask`` covers those too.
 
-    ``q_packing`` marks ``query`` as the packed rows [N, d] of a padded batch
-    and ``kv_packing`` does so for ``key`` and ``value``. Their projections
-    are spread onto the padded grid, zero at pads, for the attention
-    products, and the output comes back as packed rows.
+    ``memory`` is always on the grid: one sentence [n, d] or a padded batch
+    [B, n, d]. Only ``query`` may be packed: a ``packing`` marks it as the
+    real rows [N, d] of a padded batch, whose projected queries are spread
+    onto the grid, zero at pads, and whose output comes back as packed rows.
     """
     h = params.n_heads
-    q = _split_heads(query.matmul(params.w_q), h, q_packing)
+    q = query.matmul(params.w_q)
+    q = _split_heads(q if packing is None else packing.pad(q), h)
     if cache is not None and cache.static and cache.k is not None:
         k, v = cache.k, cache.v
     else:
-        k = _split_heads(key.matmul(params.w_k), h, kv_packing)
-        v = _split_heads(value.matmul(params.w_v), h, kv_packing)
+        k = _split_heads(memory.matmul(params.w_k), h)
+        v = _split_heads(memory.matmul(params.w_v), h)
         if cache is not None:
             if cache.k is not None:
                 k = concat([cache.k, k], axis=-2)
@@ -256,4 +247,5 @@ def multi_head_attention(
     if mask is not None and np.ndim(mask) > 2:
         mask = np.expand_dims(mask, -3)  # one mask for every head
     out, probs = scaled_dot_attention(q, k, v, mask)
-    return _merge_heads(out, q_packing).matmul(params.w_o), probs
+    out = _merge_heads(out)
+    return (out if packing is None else packing.pack(out)).matmul(params.w_o), probs

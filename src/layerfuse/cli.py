@@ -363,7 +363,14 @@ def cmd_train(cfg: dict, resume: str | None = None) -> int:
         if state.seed != tcfg.seed:
             raise UsageError(f"{resume} was trained with seed {state.seed}, but "
                              f"train.seed is {tcfg.seed}; resume with --seed {state.seed}")
-        _check_lengths(corpus, model.config.max_len)
+        # The config must describe the checkpoint's model; variant comes
+        # first, so a fusion change names it rather than fusion_mode.
+        want, have = ({"variant": c.variant, **c.to_dict()}
+                      for c in (_model_config(cfg, corpus), model.config))
+        for key in want:
+            if want[key] != have[key]:
+                raise UsageError(f"{resume} holds a model with {key} {have[key]!r}, "
+                                 f"but the config gives {want[key]!r}")
     else:
         model = Seq2SeqModel(_model_config(cfg, corpus))
     summary = _train_run(cfg, corpus, model, tcfg, state)

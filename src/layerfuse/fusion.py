@@ -116,19 +116,13 @@ def _attend_history(query_state, prev_outputs, params, layer_mask=None):
         mask = mask[None, :]
     history = stack(prev_outputs, axis=-2)
     query = query_state.reshape(*query_state.shape[:-1], 1, query_state.shape[-1])
-    out, probs = multi_head_attention(query, history, history, params, mask)
+    out, probs = multi_head_attention(query, history, params, mask)
     return out.reshape(*query_state.shape), probs.data[..., 0, :]
 
 
-_NORM_CONSTS: dict[int, tuple[Tensor, Tensor]] = {}
-
-
-def _plain_norm_params(d: int) -> tuple[Tensor, Tensor]:
-    # Affine-free post-norm: fixed gamma=1, beta=0 so the sublayer adds only
-    # the attention projections to the parameter count.
-    if d not in _NORM_CONSTS:
-        _NORM_CONSTS[d] = (Tensor(np.ones(d)), Tensor(np.zeros(d)))
-    return _NORM_CONSTS[d]
+# Affine-free post-norm: fixed gamma=1, beta=0 so the sublayer adds only the
+# attention projections to the parameter count.
+_NORM_GAMMA, _NORM_BETA = Tensor(1.0), Tensor(0.0)
 
 
 def fuse_attention(
@@ -142,14 +136,13 @@ def fuse_attention(
 
     Returns the sublayer output and the probabilities [..., seq, h, n_history]
     as one array. The post-norm carries no learnable affine (see
-    _plain_norm_params). ``dropout`` is an optional callable applied to the
-    core output.
+    _NORM_GAMMA). ``dropout`` is an optional callable applied to the core
+    output.
     """
     core, probs = _attend_history(query_state, prev_outputs, params)
     if dropout is not None:
         core = dropout(core)
-    gamma, beta = _plain_norm_params(query_state.shape[-1])
-    return layer_norm(query_state + core, gamma, beta), probs
+    return layer_norm(query_state + core, _NORM_GAMMA, _NORM_BETA), probs
 
 
 def extract_fuse_probs(model, batch) -> dict[str, dict[int, np.ndarray]]:

@@ -7,13 +7,16 @@ all untied. Attention projections carry no biases.
 
 Token ids are one sentence [T] or a batch [B, T]; activations are then
 [T, d] or [B, T, d]. A right-padded batch, whose ``lengths`` leave some row
-shorter than T, runs packed: its activations are the N = sum(lengths) real
-rows [N, d] in sentence order, so embeddings, dropout, layer norms, the FFN,
-fuse-attention and the output projection skip the pads. Only the attention
-products see the [B, T] grid (see attention.Packing). Padded source keys are
-masked out of encoder self-attention and decoder cross-attention; decoder
-self-attention needs no padding mask, since causality already keeps every
-real position from seeing the pads after it.
+shorter than T, runs packed: inside each stack its activations are the
+N = sum(lengths) real rows [N, d] in sentence order, so embeddings, dropout,
+layer norms, the FFN, fuse-attention and the output projection skip the
+pads. Attention takes its keys and values from the [B, T] grid (see
+attention.Packing), so ``encode`` returns its top output on the grid
+[B, S, d], zero at the pads, and ``decode`` reads the source lengths only
+for the key mask. Padded source keys are masked out of encoder
+self-attention and decoder cross-attention; decoder self-attention needs no
+padding mask, since causality already keeps every real position from seeing
+the pads after it.
 
 Every forward keeps a per-side LayerCache: the embedding output plus each
 layer's output, the tensor actually fed to each layer (which differs from
@@ -245,15 +248,12 @@ class _Layer:
         self.norm_ffn = _LayerNormParams(reg, f"{prefix}.norm_ffn", d)
 
     def self_block(self, x, mask=None, drop=None, cache=None, packing=None):
-        out, _ = multi_head_attention(x, x, x, self.self_attn, mask, cache=cache,
-                                      q_packing=packing, kv_packing=packing)
+        memory = x if packing is None else packing.pad(x)
+        out, _ = multi_head_attention(x, memory, self.self_attn, mask, cache, packing)
         return _residual(x, out, self.norm_self, drop)
 
-    def cross_block(self, x, enc_out, mask=None, drop=None, cache=None, packing=None,
-                    src_packing=None):
-        out, _ = multi_head_attention(x, enc_out, enc_out, self.cross_attn, mask,
-                                      cache=cache, q_packing=packing,
-                                      kv_packing=src_packing)
+    def cross_block(self, x, enc_out, mask=None, drop=None, cache=None, packing=None):
+        out, _ = multi_head_attention(x, enc_out, self.cross_attn, mask, cache, packing)
         return _residual(x, out, self.norm_cross, drop)
 
     def ffn_block(self, x, drop=None):
@@ -264,16 +264,15 @@ class _Layer:
         return 2 + (self.cross_attn is not None) + (self.fuse_params is not None)
 
     def forward(self, x, history, mask=None, enc_out=None, src_mask=None, drop=None,
-                kv=(None, None), packing=(None, None)):
+                kv=(None, None), packing=None):
         """Returns (output, fuse-attention probs or None).
 
         ``kv`` is the (self, cross) pair of KVCache for incremental decoding;
-        ``packing`` is the Packing of ``x`` and of ``enc_out``, each None
-        unless packed.
+        ``packing`` is the Packing of ``x``, None unless packed.
         """
-        a = self.self_block(x, mask, drop, kv[0], packing[0])
+        a = self.self_block(x, mask, drop, kv[0], packing)
         if self.cross_attn is not None:
-            a = self.cross_block(a, enc_out, src_mask, drop, kv[1], *packing)
+            a = self.cross_block(a, enc_out, src_mask, drop, kv[1], packing)
         probs = None
         if self.fuse_params is not None:
             a, probs = fuse_attention(a, history, self.fuse_params, dropout=drop)
@@ -369,18 +368,21 @@ class Seq2SeqModel:
     def encode(self, src_ids, *, lengths=None, drop_masks=None):
         """Run the encoder stack; returns (top output, LayerCache).
 
-        ``lengths`` gives the real length of each row of a batch [B, S]; if
-        some row is shorter than S, the batch runs packed (the output is
-        [N, d]) and padded keys are masked out of self-attention.
+        The top output has the shape of ``src_ids`` plus d. ``lengths`` gives
+        the real length of each row of a batch [B, S]; if some row is shorter
+        than S, the batch runs packed, padded keys are masked out of
+        self-attention, and the top output is spread onto the grid [B, S, d],
+        zero at the pads, while the cache holds the packed rows [N, d].
         ``drop_masks`` are the dropout masks of the stack's sublayers, in
         forward order (see ``dropout_masks``); None runs without dropout.
         """
         src_ids = np.asarray(src_ids, dtype=np.int64)
-        packing = _packing(lengths, *_grid(src_ids))
+        packing = _packing(lengths, src_ids.shape)
         h = self.embed(src_ids, "encoder", packing=packing)
         cache = self._run_stack("encoder", h, drop_masks, _key_mask(packing),
-                                packing=(packing, None))
-        return cache.outputs[-1], cache
+                                packing=packing)
+        top = cache.outputs[-1]
+        return (top if packing is None else packing.pad(top)), cache
 
     def decode(self, tgt_prefix_ids, enc_out, *, src_lengths=None, tgt_lengths=None,
                drop_masks=None, state=None):
@@ -393,21 +395,24 @@ class Seq2SeqModel:
         scores the next token. A later call must pass the previous prefix
         plus at least one position, or it raises ShapeError.
 
-        ``enc_out`` is what ``encode`` returned for ``src_lengths``, and
-        ``tgt_lengths`` the real lengths of a padded target batch [B, t],
-        which then runs packed and gives the logits of its real positions,
-        [N, V]. These three are read on the state's first call only.
+        ``enc_out`` is what ``encode`` returned, on the grid [S, d] or
+        [B, S, d]. ``src_lengths``, the real length of each of its rows, only
+        masks out its pad keys; lengths that do not fit that grid raise
+        ShapeError. ``tgt_lengths`` gives the real lengths of a padded target batch
+        [B, t], which then runs packed and gives the logits of its real
+        positions, [N, V]. These three are read on the state's first call
+        only.
         """
         ids = np.asarray(tgt_prefix_ids, dtype=np.int64)
         state = DecodeState() if state is None else state
         start = state.cached_positions(ids)
-        packing = src_packing = None
+        packing = None
         if start == 0:
-            src_packing = _source_packing(enc_out, src_lengths)
-            state.src_mask = _key_mask(src_packing)
+            state.src_mask = _key_mask(_packing(src_lengths, enc_out.shape[:-1],
+                                                "the encoder output's grid"))
             state.self_kv = [KVCache() for _ in self.dec_layers]
             state.cross_kv = [KVCache(static=True) for _ in self.dec_layers]
-            packing = _packing(tgt_lengths, *_grid(ids))
+            packing = _packing(tgt_lengths, ids.shape)
         new = ids[..., start:]
         h = self.embed(new, "decoder", start, packing)
         # The newest position sees every key: one new row needs no mask.
@@ -415,17 +420,16 @@ class Seq2SeqModel:
         cache = self._run_stack("decoder", h, drop_masks, mask, enc_out=enc_out,
                                 src_mask=state.src_mask,
                                 kv=list(zip(state.self_kv, state.cross_kv)),
-                                packing=(packing, src_packing))
+                                packing=packing)
         state.ids = ids
         return cache.outputs[-1].matmul(self.out_proj), cache
 
     def _run_stack(self, side, h, drop_masks, mask, enc_out=None, src_mask=None,
-                   kv=None, packing=(None, None)) -> LayerCache:
+                   kv=None, packing=None) -> LayerCache:
         """Run the embedding output ``h`` through every layer of ``side``.
 
         ``kv`` gives each layer its (self, cross) KVCache pair, or is None;
-        ``packing`` is the Packing of ``h`` and of ``enc_out`` (see
-        ``_Layer.forward``).
+        ``packing`` is the Packing of ``h``, None unless packed.
         """
         drop = _dropper(drop_masks)
         if drop is not None:
@@ -482,10 +486,9 @@ class Seq2SeqModel:
         sides = []
         for ids, lengths, layers in ((src_ids, src_lengths, self.enc_layers),
                                      (tgt_ids, tgt_lengths, self.dec_layers)):
-            rows, width = _grid(ids)
-            packing = _packing(lengths, rows, width)
+            packing = _packing(lengths, ids.shape)
             if packing is None:
-                lengths, shape = np.full(rows, width), ids.shape
+                lengths, shape = np.full(math.prod(ids.shape[:-1]), ids.shape[-1]), ids.shape
             else:
                 lengths, shape = packing.lengths, (len(packing.index),)
             n_sites = 1 + sum(layer.dropout_sites for layer in layers)
@@ -501,43 +504,19 @@ class Seq2SeqModel:
                      for _, _, masks, shape in sides)
 
 
-def _grid(ids: np.ndarray) -> tuple[int, int]:
-    """(rows, width) of id array [T] or [B, T]."""
-    return (ids.shape[0] if ids.ndim == 2 else 1), ids.shape[-1]
-
-
-def _packing(lengths, rows: int, width: int) -> Packing | None:
-    """The Packing of a right-padded [rows, width] batch whose rows have the
-    real ``lengths``, or None when ``lengths`` is None or no row is padded."""
+def _packing(lengths, shape: tuple, name: str = "padded ids") -> Packing | None:
+    """The Packing of a right-padded grid of ``shape`` [T] or [B, T] whose
+    rows have the real ``lengths``, or None when ``lengths`` is None or no row
+    is padded; ``name`` names the grid in the ShapeError of a misfit."""
     if lengths is None:
         return None
+    rows, width = math.prod(shape[:-1]), shape[-1]
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.shape != (rows,) or (lengths < 1).any() or (lengths > width).any():
         raise ShapeError(
-            f"lengths {lengths.tolist()} do not fit padded ids {(rows, width)}"
+            f"lengths {lengths.tolist()} do not fit {name} {tuple(shape)}"
         )
     return None if (lengths == width).all() else Packing(lengths, width)
-
-
-def _source_packing(enc_out: Tensor, lengths) -> Packing | None:
-    """The Packing of the encoder output ``encode`` returns for ``lengths``.
-
-    A packed output [N, d] does not show its padded width; the longest row
-    sets it. Raises ShapeError unless ``enc_out`` holds one row per real
-    position (packed) or per grid cell (no row padded).
-    """
-    if lengths is None:
-        return None
-    rows = np.size(lengths)
-    width = enc_out.shape[-2] if enc_out.ndim == 3 else int(np.max(lengths))
-    packing = _packing(lengths, rows, width)
-    n = rows * width if packing is None else len(packing.index)
-    if enc_out.data.size != n * enc_out.shape[-1]:
-        raise ShapeError(
-            f"encoder output {enc_out.shape} does not fit source lengths "
-            f"{np.asarray(lengths).tolist()}"
-        )
-    return packing
 
 
 def _key_mask(packing: Packing | None):

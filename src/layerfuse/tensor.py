@@ -107,8 +107,10 @@ class Tensor:
         other = _astensor(other)
         data = self.data + other.data
         def bw(g, a=self, b=other):
-            _accum(a, _unbroadcast(g, a.data.shape))
-            _accum(b, _unbroadcast(g, b.data.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(g, a.data.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(g, b.data.shape))
         return _result(data, (self, other), bw)
 
     __radd__ = __add__
@@ -128,8 +130,10 @@ class Tensor:
         other = _astensor(other)
         data = self.data * other.data
         def bw(g, a=self, b=other):
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(g * b.data, a.data.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(g * a.data, b.data.shape))
         return _result(data, (self, other), bw)
 
     __rmul__ = __mul__

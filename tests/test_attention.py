@@ -151,15 +151,16 @@ def _identity_params(d):
 def test_single_identity_head_equals_scaled_dot():
     d = 4
     x = Tensor(rng(13).standard_normal((3, d)))
-    got, _ = multi_head_attention(x, x, x, _identity_params(d))
+    got, _ = multi_head_attention(x, x, _identity_params(d))
     want, _ = scaled_dot_attention(x, x, x)
     assert np.array_equal(got.data, want.data)
 
 
 def test_zero_values_give_zero_output():
     params = AttentionParams.create(rng(14), d_model=6, n_heads=2)
+    params.w_v = Tensor(np.zeros((6, 6)))
     q = Tensor(rng(15).standard_normal((3, 6)))
-    out, _ = multi_head_attention(q, q, Tensor(np.zeros((3, 6))), params)
+    out, _ = multi_head_attention(q, q, params)
     assert np.array_equal(out.data, np.zeros((3, 6)))
 
 
@@ -167,17 +168,16 @@ def test_two_heads_match_concat_oracle():
     d, h = 6, 2
     params = AttentionParams.create(rng(16), d_model=d, n_heads=h)
     q = Tensor(rng(17).standard_normal((4, d)))
-    k = Tensor(rng(18).standard_normal((5, d)))
-    v = Tensor(rng(19).standard_normal((5, d)))
-    got, _ = multi_head_attention(q, k, v, params)
+    memory = Tensor(rng(18).standard_normal((5, d)))
+    got, _ = multi_head_attention(q, memory, params)
 
     d_k = d // h
     heads = []
     for i in range(h):
         lo, hi = i * d_k, (i + 1) * d_k
         out, _ = scaled_dot_attention(
-            q.matmul(params.w_q.cols(lo, hi)), k.matmul(params.w_k.cols(lo, hi)),
-            v.matmul(params.w_v.cols(lo, hi)))
+            q.matmul(params.w_q.cols(lo, hi)), memory.matmul(params.w_k.cols(lo, hi)),
+            memory.matmul(params.w_v.cols(lo, hi)))
         heads.append(out)
     want = concat(heads, axis=1).matmul(params.w_o)
     assert np.max(np.abs(got.data - want.data)) < 1e-12
@@ -188,7 +188,7 @@ def test_multi_head_respects_mask():
     params = AttentionParams.create(rng(20), d_model=d, n_heads=2)
     x = Tensor(rng(21).standard_normal((3, d)))
     causal = make_causal_mask(3)
-    _, probs = multi_head_attention(x, x, x, params, mask=causal)
+    _, probs = multi_head_attention(x, x, params, mask=causal)
     assert probs.shape == (2, 3, 3)
     assert (probs.data[:, ~causal] == 0.0).all()
 

@@ -88,17 +88,46 @@ def test_padded_encode_caches_only_real_rows(variant):
         assert {len(x) for x in entries} == {sum(lengths)}
 
 
-def test_decode_refuses_an_encoder_output_that_does_not_fit_its_lengths():
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_padded_encode_returns_the_grid_zero_at_pads(variant):
+    model = make_model(variant)
+    batch = pad_batch(mixed_batch(seed=5))
+    with no_grad():
+        enc_out, enc = model.encode(batch.src, lengths=batch.src_len)
+    real = np.arange(batch.src.shape[1]) < batch.src_len[:, None]
+    assert enc_out.shape == batch.src.shape + (16,)
+    assert (enc_out.data[~real] == 0.0).all()
+    assert np.array_equal(enc_out.data[real], enc.outputs[-1].data)
+
+
+def test_decode_refuses_source_lengths_that_do_not_fit_the_encoder_output():
     model = make_model("fuse")
     src = np.array([[3, 4, 5, 6], [7, 8, 0, 0]])
+    prefix = np.array([[1, 5], [1, 6]])
     with no_grad():
-        packed, _ = model.encode(src, lengths=[4, 2])
-        padded, _ = model.encode(src)
-        short = Tensor(packed.data[:5])
-        for enc_out, lengths in ((packed, [4, 3]), (padded, [4, 2]), (short, [4, 2])):
-            with pytest.raises(ShapeError, match="does not fit source lengths"):
-                model.decode(np.array([[1, 5], [1, 6]]), enc_out, src_lengths=lengths)
-        model.decode(np.array([[1, 5], [1, 6]]), packed, src_lengths=[4, 2])
+        enc_out, enc = model.encode(src, lengths=[4, 2])
+        packed = enc.outputs[-1]  # the old contract's [N, d] output
+        for memory, lengths in ((enc_out, [4]), (enc_out, [4, 2, 2]), (enc_out, [5, 2]),
+                                (enc_out, [4, 0]), (packed, [4, 2])):
+            with pytest.raises(ShapeError, match="encoder output"):
+                model.decode(prefix, memory, src_lengths=lengths)
+        model.decode(prefix, enc_out, src_lengths=[4, 2])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_decode_ignores_the_pad_rows_of_the_encoder_output(variant):
+    model = make_model(variant)
+    batch = pad_batch(mixed_batch(seed=6))
+    pads = np.arange(batch.src.shape[1]) >= batch.src_len[:, None]
+    assert pads.any()
+    kw = dict(src_lengths=batch.src_len, tgt_lengths=batch.tgt_len)
+    with no_grad():
+        enc_out, _ = model.encode(batch.src, lengths=batch.src_len)
+        noisy = enc_out.data.copy()
+        noisy[pads] = np.random.default_rng(7).standard_normal((pads.sum(), 16))
+        base, _ = model.decode(batch.tgt_in, enc_out, **kw)
+        moved, _ = model.decode(batch.tgt_in, Tensor(noisy), **kw)
+    assert np.array_equal(base.data, moved.data)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -627,6 +627,16 @@ def command_with(command, *extra, flags=()):
     return make
 
 
+def resume_with(*extra):
+    """argv resuming the pipeline's checkpoint (fuse, d_model 16) with the
+    settings ``extra``."""
+    def make(pipeline, tmp_path):
+        return (["train", "--out", str(tmp_path / "r"),
+                 "--resume", str(pipeline["run"] / "checkpoint.npz")]
+                + sets(*extra, data_dir=str(pipeline["data"])))
+    return make
+
+
 @pytest.mark.parametrize("make_argv, code, detail", [
     (sweep_seeds("0,x"), 2, "seeds"),
     (sweep_seeds(""), 2, "seeds"),
@@ -668,6 +678,9 @@ def command_with(command, *extra, flags=()):
     (sweep_seeds("0", "vanilla,accum,vanilla"), 2, "--variants repeats vanilla"),
     (sweep_seeds("0,1,00"), 2, "--seeds repeats 0"),
     (command_with("train", "model.n_heads=0"), 2, "n_heads 0"),
+    (resume_with("model.n_heads=0"), 2, "bad model section: n_heads 0"),
+    (resume_with("model.d_model=32"), 2, "with d_model 16, but the config gives 32"),
+    (resume_with("variant=vanilla"), 2, "with variant 'fuse', but the config gives 'vanilla'"),
     (command_with("train", "model=3"), 2, "'model' must be an object"),
     (command_with("train", flags=("--seed", "-1")), 2, "seed must be an integer >= 0"),
     (command_with("train", "model.seed=-1"), 2, "seed must be an integer >= 0"),
@@ -700,7 +713,8 @@ def command_with(command, *extra, flags=()):
         "max-new-zero", "max-new-string", "max-new-null", "max-new-float",
         "max-new-bool", "analysis-examples-zero", "eval-split-key",
         "sweep-max-new-zero", "sweep-repeated-variant", "sweep-repeated-seed",
-        "n-heads-zero", "model-section-int", "seed-flag-negative", "model-seed-negative",
+        "n-heads-zero", "resume-n-heads-zero", "resume-d-model", "resume-variant",
+        "model-section-int", "seed-flag-negative", "model-seed-negative",
         "train-seed-negative", "corpus-seed-negative", "batch-size-float", "d-ffn-float",
         "n-enc-layers-float", "n-np-float", "n-train-float", "steps-float",
         "model-seed-bool", "fusion-mode-key", "sweep-seed-negative", "sweep-n-heads-zero",

@@ -125,7 +125,7 @@ def test_encoder_self_block_single_position():
     x = Tensor(rng(2).standard_normal((1, 8)))
     got = layer.self_block(x)
     # single key: attention output reduces to the value path of x itself
-    want, probs = multi_head_attention(x, x, x, layer.self_attn)
+    want, probs = multi_head_attention(x, x, layer.self_attn)
     want = layer_norm(x + want, layer.norm_self.gamma, layer.norm_self.beta)
     assert np.array_equal(got.data, want.data)
     assert np.array_equal(probs.data, np.ones((layer.self_attn.n_heads, 1, 1)))
@@ -144,7 +144,7 @@ def test_encoder_layer_matches_composed_primitives():
     x = Tensor(rng(4).standard_normal((4, 8)))
     got = layer.ffn_block(layer.self_block(x))
 
-    a, _ = multi_head_attention(x, x, x, layer.self_attn)
+    a, _ = multi_head_attention(x, x, layer.self_attn)
     a = layer_norm(x + a, layer.norm_self.gamma, layer.norm_self.beta)
     f = layer.ffn(a)
     want = layer_norm(a + f, layer.norm_ffn.gamma, layer.norm_ffn.beta)
@@ -178,8 +178,8 @@ def test_single_position_causal_equals_unmasked():
     model = Seq2SeqModel(tiny_config())
     layer = model.dec_layers[0]
     x = Tensor(rng(8).standard_normal((1, 8)))
-    masked, _ = multi_head_attention(x, x, x, layer.self_attn, make_causal_mask(1))
-    plain, _ = multi_head_attention(x, x, x, layer.self_attn)
+    masked, _ = multi_head_attention(x, x, layer.self_attn, make_causal_mask(1))
+    plain, _ = multi_head_attention(x, x, layer.self_attn)
     assert np.array_equal(masked.data, plain.data)
 
 
@@ -189,11 +189,11 @@ def test_cross_attention_single_encoder_key():
     x = Tensor(rng(9).standard_normal((3, 8)))
     enc = Tensor(rng(10).standard_normal((1, 8)))
     got = layer.cross_block(x, enc)
-    want, _ = multi_head_attention(x, enc, enc, layer.cross_attn)
+    want, _ = multi_head_attention(x, enc, layer.cross_attn)
     want = layer_norm(x + want, layer.norm_cross.gamma, layer.norm_cross.beta)
     assert np.array_equal(got.data, want.data)
     # every decoder position receives the same projected encoder vector
-    added = multi_head_attention(x, enc, enc, layer.cross_attn)[0].data
+    added = multi_head_attention(x, enc, layer.cross_attn)[0].data
     assert np.allclose(added[0], added[1], atol=1e-12)
     assert np.allclose(added[0], added[2], atol=1e-12)
 

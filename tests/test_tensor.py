@@ -329,6 +329,22 @@ def test_mul_broadcast_gradient():
     assert err < 1e-6
 
 
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_backward_skips_a_constant_operand(op, monkeypatch):
+    import layerfuse.tensor as tensor
+
+    calls = []
+    unbroadcast = tensor._unbroadcast
+    monkeypatch.setattr(tensor, "_unbroadcast",
+                        lambda g, shape: calls.append(shape) or unbroadcast(g, shape))
+    a = Tensor(rng(30).standard_normal((2, 3)), requires_grad=True)
+    c = Tensor(rng(31).standard_normal((2, 3)))
+    backward((a + c if op == "add" else a * c).sum())
+    assert calls == [(2, 3)]
+    assert c.grad is None
+    assert np.array_equal(a.grad, np.ones((2, 3)) if op == "add" else c.data)
+
+
 def test_sum_axis_keepdims():
     x = Tensor(np.arange(6.0).reshape(2, 3))
     assert x.sum(axis=1, keepdims=True).shape == (2, 1)
