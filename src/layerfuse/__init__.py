@@ -4,7 +4,6 @@ from .attention import (
     AttentionParams,
     MaskError,
     make_causal_mask,
-    make_padding_mask,
     multi_head_attention,
     scaled_dot_attention,
 )

@@ -29,7 +29,6 @@ __all__ = [
     "MASK_BIAS",
     "Packing",
     "make_causal_mask",
-    "make_padding_mask",
     "pad_ids",
     "scaled_dot_attention",
     "multi_head_attention",
@@ -49,25 +48,10 @@ def make_causal_mask(n: int) -> np.ndarray:
     return np.tril(np.ones((n, n), dtype=bool))
 
 
-def make_padding_mask(n_queries: int, key_lengths_valid, n_keys: int) -> np.ndarray:
-    """All queries attend the first ``key_lengths_valid`` of ``n_keys`` keys.
-
-    An int gives one [n_queries, n_keys] mask; an array of B lengths gives
-    the [B, n_queries, n_keys] masks of a right-padded batch.
-    """
-    valid = np.asarray(key_lengths_valid)
-    if ((valid < 1) | (valid > n_keys)).any():
-        raise MaskError(
-            f"valid key count must be in [1, {n_keys}], got {key_lengths_valid}"
-        )
-    mask = np.arange(n_keys) < valid[..., None, None]
-    return np.broadcast_to(mask, valid.shape + (n_queries, n_keys))
-
-
 def pad_ids(seqs) -> tuple[np.ndarray, np.ndarray]:
     """Right-pad id sequences into one [B, T] array; returns (ids, lengths).
 
-    Pad cells hold id 0; ``lengths`` is what make_padding_mask takes.
+    Pad cells hold id 0; ``lengths`` is what Packing.of takes.
     """
     lengths = np.array([len(q) for q in seqs], dtype=np.int64)
     ids = np.zeros((len(seqs), int(lengths.max())), dtype=np.int64)
@@ -79,15 +63,37 @@ def pad_ids(seqs) -> tuple[np.ndarray, np.ndarray]:
 class Packing:
     """Where the real rows of a right-padded [B, width] batch sit.
 
-    A padded batch's activations are its N = sum(lengths) real rows, in
-    sentence order, as one [N, d] array; ``index`` holds their flat
+    ``real`` is the [B, width] grid of real cells, the first ``lengths[b]``
+    of row b. A padded batch's activations are its N = sum(lengths) real
+    rows, in sentence order, as one [N, d] array; ``index`` holds their flat
     positions b * width + t in the padded grid.
     """
 
     def __init__(self, lengths: np.ndarray, width: int):
         self.lengths = lengths
         self.width = width
-        self.index = np.flatnonzero(np.arange(width) < lengths[:, None])
+        self.real = np.arange(width) < lengths[:, None]
+        self.index = np.flatnonzero(self.real)
+
+    @classmethod
+    def of(cls, lengths, shape: tuple, name: str = "padded ids") -> Packing | None:
+        """The Packing of a right-padded grid of ``shape`` [T] or [B, T] whose
+        rows have the real ``lengths``, or None when ``lengths`` is None or no
+        row is padded; ``name`` names the grid in the ShapeError of a misfit."""
+        if lengths is None:
+            return None
+        rows, width = math.prod(shape[:-1]), shape[-1]
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.shape != (rows,) or (lengths < 1).any() or (lengths > width).any():
+            raise ShapeError(
+                f"lengths {lengths.tolist()} do not fit {name} {tuple(shape)}"
+            )
+        return None if (lengths == width).all() else cls(lengths, width)
+
+    @property
+    def key_mask(self) -> np.ndarray:
+        """[B, 1, width] mask of the real keys, the same for every query."""
+        return self.real[:, None, :]
 
     @property
     def positions(self) -> np.ndarray:

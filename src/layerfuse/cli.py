@@ -211,6 +211,11 @@ def _load_run_model(cfg: dict, corpus: Corpus, checkpoint: str | None) -> Seq2Se
     if not Path(ckpt).exists():
         raise UsageError(f"checkpoint not found: {ckpt}")
     model, _ = load_checkpoint(ckpt)
+    have = (model.config.src_vocab, model.config.tgt_vocab)
+    want = (len(corpus.src_vocab), len(corpus.tgt_vocab))
+    if have != want:
+        raise UsageError(f"{ckpt} holds a model for vocab sizes {have} (source, "
+                         f"target), but the corpus has {want}")
     _check_lengths(corpus, model.config.max_len)
     return model
 
@@ -371,6 +376,9 @@ def cmd_train(cfg: dict, resume: str | None = None) -> int:
             if want[key] != have[key]:
                 raise UsageError(f"{resume} holds a model with {key} {have[key]!r}, "
                                  f"but the config gives {want[key]!r}")
+        if state.step >= tcfg.steps:
+            raise UsageError(f"{resume} is at step {state.step}, but train.steps is "
+                             f"{tcfg.steps}; resume with more steps")
     else:
         model = Seq2SeqModel(_model_config(cfg, corpus))
     summary = _train_run(cfg, corpus, model, tcfg, state)

@@ -42,7 +42,6 @@ from .attention import (
     Packing,
     _xavier,
     make_causal_mask,
-    make_padding_mask,
     multi_head_attention,
 )
 from .fileio import check_int_fields
@@ -377,10 +376,10 @@ class Seq2SeqModel:
         forward order (see ``dropout_masks``); None runs without dropout.
         """
         src_ids = np.asarray(src_ids, dtype=np.int64)
-        packing = _packing(lengths, src_ids.shape)
+        packing = Packing.of(lengths, src_ids.shape)
         h = self.embed(src_ids, "encoder", packing=packing)
-        cache = self._run_stack("encoder", h, drop_masks, _key_mask(packing),
-                                packing=packing)
+        mask = None if packing is None else packing.key_mask
+        cache = self._run_stack("encoder", h, drop_masks, mask, packing=packing)
         top = cache.outputs[-1]
         return (top if packing is None else packing.pad(top)), cache
 
@@ -408,11 +407,11 @@ class Seq2SeqModel:
         start = state.cached_positions(ids)
         packing = None
         if start == 0:
-            state.src_mask = _key_mask(_packing(src_lengths, enc_out.shape[:-1],
-                                                "the encoder output's grid"))
+            src = Packing.of(src_lengths, enc_out.shape[:-1], "the encoder output's grid")
+            state.src_mask = None if src is None else src.key_mask
             state.self_kv = [KVCache() for _ in self.dec_layers]
             state.cross_kv = [KVCache(static=True) for _ in self.dec_layers]
-            packing = _packing(tgt_lengths, ids.shape)
+            packing = Packing.of(tgt_lengths, ids.shape)
         new = ids[..., start:]
         h = self.embed(new, "decoder", start, packing)
         # The newest position sees every key: one new row needs no mask.
@@ -486,7 +485,7 @@ class Seq2SeqModel:
         sides = []
         for ids, lengths, layers in ((src_ids, src_lengths, self.enc_layers),
                                      (tgt_ids, tgt_lengths, self.dec_layers)):
-            packing = _packing(lengths, ids.shape)
+            packing = Packing.of(lengths, ids.shape)
             if packing is None:
                 lengths, shape = np.full(math.prod(ids.shape[:-1]), ids.shape[-1]), ids.shape
             else:
@@ -502,24 +501,4 @@ class Seq2SeqModel:
                 masks[:, starts[b]:starts[b] + lengths[b]] = (draw >= rate) * scale
         return tuple(list(masks.reshape((len(masks),) + shape + (d,)))
                      for _, _, masks, shape in sides)
-
-
-def _packing(lengths, shape: tuple, name: str = "padded ids") -> Packing | None:
-    """The Packing of a right-padded grid of ``shape`` [T] or [B, T] whose
-    rows have the real ``lengths``, or None when ``lengths`` is None or no row
-    is padded; ``name`` names the grid in the ShapeError of a misfit."""
-    if lengths is None:
-        return None
-    rows, width = math.prod(shape[:-1]), shape[-1]
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.shape != (rows,) or (lengths < 1).any() or (lengths > width).any():
-        raise ShapeError(
-            f"lengths {lengths.tolist()} do not fit {name} {tuple(shape)}"
-        )
-    return None if (lengths == width).all() else Packing(lengths, width)
-
-
-def _key_mask(packing: Packing | None):
-    """[B, 1, width] mask of the real keys of a padded batch, or None."""
-    return None if packing is None else make_padding_mask(1, packing.lengths, packing.width)
 

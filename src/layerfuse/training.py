@@ -7,15 +7,17 @@ uninterrupted one; checkpoints only need to persist the step counter and the
 optimizer moments.
 
 A batch is a list of (src_ids, tgt_in_ids, tgt_out_ids) triples. A step
-right-pads the batch to [B, T] id arrays and runs it as one forward and one
-backward. The forward runs on the packed real positions only (see
-Seq2SeqModel): padded keys are masked and pad targets never reach the loss,
-so the step loss is the summed token NLL of the real targets divided by
-their count (mean over tokens). Dropout masks are drawn sentence by sentence
-(see Seq2SeqModel.dropout_masks), as if the sentences ran one at a time.
+right-pads its sources and target inputs to [B, T] id arrays and runs them
+as one forward and one backward. The forward runs on the packed real
+positions only (see Seq2SeqModel), so its logits line up with the real
+targets concatenated, and padded keys are masked. The step loss is the
+summed token NLL of the real targets divided by their count (mean over
+tokens). Dropout masks are drawn sentence by sentence (see
+Seq2SeqModel.dropout_masks), as if the sentences ran one at a time.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import time
@@ -149,16 +151,17 @@ def batch_indices(step0: int, n_examples: int, cfg: TrainConfig) -> np.ndarray:
 
 
 class PaddedBatch(NamedTuple):
-    """Sentence triples right-padded into [B, T] id arrays, plus real lengths.
+    """Sentence triples as right-padded [B, T] id arrays and real lengths,
+    plus ``targets``, the real targets concatenated in sentence order [N].
 
     Pad cells hold id 0 but are never read as tokens: padded keys are
-    masked and pad targets are dropped before the loss.
+    masked, and the forward gives logits for the real positions only.
     """
 
     src: np.ndarray
     src_len: np.ndarray
     tgt_in: np.ndarray
-    tgt_out: np.ndarray
+    targets: np.ndarray
     tgt_len: np.ndarray
 
 
@@ -172,8 +175,8 @@ def pad_batch(triples) -> PaddedBatch:
             )
     src, src_len = pad_ids([t[0] for t in triples])
     tgt_in, tgt_len = pad_ids([t[1] for t in triples])
-    tgt_out, _ = pad_ids([t[2] for t in triples])
-    return PaddedBatch(src, src_len, tgt_in, tgt_out, tgt_len)
+    targets = np.concatenate([np.asarray(t[2], dtype=np.int64) for t in triples])
+    return PaddedBatch(src, src_len, tgt_in, targets, tgt_len)
 
 
 def teacher_forced(model: Seq2SeqModel, batch: PaddedBatch,
@@ -181,14 +184,13 @@ def teacher_forced(model: Seq2SeqModel, batch: PaddedBatch,
     """One forward over a padded batch.
 
     Returns the logits [N, V] of the N real target positions, sentence by
-    sentence, and their target ids [N].
+    sentence, and their target ids ``batch.targets``.
     """
     logits = model.forward(batch.src, batch.tgt_in, src_lengths=batch.src_len,
                            tgt_lengths=batch.tgt_len, drop_rng=drop_rng)
     if logits.ndim == 3:  # no row is padded
         logits = logits.reshape(-1, logits.shape[-1])
-    real = np.arange(batch.tgt_in.shape[1]) < batch.tgt_len[:, None]
-    return logits, batch.tgt_out[real]
+    return logits, batch.targets
 
 
 def batch_loss(model: Seq2SeqModel, batch: PaddedBatch, label_smoothing: float,
@@ -428,13 +430,15 @@ def load_checkpoint(path: str | Path) -> tuple[Seq2SeqModel, TrainState]:
 
     Raises CheckpointError for a file that is not a well-formed checkpoint.
     """
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-    with archive:
+    # The file is opened here, so it is closed even when np.load fails.
+    with contextlib.ExitStack() as files:
+        try:
+            fh = files.enter_context(open(path, "rb"))
+            archive = files.enter_context(np.load(fh, allow_pickle=False))
+        except FileNotFoundError:
+            raise
+        except Exception as exc:
+            raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
         try:
             meta = json.loads(bytes(_entry(archive, path, "meta").tobytes()).decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:

@@ -5,8 +5,8 @@ import pytest
 from layerfuse.attention import (
     AttentionParams,
     MaskError,
+    Packing,
     make_causal_mask,
-    make_padding_mask,
     multi_head_attention,
     scaled_dot_attention,
 )
@@ -35,11 +35,13 @@ def test_causal_mask_membership():
 
 def test_causal_mask_composes_with_padding_by_and():
     causal = make_causal_mask(4)
-    pad = make_padding_mask(4, 2, 4)
+    pad = Packing.of([2, 4], (2, 4)).key_mask
     combined = causal & pad
+    assert combined.shape == (2, 4, 4)
     for i in range(4):
         for j in range(4):
-            assert combined[i, j] == (j <= i and j < 2)
+            assert combined[0, i, j] == (j <= i and j < 2)
+            assert combined[1, i, j] == (j <= i)
 
 
 def test_causal_mask_rejects_empty():
@@ -47,34 +49,39 @@ def test_causal_mask_rejects_empty():
         make_causal_mask(0)
 
 
-# -- padding mask ----------------------------------------------------------------
+# -- padding mask: Packing.key_mask ---------------------------------------------
 
 
 def test_padding_mask_prefix():
-    m = make_padding_mask(3, 2, 4)
-    assert m.shape == (3, 4)
-    assert np.array_equal(m[0], [True, True, False, False])
-    assert (m == m[0]).all()
+    packing = Packing.of([2, 3], (2, 4))
+    assert np.array_equal(packing.real, [[True, True, False, False],
+                                         [True, True, True, False]])
+    m = packing.key_mask
+    assert m.shape == (2, 1, 4)
+    assert np.array_equal(m[:, 0], packing.real)
+    assert np.array_equal(packing.index, [0, 1, 4, 5, 6])
 
 
 def test_padding_mask_full_length():
-    assert make_padding_mask(2, 4, 4).all()
+    """No padded row, no Packing and so no padding mask."""
+    assert Packing.of(None, (2, 4)) is None
+    assert Packing.of([4, 4], (2, 4)) is None
+    assert Packing.of([4], (4,)) is None
 
 
 def test_padding_mask_mixed_lengths_match_per_example_oracle():
     lengths = [1, 3, 4, 2]
-    for n in lengths:
-        m = make_padding_mask(5, n, 4)
-        for i in range(5):
-            for j in range(4):
-                assert m[i, j] == (j < n)
+    m = Packing.of(lengths, (4, 4)).key_mask
+    for b, n in enumerate(lengths):
+        for j in range(4):
+            assert m[b, 0, j] == (j < n)
 
 
 def test_padding_mask_rejects_bad_lengths():
-    with pytest.raises(ValueError):
-        make_padding_mask(2, 0, 4)
-    with pytest.raises(ValueError):
-        make_padding_mask(2, 5, 4)
+    # A length of 0, a length above the width, an extra row and a missing one.
+    for lengths in ([0, 4], [2, 5], [2, 4, 4], [2]):
+        with pytest.raises(ShapeError, match="do not fit padded ids"):
+            Packing.of(lengths, (2, 4))
 
 
 # -- scaled dot attention -----------------------------------------------------------

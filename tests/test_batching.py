@@ -172,15 +172,17 @@ def test_batched_loss_and_grads_match_per_sentence_oracle(variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_pad_ids_and_pad_targets_change_nothing(variant):
     model = make_model(variant)
-    batch = pad_batch(mixed_batch(seed=2))
+    triples = mixed_batch(seed=2)
+    batch = pad_batch(triples)
+    # Pad targets are not even stored: the targets are the real ones, in order.
+    assert np.array_equal(batch.targets, np.concatenate([t[2] for t in triples]))
     base_loss, base = loss_and_grads(
         model, lambda: batch_loss(model, batch, SMOOTHING))
     pad_src = np.arange(batch.src.shape[1]) >= batch.src_len[:, None]
     pad_tgt = np.arange(batch.tgt_in.shape[1]) >= batch.tgt_len[:, None]
     assert pad_src.any() and pad_tgt.any()
     moved = batch._replace(src=np.where(pad_src, 7, batch.src),
-                           tgt_in=np.where(pad_tgt, 5, batch.tgt_in),
-                           tgt_out=np.where(pad_tgt, 8, batch.tgt_out))
+                           tgt_in=np.where(pad_tgt, 5, batch.tgt_in))
     loss, grads = loss_and_grads(model, lambda: batch_loss(model, moved, SMOOTHING))
     assert loss == base_loss
     for name in base:

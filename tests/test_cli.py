@@ -637,6 +637,18 @@ def resume_with(*extra):
     return make
 
 
+def run_on_corpus(command, *corpus_sets):
+    """argv running ``command`` with the pipeline's checkpoint on a new
+    corpus generated with the settings ``corpus_sets``."""
+    def make(pipeline, tmp_path):
+        data = tmp_path / "other-data"
+        assert main(["gen", "--out", str(data)] + sets(*corpus_sets)) == 0
+        return ([command, "--out", str(tmp_path / "r"),
+                 "--checkpoint", str(pipeline["run"] / "checkpoint.npz")]
+                + sets(data_dir=str(data)))
+    return make
+
+
 @pytest.mark.parametrize("make_argv, code, detail", [
     (sweep_seeds("0,x"), 2, "seeds"),
     (sweep_seeds(""), 2, "seeds"),
@@ -681,6 +693,13 @@ def resume_with(*extra):
     (resume_with("model.n_heads=0"), 2, "bad model section: n_heads 0"),
     (resume_with("model.d_model=32"), 2, "with d_model 16, but the config gives 32"),
     (resume_with("variant=vanilla"), 2, "with variant 'fuse', but the config gives 'vanilla'"),
+    (resume_with("train.steps=3"), 2, "at step 3, but train.steps is 3"),
+    (resume_with("train.steps=2"), 2, "at step 3, but train.steps is 2"),
+    (run_on_corpus("eval", "corpus.n_np=12"), 2,
+     "vocab sizes (35, 35) (source, target), but the corpus has (41, 41)"),
+    (run_on_corpus("analyze", "corpus.n_np=12"), 2, "but the corpus has (41, 41)"),
+    (run_on_corpus("eval", "corpus.n_np=5", "corpus.n_vp=5"), 2,
+     "but the corpus has (33, 33)"),
     (command_with("train", "model=3"), 2, "'model' must be an object"),
     (command_with("train", flags=("--seed", "-1")), 2, "seed must be an integer >= 0"),
     (command_with("train", "model.seed=-1"), 2, "seed must be an integer >= 0"),
@@ -714,6 +733,8 @@ def resume_with(*extra):
         "max-new-bool", "analysis-examples-zero", "eval-split-key",
         "sweep-max-new-zero", "sweep-repeated-variant", "sweep-repeated-seed",
         "n-heads-zero", "resume-n-heads-zero", "resume-d-model", "resume-variant",
+        "resume-at-step", "resume-below-step", "eval-bigger-vocab", "analyze-bigger-vocab",
+        "eval-smaller-vocab",
         "model-section-int", "seed-flag-negative", "model-seed-negative",
         "train-seed-negative", "corpus-seed-negative", "batch-size-float", "d-ffn-float",
         "n-enc-layers-float", "n-np-float", "n-train-float", "steps-float",

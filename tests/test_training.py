@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layerfuse import model as model_module
 from layerfuse import training
+from layerfuse.attention import Packing
 from layerfuse.model import DecodeState, ModelConfig, Seq2SeqModel, _Layer
 from layerfuse.tensor import ShapeError, no_grad
 from layerfuse.training import (
@@ -369,10 +369,10 @@ def test_greedy_decode_batch_of_one_length_builds_no_padding_mask(monkeypatch):
     sources = [src for src, _, _ in decode_pairs() if len(src) == 5]
     want = [greedy_decode(model, src, 1, 2, MAX_NEW) for src in sources]
 
-    def no_mask(*args):
+    def no_mask(self):
         raise AssertionError("padding mask built for rows of one length")
 
-    monkeypatch.setattr(model_module, "make_padding_mask", no_mask)
+    monkeypatch.setattr(Packing, "key_mask", property(no_mask))
     assert len(sources) > 1
     assert greedy_decode_batch(model, sources, 1, 2, MAX_NEW) == want
     with pytest.raises(AssertionError, match="padding mask"):
@@ -509,6 +509,8 @@ def test_checkpoint_meta_holds_only_what_loading_reads(tmp_path):
     assert restored.config == model.config
 
 
+@pytest.mark.filterwarnings("error::ResourceWarning",
+                            "error::pytest.PytestUnraisableExceptionWarning")
 def test_truncated_checkpoint_is_clean_error(tmp_path):
     model = tiny_model()
     path = tmp_path / "model.npz"
