@@ -1,14 +1,14 @@
 """Scaled dot-product attention and multi-head attention.
 
-Operands carry optional leading batch axes: one sentence is [n, d], a padded
-batch [B, n, d]. Masks are boolean arrays shaped [n_queries, n_keys], or
+Operands carry optional leading batch axes: one sentence is [n, d], a
+batch's grid [B, n, d]. Masks are boolean arrays shaped [n_queries, n_keys], or
 [B, n_queries or 1, n_keys] for a batch; True marks an attendable key.
 Masking is additive: blocked scores get -1e9 before the softmax, which
 underflows to an exact probability of 0.0 in float64 after max subtraction.
 
 Keys and values come from a memory on the grid. Queries alone may be the
-packed real rows [N, d] of a padded batch (see Packing): they meet the grid
-only in the score and context products.
+packed real rows [N, d] of a batch (see Packing): they meet the grid only
+in the score and context products.
 
 A KVCache keeps one attention site's projected keys and values between
 calls, for decoding one position at a time.
@@ -51,8 +51,11 @@ def make_causal_mask(n: int) -> np.ndarray:
 def pad_ids(seqs) -> tuple[np.ndarray, np.ndarray]:
     """Right-pad id sequences into one [B, T] array; returns (ids, lengths).
 
-    Pad cells hold id 0; ``lengths`` is what Packing.of takes.
+    Pad cells hold id 0; ``lengths`` is what Packing.of takes. Raises
+    ShapeError when there are no sequences.
     """
+    if len(seqs) == 0:
+        raise ShapeError("no sequences to pad")
     lengths = np.array([len(q) for q in seqs], dtype=np.int64)
     ids = np.zeros((len(seqs), int(lengths.max())), dtype=np.int64)
     for row, q in zip(ids, seqs):
@@ -63,10 +66,10 @@ def pad_ids(seqs) -> tuple[np.ndarray, np.ndarray]:
 class Packing:
     """Where the real rows of a right-padded [B, width] batch sit.
 
-    ``real`` is the [B, width] grid of real cells, the first ``lengths[b]``
-    of row b. A padded batch's activations are its N = sum(lengths) real
-    rows, in sentence order, as one [N, d] array; ``index`` holds their flat
-    positions b * width + t in the padded grid.
+    A batch's activations are its N = sum(lengths) real rows in sentence
+    order, [N, d]; ``real`` is the [B, width] grid of real cells and
+    ``index`` the rows' flat positions b * width + t in it. With no padded
+    row, ``key_mask`` is None and ``pad`` and ``pack`` only reshape.
     """
 
     def __init__(self, lengths: np.ndarray, width: int):
@@ -74,26 +77,24 @@ class Packing:
         self.width = width
         self.real = np.arange(width) < lengths[:, None]
         self.index = np.flatnonzero(self.real)
+        # [B, 1, width] mask of the real keys, the same for every query.
+        self.key_mask = None if self.real.all() else self.real[:, None, :]
 
     @classmethod
     def of(cls, lengths, shape: tuple, name: str = "padded ids") -> Packing | None:
-        """The Packing of a right-padded grid of ``shape`` [T] or [B, T] whose
-        rows have the real ``lengths``, or None when ``lengths`` is None or no
-        row is padded; ``name`` names the grid in the ShapeError of a misfit."""
-        if lengths is None:
-            return None
+        """The Packing of a right-padded grid [B, T] whose rows have the real
+        ``lengths`` (default: all T), or None for a lone sentence [T], whose
+        only lengths are [T]; ``name`` names the grid in a misfit's
+        ShapeError."""
         rows, width = math.prod(shape[:-1]), shape[-1]
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.shape != (rows,) or (lengths < 1).any() or (lengths > width).any():
+        lengths = (np.full(rows, width) if lengths is None
+                   else np.asarray(lengths, dtype=np.int64))
+        shortest = 1 if len(shape) > 1 else width
+        if lengths.shape != (rows,) or (lengths < shortest).any() or (lengths > width).any():
             raise ShapeError(
                 f"lengths {lengths.tolist()} do not fit {name} {tuple(shape)}"
             )
-        return None if (lengths == width).all() else cls(lengths, width)
-
-    @property
-    def key_mask(self) -> np.ndarray:
-        """[B, 1, width] mask of the real keys, the same for every query."""
-        return self.real[:, None, :]
+        return cls(lengths, width) if len(shape) > 1 else None
 
     @property
     def positions(self) -> np.ndarray:
@@ -106,11 +107,14 @@ class Packing:
 
     def pad(self, x: Tensor) -> Tensor:
         """Packed rows [N, w] to the padded grid [B, width, w], zero at pads."""
-        return scatter_rows(x, self.index, (len(self.lengths), self.width, x.shape[-1]))
+        shape = (len(self.lengths), self.width, x.shape[-1])
+        return (x.reshape(*shape) if self.key_mask is None
+                else scatter_rows(x, self.index, shape))
 
     def pack(self, x: Tensor) -> Tensor:
         """The real rows [N, w] of a padded grid [B, width, w]."""
-        return gather_rows(x, self.index)
+        return (x.reshape(-1, x.shape[-1]) if self.key_mask is None
+                else gather_rows(x, self.index))
 
 
 def _mask_bias(mask: np.ndarray, shape: tuple) -> np.ndarray:
@@ -232,10 +236,10 @@ def multi_head_attention(
     queries attend over the cached keys and values (see KVCache), so
     ``mask`` covers those too.
 
-    ``memory`` is always on the grid: one sentence [n, d] or a padded batch
+    ``memory`` is always on the grid: one sentence [n, d] or a batch
     [B, n, d]. Only ``query`` may be packed: a ``packing`` marks it as the
-    real rows [N, d] of a padded batch, whose projected queries are spread
-    onto the grid, zero at pads, and whose output comes back as packed rows.
+    real rows [N, d] of a batch, whose projected queries are spread onto the
+    grid, zero at any pads, and whose output comes back as packed rows.
     """
     h = params.n_heads
     q = query.matmul(params.w_q)

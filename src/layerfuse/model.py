@@ -5,18 +5,17 @@ layer_norm(x + dropout(sublayer(x))). Embeddings are learned, absolute,
 scaled by sqrt(d_model); source/target tables and the output projection are
 all untied. Attention projections carry no biases.
 
-Token ids are one sentence [T] or a batch [B, T]; activations are then
-[T, d] or [B, T, d]. A right-padded batch, whose ``lengths`` leave some row
-shorter than T, runs packed: inside each stack its activations are the
-N = sum(lengths) real rows [N, d] in sentence order, so embeddings, dropout,
-layer norms, the FFN, fuse-attention and the output projection skip the
-pads. Attention takes its keys and values from the [B, T] grid (see
-attention.Packing), so ``encode`` returns its top output on the grid
-[B, S, d], zero at the pads, and ``decode`` reads the source lengths only
-for the key mask. Padded source keys are masked out of encoder
-self-attention and decoder cross-attention; decoder self-attention needs no
-padding mask, since causality already keeps every real position from seeing
-the pads after it.
+Token ids are one sentence [T], with activations [T, d], or a batch [B, T]
+right-padded to its rows' ``lengths`` (default: all T). Inside each stack a
+batch's activations are its N = sum(lengths) real rows [N, d] in sentence
+order, so embeddings, dropout, layer norms, the FFN, fuse-attention and the
+output projection skip any pads. Attention takes its keys and values from
+the [B, T] grid; only attention.Packing knows whether a row is padded. So
+``encode`` returns its top output on the grid [B, S, d], zero at the pads,
+and ``decode`` reads the source lengths only for the key mask. Padded
+source keys are masked out of encoder self-attention and decoder
+cross-attention; decoder self-attention needs no padding mask, since
+causality already keeps every real position from seeing the pads after it.
 
 Every forward keeps a per-side LayerCache: the embedding output plus each
 layer's output, the tensor actually fed to each layer (which differs from
@@ -126,8 +125,8 @@ class LayerCache:
     outputs[0] is the embedding output; outputs[j] is layer j-1's output.
     layer_inputs[k] is the tensor actually consumed by layer k.
     fuse_probs[k] is fused layer k's fuse-attention probabilities
-    [..., T, h, k + 1] over its history, or [N, h, k + 1] for the packed
-    rows of a padded batch; unfused layers have no entry.
+    [T, h, k + 1] over its history, or [N, h, k + 1] for a batch's rows;
+    unfused layers have no entry. A batch's entries are all rows [N, ...].
     """
 
     outputs: list = field(default_factory=list)
@@ -267,7 +266,7 @@ class _Layer:
         """Returns (output, fuse-attention probs or None).
 
         ``kv`` is the (self, cross) pair of KVCache for incremental decoding;
-        ``packing`` is the Packing of ``x``, None unless packed.
+        ``packing`` is the Packing of ``x``, None for a lone sentence.
         """
         a = self.self_block(x, mask, drop, kv[0], packing)
         if self.cross_attn is not None:
@@ -342,8 +341,8 @@ class Seq2SeqModel:
               packing: Packing | None = None) -> Tensor:
         """Scaled token embeddings plus positions for ids [T] or [B, T].
 
-        The ids sit at positions ``start``, ``start + 1``, ... A ``packing``
-        embeds only the real ids of a padded batch, as packed rows [N, d].
+        The ids sit at positions ``start``, ``start + 1``, ... A batch's
+        ``packing`` embeds its real ids only, as packed rows [N, d].
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size < 1:
@@ -368,10 +367,10 @@ class Seq2SeqModel:
         """Run the encoder stack; returns (top output, LayerCache).
 
         The top output has the shape of ``src_ids`` plus d. ``lengths`` gives
-        the real length of each row of a batch [B, S]; if some row is shorter
-        than S, the batch runs packed, padded keys are masked out of
-        self-attention, and the top output is spread onto the grid [B, S, d],
-        zero at the pads, while the cache holds the packed rows [N, d].
+        the real length of each row of a batch [B, S]; the batch runs as its
+        real rows, padded keys are masked out of self-attention, and the top
+        output is spread onto the grid [B, S, d], zero at the pads, while the
+        cache holds the rows [N, d].
         ``drop_masks`` are the dropout masks of the stack's sublayers, in
         forward order (see ``dropout_masks``); None runs without dropout.
         """
@@ -390,29 +389,29 @@ class Seq2SeqModel:
         ``state`` is a DecodeState (default: a fresh one). The prefix is
         always the whole prefix, but only the positions the state has not
         seen run through the causally masked stack, so logits and the cache,
-        ``fuse_probs`` included, cover those positions; the last logits row
-        scores the next token. A later call must pass the previous prefix
-        plus at least one position, or it raises ShapeError.
+        ``fuse_probs`` included, cover those positions. Logits are [t, V]
+        for a lone prefix and [N, V] rows in sentence order for a batch;
+        one new position per sentence gives one row each, which scores its
+        next token. A later call must pass the previous prefix plus at
+        least one position, or it raises ShapeError.
 
         ``enc_out`` is what ``encode`` returned, on the grid [S, d] or
         [B, S, d]. ``src_lengths``, the real length of each of its rows, only
         masks out its pad keys; lengths that do not fit that grid raise
-        ShapeError. ``tgt_lengths`` gives the real lengths of a padded target batch
-        [B, t], which then runs packed and gives the logits of its real
-        positions, [N, V]. These three are read on the state's first call
-        only.
+        ShapeError. ``tgt_lengths`` gives the real lengths of a padded target
+        batch [B, t], whose logits then cover its real positions only. These
+        three are read on the state's first call only.
         """
         ids = np.asarray(tgt_prefix_ids, dtype=np.int64)
         state = DecodeState() if state is None else state
         start = state.cached_positions(ids)
-        packing = None
         if start == 0:
             src = Packing.of(src_lengths, enc_out.shape[:-1], "the encoder output's grid")
             state.src_mask = None if src is None else src.key_mask
             state.self_kv = [KVCache() for _ in self.dec_layers]
             state.cross_kv = [KVCache(static=True) for _ in self.dec_layers]
-            packing = Packing.of(tgt_lengths, ids.shape)
         new = ids[..., start:]
+        packing = Packing.of(None if start else tgt_lengths, new.shape)
         h = self.embed(new, "decoder", start, packing)
         # The newest position sees every key: one new row needs no mask.
         mask = None if new.shape[-1] == 1 else make_causal_mask(ids.shape[-1])[start:]
@@ -428,7 +427,7 @@ class Seq2SeqModel:
         """Run the embedding output ``h`` through every layer of ``side``.
 
         ``kv`` gives each layer its (self, cross) KVCache pair, or is None;
-        ``packing`` is the Packing of ``h``, None unless packed.
+        ``packing`` is the Packing of ``h``, None for a lone sentence.
         """
         drop = _dropper(drop_masks)
         if drop is not None:
@@ -448,8 +447,8 @@ class Seq2SeqModel:
 
     def forward(self, src_ids, tgt_in_ids, *, src_lengths=None, tgt_lengths=None,
                 drop_rng=None) -> Tensor:
-        """Teacher-forced logits for one sentence pair [T, V], a batch
-        [B, T, V], or the real target positions of a padded batch [N, V]
+        """Teacher-forced logits for one sentence pair [T, V], or the rows
+        [N, V] of a batch's real target positions in sentence order
         (``encode`` and ``decode`` also return each side's LayerCache)."""
         src_ids = np.asarray(src_ids, dtype=np.int64)
         tgt_in_ids = np.asarray(tgt_in_ids, dtype=np.int64)
@@ -469,7 +468,7 @@ class Seq2SeqModel:
         """Inverted-dropout masks of every encoder and decoder sublayer.
 
         Returns (encoder masks, decoder masks), each a list in forward order
-        shaped like the activations (packed rows for a padded batch), or
+        shaped like the activations ([T, d] or a batch's rows [N, d]), or
         (None, None) when ``rng`` is None or the rate is 0. Each sentence
         draws rng.random((length, d_model)) per sublayer: its encoder
         embedding, then self, fuse and ffn in each encoder layer, then its
@@ -486,19 +485,15 @@ class Seq2SeqModel:
         for ids, lengths, layers in ((src_ids, src_lengths, self.enc_layers),
                                      (tgt_ids, tgt_lengths, self.dec_layers)):
             packing = Packing.of(lengths, ids.shape)
-            if packing is None:
-                lengths, shape = np.full(math.prod(ids.shape[:-1]), ids.shape[-1]), ids.shape
-            else:
-                lengths, shape = packing.lengths, (len(packing.index),)
+            lengths = ids.shape[-1:] if packing is None else packing.lengths
             n_sites = 1 + sum(layer.dropout_sites for layer in layers)
             sides.append((lengths, np.cumsum(lengths) - lengths,
-                          np.empty((n_sites, lengths.sum(), d)), shape))
+                          np.empty((n_sites, sum(lengths), d))))
         scale = 1.0 / (1.0 - rate)
         for b in range(len(sides[0][0])):
-            for lengths, starts, masks, _ in sides:
+            for lengths, starts, masks in sides:
                 # One block draw equals the per-sublayer draws in sequence.
                 draw = rng.random((len(masks), lengths[b], d))
                 masks[:, starts[b]:starts[b] + lengths[b]] = (draw >= rate) * scale
-        return tuple(list(masks.reshape((len(masks),) + shape + (d,)))
-                     for _, _, masks, shape in sides)
+        return tuple(list(masks) for _, _, masks in sides)
 

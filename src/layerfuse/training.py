@@ -8,8 +8,8 @@ optimizer moments.
 
 A batch is a list of (src_ids, tgt_in_ids, tgt_out_ids) triples. A step
 right-pads its sources and target inputs to [B, T] id arrays and runs them
-as one forward and one backward. The forward runs on the packed real
-positions only (see Seq2SeqModel), so its logits line up with the real
+as one forward and one backward. The forward runs on the real positions
+only, as rows (see Seq2SeqModel), so its logits line up with the real
 targets concatenated, and padded keys are masked. The step loss is the
 summed token NLL of the real targets divided by their count (mean over
 tokens). Dropout masks are drawn sentence by sentence (see
@@ -183,13 +183,11 @@ def teacher_forced(model: Seq2SeqModel, batch: PaddedBatch,
                    drop_rng=None) -> tuple[Tensor, np.ndarray]:
     """One forward over a padded batch.
 
-    Returns the logits [N, V] of the N real target positions, sentence by
-    sentence, and their target ids ``batch.targets``.
+    Returns ``model.forward``'s rows [N, V] of the N real target positions,
+    sentence by sentence, and their target ids ``batch.targets``.
     """
     logits = model.forward(batch.src, batch.tgt_in, src_lengths=batch.src_len,
                            tgt_lengths=batch.tgt_len, drop_rng=drop_rng)
-    if logits.ndim == 3:  # no row is padded
-        logits = logits.reshape(-1, logits.shape[-1])
     return logits, batch.targets
 
 
@@ -368,8 +366,8 @@ def _greedy(model, src, src_lengths, bos_id, eos_id, budget):
 
     Returns a (tokens, truncated) pair per source. The loop keeps the
     prefixes as [rows, t] whatever the source's form, and hands ``decode``
-    an unbatched [t] prefix for a single source. ``live`` maps each row of
-    the shrinking batch to its source.
+    an unbatched [t] prefix for a single source; a step's logits are one row
+    per prefix. ``live`` maps each row of the shrinking batch to its source.
     """
     batched = src.ndim == 2
     prefix = np.full((len(src) if batched else 1, 1), bos_id, dtype=np.int64)
@@ -381,7 +379,7 @@ def _greedy(model, src, src_lengths, bos_id, eos_id, budget):
         for _ in range(budget):
             logits, _ = model.decode(prefix if batched else prefix[0], enc_out,
                                      src_lengths=src_lengths, state=state)
-            nxt = logits.data[..., -1, :].argmax(axis=-1).reshape(-1)
+            nxt = logits.data.argmax(axis=-1)
             stopped = nxt == eos_id
             if stopped.any():
                 for row, ids in zip(live[stopped], prefix[stopped]):

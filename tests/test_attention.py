@@ -63,9 +63,17 @@ def test_padding_mask_prefix():
 
 
 def test_padding_mask_full_length():
-    """No padded row, no Packing and so no padding mask."""
-    assert Packing.of(None, (2, 4)) is None
-    assert Packing.of([4, 4], (2, 4)) is None
+    """A batch with no padded row packs by reshaping and has no padding mask;
+    a lone sentence has no Packing."""
+    rows = Tensor(np.arange(24.0).reshape(8, 3))
+    for lengths in (None, [4, 4]):
+        packing = Packing.of(lengths, (2, 4))
+        assert packing.key_mask is None
+        assert np.array_equal(packing.index, np.arange(8))
+        grid = packing.pad(rows)
+        assert np.array_equal(grid.data, rows.data.reshape(2, 4, 3))
+        assert np.array_equal(packing.pack(grid).data, rows.data)
+    assert Packing.of(None, (4,)) is None
     assert Packing.of([4], (4,)) is None
 
 
@@ -78,10 +86,12 @@ def test_padding_mask_mixed_lengths_match_per_example_oracle():
 
 
 def test_padding_mask_rejects_bad_lengths():
-    # A length of 0, a length above the width, an extra row and a missing one.
-    for lengths in ([0, 4], [2, 5], [2, 4, 4], [2]):
+    # A length of 0, a length above the width, an extra row and a missing
+    # one; a lone sentence [4] has no pads, so any length but [4] misfits.
+    for lengths, shape in (([0, 4], (2, 4)), ([2, 5], (2, 4)), ([2, 4, 4], (2, 4)),
+                           ([2], (2, 4)), ([3], (4,)), ([5], (4,)), ([4, 4], (4,))):
         with pytest.raises(ShapeError, match="do not fit padded ids"):
-            Packing.of(lengths, (2, 4))
+            Packing.of(lengths, shape)
 
 
 # -- scaled dot attention -----------------------------------------------------------

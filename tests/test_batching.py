@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from layerfuse.attention import pad_ids
 from layerfuse.fusion import extract_fuse_probs
 from layerfuse.model import ModelConfig, Seq2SeqModel
 from layerfuse.tensor import ShapeError, Tensor, backward, no_grad
@@ -114,6 +115,26 @@ def test_decode_refuses_source_lengths_that_do_not_fit_the_encoder_output():
         model.decode(prefix, enc_out, src_lengths=[4, 2])
 
 
+def test_a_lone_sentence_refuses_lengths_shorter_than_itself():
+    model = make_model("fuse")
+    src, prefix = np.array([3, 4, 5, 0]), np.array([1, 5])
+    with no_grad():
+        with pytest.raises(ShapeError, match=r"do not fit padded ids \(4,\)"):
+            model.encode(src, lengths=[3])
+        enc_out, _ = model.encode(src, lengths=[4])
+        with pytest.raises(ShapeError, match="encoder output"):
+            model.decode(prefix, enc_out, src_lengths=[3])
+        model.decode(prefix, enc_out, src_lengths=[4])
+
+
+def test_no_sequences_is_a_shape_error():
+    model = make_model("fuse")
+    for call in (lambda: pad_ids([]), lambda: pad_batch([]),
+                 lambda: extract_fuse_probs(model, [])):
+        with pytest.raises(ShapeError, match="no sequences"):
+            call()
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_decode_ignores_the_pad_rows_of_the_encoder_output(variant):
     model = make_model(variant)
@@ -139,8 +160,10 @@ def test_rows_of_one_length_run_unpacked(variant):
         plain = model.forward(src, tgt_in).data
         given = model.forward(src, tgt_in, src_lengths=[5, 5, 5],
                               tgt_lengths=[4, 4, 4]).data
-    assert plain.shape == (3, 4, 9)
+        alone = [model.forward(s, t).data for s, t in zip(src, tgt_in)]
+    assert plain.shape == (12, 9)  # rows in sentence order
     assert np.array_equal(plain, given)
+    assert np.max(np.abs(plain - np.concatenate(alone))) <= 1e-12
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

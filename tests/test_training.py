@@ -369,14 +369,20 @@ def test_greedy_decode_batch_of_one_length_builds_no_padding_mask(monkeypatch):
     sources = [src for src, _, _ in decode_pairs() if len(src) == 5]
     want = [greedy_decode(model, src, 1, 2, MAX_NEW) for src in sources]
 
-    def no_mask(self):
-        raise AssertionError("padding mask built for rows of one length")
+    built = []
+    real_of = Packing.of.__func__
 
-    monkeypatch.setattr(Packing, "key_mask", property(no_mask))
+    def spy(cls, *args, **kwargs):
+        built.append(real_of(cls, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(Packing, "of", classmethod(spy))
     assert len(sources) > 1
     assert greedy_decode_batch(model, sources, 1, 2, MAX_NEW) == want
-    with pytest.raises(AssertionError, match="padding mask"):
-        greedy_decode_batch(model, sources + [np.array([3, 4])], 1, 2, MAX_NEW)
+    assert built and all(p.key_mask is None for p in built)
+    built.clear()
+    greedy_decode_batch(model, sources + [np.array([3, 4])], 1, 2, MAX_NEW)
+    assert any(p.key_mask is not None for p in built)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -385,6 +391,7 @@ def test_decode_in_chunks_equals_stateless_decode(variant):
     r = np.random.default_rng(3)
     for src, prefix in ((r.integers(3, 10, size=5), r.integers(3, 10, size=7)),
                         (r.integers(3, 10, size=(2, 4)), r.integers(3, 10, size=(2, 7)))):
+        sentences = len(np.atleast_2d(prefix))
         with no_grad():
             enc_out, _ = model.encode(src)
             whole, _ = model.decode(prefix, enc_out)
@@ -393,9 +400,13 @@ def test_decode_in_chunks_equals_stateless_decode(variant):
             cross_keys = [c.k for c in state.cross_kv]
             for t in range(4, 8):
                 logits, cache = model.decode(prefix[..., :t], enc_out, state=state)
-                assert logits.shape[-2] == 1 and cache.outputs[0].shape[-2] == 1
+                # One new position per sentence: one row each.
+                assert len(logits.data) == len(cache.outputs[0].data) == sentences
                 chunks.append(logits.data)
-        assert np.max(np.abs(np.concatenate(chunks, axis=-2) - whole.data)) <= 1e-12
+        # Each sentence's rows are its part of every chunk, in order.
+        rows = [np.concatenate([np.split(c, sentences)[b] for c in chunks])
+                for b in range(sentences)]
+        assert np.max(np.abs(np.concatenate(rows) - whole.data)) <= 1e-12
         assert [c.k for c in state.cross_kv] == cross_keys  # projected once
         assert [c.k.shape[-2] for c in state.self_kv] == [7, 7]
 

@@ -1,21 +1,30 @@
-"""In-process paired timing of ``train_step`` in a parent and a change checkout.
+"""In-process paired timing of ``train_step`` or batched greedy decoding in a
+parent and a change checkout.
 
-    python3 tools/step_pairs.py PARENT_DIR CHANGE_DIR [--variant fuse] [--episodes 8]
+    python3 tools/step_pairs.py PARENT_DIR CHANGE_DIR [--op train|decode]
+                                [--variant fuse] [--episodes 8]
 
 Loads each checkout's ``src/layerfuse`` into this one process as a package of
 its own, with one BLAS thread set before numpy loads, so both sides share the
 interpreter, the numpy build and the host's state of the moment. Each side
-builds the CLI's default model section for the variant on the default corpus
-and trains it with ``TrainConfig(seed=0)``. An episode resets both sides'
-parameters and Adam state, then times STEPS ``train_step`` calls of one side
-and then of the other, the parent first in even episodes and the change first
-in odd ones.
+builds the CLI's default model section for the variant on the default corpus.
+An episode runs the op on one side and then on the other, the parent first in
+even episodes and the change first in odd ones.
 
-It prints each side's median step time with quartiles over all episodes, in
-how many episodes the change's median step was lower, both sides' last losses
-and the largest absolute parameter difference after the last episode. It
-exits 1 when the last losses differ by more than 1e-9 relative, the
-train_fuse benchmark's same-seed tolerance.
+``--op train`` (the default) trains with ``TrainConfig(seed=0)``: an episode
+resets both sides' parameters and Adam state and times STEPS ``train_step``
+calls per side. It prints each side's median step time with quartiles over
+all episodes, in how many episodes the change's median step was lower, both
+sides' last losses and the largest absolute parameter difference after the
+last episode. It exits 1 when the last losses differ by more than 1e-9
+relative, the train_fuse benchmark's same-seed tolerance.
+
+``--op decode`` times one ``greedy_decode_batch`` of the default corpus's
+cg_test sources per side and episode, with the untrained model and EOS an id
+outside the target vocabulary, as the decode_fuse benchmark has it, so every
+row decodes the CLI's full ``eval_max_new_tokens`` budget. It prints each
+side's median decode time with quartiles over the episodes and in how many
+the change was faster, and exits 1 when the two sides' decoded tokens differ.
 """
 from __future__ import annotations
 
@@ -47,18 +56,28 @@ def load_package(name: str, checkout: Path):
 
 
 class Side:
-    """One checkout's model, training set and optimizer state."""
+    """One checkout's default model for the variant on the default corpus."""
 
     def __init__(self, checkout: Path, name: str, variant: str):
         load_package(name, checkout)
-        cli, compgen, model, self.training = (
+        self.cli, self.compgen, model, self.training = (
             importlib.import_module(f"{name}.{m}")
             for m in ("cli", "compgen", "model", "training"))
-        corpus = compgen.generate_corpus(compgen.CorpusSpec())
-        self.train_set = compgen.triples(corpus.train, corpus.src_vocab, corpus.tgt_vocab)
-        section = dict(cli.default_config()["model"])
-        section.update(src_vocab=len(corpus.src_vocab), tgt_vocab=len(corpus.tgt_vocab))
+        self.corpus = self.compgen.generate_corpus(self.compgen.CorpusSpec())
+        section = dict(self.cli.default_config()["model"])
+        section.update(src_vocab=len(self.corpus.src_vocab),
+                       tgt_vocab=len(self.corpus.tgt_vocab))
         self.model = model.Seq2SeqModel(model.ModelConfig(**section).with_variant(variant))
+
+
+class TrainSide(Side):
+    """A side that trains; an episode is STEPS ``train_step`` calls."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        corpus = self.corpus
+        self.train_set = self.compgen.triples(corpus.train, corpus.src_vocab,
+                                              corpus.tgt_vocab)
         self.cfg = self.training.TrainConfig(seed=0)
         self.initial = {n: p.data.copy() for n, p in self.model.parameters().items()}
 
@@ -78,10 +97,31 @@ class Side:
         return times, loss
 
 
+class DecodeSide(Side):
+    """A side that decodes; an episode is one ``greedy_decode_batch`` of the
+    cg_test sources."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        corpus = self.corpus
+        self.sources = [corpus.src_vocab.encode(ex.src) for ex in corpus.cg_test]
+        self.eos = len(corpus.tgt_vocab)  # never emitted: every row runs the budget
+        self.max_new = self.cli.default_config()["eval_max_new_tokens"]
+
+    def episode(self) -> tuple[list[float], list]:
+        """Decode every source; returns ([ms], the decoded (tokens, truncated) pairs)."""
+        gc.collect()
+        t0 = time.perf_counter()
+        decoded = self.training.greedy_decode_batch(
+            self.model, self.sources, self.compgen.BOS, self.eos, self.max_new)
+        return [(time.perf_counter() - t0) * 1000.0], decoded
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", type=Path, help="checkout of the parent commit")
     p.add_argument("change", type=Path, help="checkout of the change")
+    p.add_argument("--op", choices=("train", "decode"), default="train")
     p.add_argument("--variant", default="fuse")
     p.add_argument("--episodes", type=int, default=8)
     args = p.parse_args(argv)
@@ -92,27 +132,41 @@ def main(argv=None) -> int:
     import numpy as np  # numpy reads the thread setting when it loads
 
     sys.dont_write_bytecode = True  # leave both checkouts as they are
+    train = args.op == "train"
+    unit = "step" if train else "decode"
     print(f"blas threads {BLAS_THREADS} (OMP, OPENBLAS, MKL), numpy {np.__version__}, "
-          f"variant {args.variant}, {args.episodes} episodes of {STEPS} steps per side",
+          f"variant {args.variant}, {args.episodes} episodes of "
+          + (f"{STEPS} steps" if train else "one cg_test decode") + " per side",
           flush=True)
-    sides = {side: Side(getattr(args, side), f"_step_pairs_{side}", args.variant)
+    side_class = TrainSide if train else DecodeSide
+    sides = {side: side_class(getattr(args, side), f"_step_pairs_{side}", args.variant)
              for side in SIDES}
     times = {side: [] for side in SIDES}
-    losses, change_lower = {}, 0
+    results, change_lower = {}, 0
     for e in range(args.episodes):
         medians = {}
         for side in (SIDES if e % 2 == 0 else SIDES[::-1]):
-            step_ms, losses[side] = sides[side].episode()
-            times[side] += step_ms
-            medians[side] = statistics.median(step_ms)
+            op_ms, results[side] = sides[side].episode()
+            times[side] += op_ms
+            medians[side] = statistics.median(op_ms)
         change_lower += medians["change"] < medians["parent"]
         print(f"episode {e}: " + "  ".join(f"{side} {medians[side]:.2f} ms"
                                             for side in SIDES), file=sys.stderr, flush=True)
     for side in SIDES:
-        q1, q2, q3 = statistics.quantiles(times[side], n=4, method="inclusive")
-        print(f"{side}: median step {q2:.2f} ms [q1 {q1:.2f}, q3 {q3:.2f}]")
-    print(f"change median step lower in {change_lower}/{args.episodes} episodes")
-    print("last loss: " + "  ".join(f"{side} {losses[side]!r}" for side in SIDES))
+        # One episode of decoding is one time: its quartiles are that time.
+        q1, q2, q3 = (statistics.quantiles(times[side], n=4, method="inclusive")
+                      if len(times[side]) > 1 else times[side] * 3)
+        print(f"{side}: median {unit} {q2:.2f} ms [q1 {q1:.2f}, q3 {q3:.2f}]")
+    print(f"change median {unit} lower in {change_lower}/{args.episodes} episodes")
+    if not train:
+        same = results["parent"] == results["change"]
+        tokens = sum(len(ids) for ids, _ in results["change"])
+        print(f"outputs: {'identical' if same else 'DIFFERENT'} "
+              f"({len(results['change'])} sources, {tokens} tokens on the change side)")
+        if not same:
+            print("error: the two sides decoded different tokens", file=sys.stderr)
+        return 0 if same else 1
+    print("last loss: " + "  ".join(f"{side} {results[side]!r}" for side in SIDES))
     params = {side: sides[side].model.parameters() for side in SIDES}
     if params["parent"].keys() != params["change"].keys():
         print("error: the two models' parameter names differ", file=sys.stderr)
@@ -120,7 +174,7 @@ def main(argv=None) -> int:
     diff = max(float(np.max(np.abs(p.data - params["change"][name].data)))
                for name, p in params["parent"].items())
     print(f"largest absolute parameter difference: {diff!r}")
-    parent_loss, change_loss = losses["parent"], losses["change"]
+    parent_loss, change_loss = results["parent"], results["change"]
     if abs(change_loss - parent_loss) > LOSS_REL_TOL * abs(parent_loss):
         print(f"error: last losses differ by more than {LOSS_REL_TOL} relative",
               file=sys.stderr)
