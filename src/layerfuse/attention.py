@@ -7,8 +7,8 @@ Masking is additive: blocked scores get -1e9 before the softmax, which
 underflows to an exact probability of 0.0 in float64 after max subtraction.
 
 Keys and values come from a memory on the grid. Queries alone may be the
-packed real rows [N, d] of a batch (see Packing): they meet the grid only
-in the score and context products.
+packed real rows [N, d] of a grid (see Packing): they meet the grid only in
+the score and context products.
 
 A KVCache keeps one attention site's projected keys and values between
 calls, for decoding one position at a time.
@@ -64,57 +64,62 @@ def pad_ids(seqs) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Packing:
-    """Where the real rows of a right-padded [B, width] batch sit.
+    """Where the real rows of a right-padded grid of ids sit.
 
-    A batch's activations are its N = sum(lengths) real rows in sentence
-    order, [N, d]; ``real`` is the [B, width] grid of real cells and
-    ``index`` the rows' flat positions b * width + t in it. With no padded
-    row, ``key_mask`` is None and ``pad`` and ``pack`` only reshape.
+    The grid ``shape`` is a batch [B, width] or a lone sentence [width], a
+    batch of one with no pads. Its activations are its N = sum(lengths) real
+    rows in sentence order, [N, d]; ``real`` is the [B, width] array of real
+    cells and ``index`` the rows' flat positions b * width + t in the grid.
+    With no padded row, ``key_mask`` is None and ``pad`` and ``pack`` only
+    reshape; a lone sentence's rows [T, d] are its grid.
     """
 
-    def __init__(self, lengths: np.ndarray, width: int):
+    def __init__(self, lengths: np.ndarray, shape: tuple):
         self.lengths = lengths
-        self.width = width
-        self.real = np.arange(width) < lengths[:, None]
+        self.shape = tuple(shape)
+        self.real = np.arange(self.shape[-1]) < lengths[:, None]
         self.index = np.flatnonzero(self.real)
         # [B, 1, width] mask of the real keys, the same for every query.
-        self.key_mask = None if self.real.all() else self.real[:, None, :]
+        self.key_mask = None if self.index.size == self.real.size else self.real[:, None, :]
 
     @classmethod
-    def of(cls, lengths, shape: tuple, name: str = "padded ids") -> Packing | None:
-        """The Packing of a right-padded grid [B, T] whose rows have the real
-        ``lengths`` (default: all T), or None for a lone sentence [T], whose
-        only lengths are [T]; ``name`` names the grid in a misfit's
-        ShapeError."""
+    def of(cls, lengths, shape: tuple, name: str = "padded ids") -> Packing:
+        """The Packing of a right-padded grid [B, T] whose rows have the
+        integer real ``lengths`` (default: all T), or of a lone sentence [T],
+        whose only lengths are [T]. Lengths that are not integers or do not
+        fit raise ShapeError; ``name`` names the grid in its message."""
         rows, width = math.prod(shape[:-1]), shape[-1]
-        lengths = (np.full(rows, width) if lengths is None
-                   else np.asarray(lengths, dtype=np.int64))
         shortest = 1 if len(shape) > 1 else width
-        if lengths.shape != (rows,) or (lengths < shortest).any() or (lengths > width).any():
+        if lengths is None and width >= shortest:  # the default fits
+            return cls(np.full(rows, width), shape)
+        lengths = np.asarray(lengths)
+        if (lengths.dtype.kind not in "iu" or lengths.shape != (rows,)
+                or ((lengths < shortest) | (lengths > width)).any()):
             raise ShapeError(
                 f"lengths {lengths.tolist()} do not fit {name} {tuple(shape)}"
             )
-        return cls(lengths, width) if len(shape) > 1 else None
+        return cls(lengths, shape)
 
     @property
     def positions(self) -> np.ndarray:
         """Each packed row's position in its sentence."""
-        return self.index % self.width
+        return self.index % self.shape[-1]
 
     def take(self, ids: np.ndarray) -> np.ndarray:
-        """The packed real entries of padded ids [B, width]."""
+        """The packed real entries of the ids grid."""
         return ids.reshape(-1)[self.index]
 
     def pad(self, x: Tensor) -> Tensor:
-        """Packed rows [N, w] to the padded grid [B, width, w], zero at pads."""
-        shape = (len(self.lengths), self.width, x.shape[-1])
-        return (x.reshape(*shape) if self.key_mask is None
-                else scatter_rows(x, self.index, shape))
+        """Packed rows [N, w] to the grid [..., width, w], zero at pads."""
+        if self.key_mask is not None:
+            return scatter_rows(x, self.index, (*self.shape, x.shape[-1]))
+        return x if len(self.shape) == 1 else x.reshape(*self.shape, x.shape[-1])
 
     def pack(self, x: Tensor) -> Tensor:
-        """The real rows [N, w] of a padded grid [B, width, w]."""
-        return (x.reshape(-1, x.shape[-1]) if self.key_mask is None
-                else gather_rows(x, self.index))
+        """The real rows [N, w] of a grid [..., width, w]."""
+        if self.key_mask is not None:
+            return gather_rows(x, self.index)
+        return x if len(self.shape) == 1 else x.reshape(-1, x.shape[-1])
 
 
 def _mask_bias(mask: np.ndarray, shape: tuple) -> np.ndarray:
@@ -238,8 +243,9 @@ def multi_head_attention(
 
     ``memory`` is always on the grid: one sentence [n, d] or a batch
     [B, n, d]. Only ``query`` may be packed: a ``packing`` marks it as the
-    real rows [N, d] of a batch, whose projected queries are spread onto the
-    grid, zero at any pads, and whose output comes back as packed rows.
+    real rows [N, d] of that grid, whose projected queries are spread onto
+    the grid, zero at any pads, and whose output comes back as packed rows.
+    Without one, ``query`` is on a grid too.
     """
     h = params.n_heads
     q = query.matmul(params.w_q)

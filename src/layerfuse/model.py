@@ -5,16 +5,16 @@ layer_norm(x + dropout(sublayer(x))). Embeddings are learned, absolute,
 scaled by sqrt(d_model); source/target tables and the output projection are
 all untied. Attention projections carry no biases.
 
-Token ids are one sentence [T], with activations [T, d], or a batch [B, T]
-right-padded to its rows' ``lengths`` (default: all T). Inside each stack a
-batch's activations are its N = sum(lengths) real rows [N, d] in sentence
-order, so embeddings, dropout, layer norms, the FFN, fuse-attention and the
-output projection skip any pads. Attention takes its keys and values from
-the [B, T] grid; only attention.Packing knows whether a row is padded. So
-``encode`` returns its top output on the grid [B, S, d], zero at the pads,
-and ``decode`` reads the source lengths only for the key mask. Padded
-source keys are masked out of encoder self-attention and decoder
-cross-attention; decoder self-attention needs no padding mask, since
+Token ids are a grid: a batch [B, T] right-padded to its rows' ``lengths``
+(default: all T), or one sentence [T], a batch of one with no pads. Inside
+each stack the activations are the grid's N = sum(lengths) real rows [N, d]
+in sentence order (N = T for a lone sentence), so embeddings, dropout, layer
+norms, the FFN, fuse-attention and the output projection skip any pads.
+Attention takes its keys and values from the grid; only attention.Packing
+knows whether a row is padded. So ``encode`` returns its top output on the
+grid, zero at any pads, and ``decode`` reads the source lengths only for the
+key mask. Padded source keys are masked out of encoder self-attention and
+decoder cross-attention; decoder self-attention needs no padding mask, since
 causality already keeps every real position from seeing the pads after it.
 
 Every forward keeps a per-side LayerCache: the embedding output plus each
@@ -125,8 +125,8 @@ class LayerCache:
     outputs[0] is the embedding output; outputs[j] is layer j-1's output.
     layer_inputs[k] is the tensor actually consumed by layer k.
     fuse_probs[k] is fused layer k's fuse-attention probabilities
-    [T, h, k + 1] over its history, or [N, h, k + 1] for a batch's rows;
-    unfused layers have no entry. A batch's entries are all rows [N, ...].
+    [N, h, k + 1] over its history; unfused layers have no entry. Every
+    entry is rows [N, ...], N = T for a lone sentence.
     """
 
     outputs: list = field(default_factory=list)
@@ -142,12 +142,14 @@ class DecodeState:
     the real encoder keys (None without padding). ``self_kv[k]`` holds
     decoder layer k's self-attention keys and values for those positions and
     ``cross_kv[k]`` its cross-attention keys and values of the encoder
-    output. A new state is empty; the first decode fills it. A batch of
-    prefixes keeps its rows on axis 0 of ``ids``, ``src_mask`` and every cache.
+    output; ``padded`` marks a prefix with pads, which no call may extend.
+    A new state is empty; the first decode fills it. A batch of prefixes
+    keeps its rows on axis 0 of ``ids``, ``src_mask`` and every cache.
     """
 
     ids: np.ndarray | None = None
     src_mask: np.ndarray | None = None
+    padded: bool = False
     self_kv: list = field(default_factory=list)
     cross_kv: list = field(default_factory=list)
 
@@ -155,10 +157,12 @@ class DecodeState:
         """How many leading positions of the prefix ``ids`` are cached.
 
         Raises ShapeError unless ``ids`` is the cached prefix plus at least
-        one position.
+        one position, and the cached prefix has no pads.
         """
         if self.ids is None:
             return 0
+        if self.padded:
+            raise ShapeError(f"the padded prefix {self.ids.tolist()} cannot be extended")
         n = self.ids.shape[-1]
         if ids.shape[-1] <= n or not np.array_equal(ids[..., :n], self.ids):
             raise ShapeError(
@@ -245,12 +249,12 @@ class _Layer:
         self.ffn = _FeedForward(reg, f"{prefix}.ffn", rng, d, cfg.d_ffn)
         self.norm_ffn = _LayerNormParams(reg, f"{prefix}.norm_ffn", d)
 
-    def self_block(self, x, mask=None, drop=None, cache=None, packing=None):
-        memory = x if packing is None else packing.pad(x)
-        out, _ = multi_head_attention(x, memory, self.self_attn, mask, cache, packing)
+    def self_block(self, x, packing, mask=None, drop=None, cache=None):
+        out, _ = multi_head_attention(x, packing.pad(x), self.self_attn, mask, cache,
+                                      packing)
         return _residual(x, out, self.norm_self, drop)
 
-    def cross_block(self, x, enc_out, mask=None, drop=None, cache=None, packing=None):
+    def cross_block(self, x, enc_out, packing, mask=None, drop=None, cache=None):
         out, _ = multi_head_attention(x, enc_out, self.cross_attn, mask, cache, packing)
         return _residual(x, out, self.norm_cross, drop)
 
@@ -261,16 +265,16 @@ class _Layer:
     def dropout_sites(self) -> int:
         return 2 + (self.cross_attn is not None) + (self.fuse_params is not None)
 
-    def forward(self, x, history, mask=None, enc_out=None, src_mask=None, drop=None,
-                kv=(None, None), packing=None):
+    def forward(self, x, history, packing, mask=None, enc_out=None, src_mask=None,
+                drop=None, kv=(None, None)):
         """Returns (output, fuse-attention probs or None).
 
-        ``kv`` is the (self, cross) pair of KVCache for incremental decoding;
-        ``packing`` is the Packing of ``x``, None for a lone sentence.
+        ``x`` is the rows [N, d] of the grid ``packing``; ``kv`` is the
+        (self, cross) pair of KVCache for incremental decoding.
         """
-        a = self.self_block(x, mask, drop, kv[0], packing)
+        a = self.self_block(x, packing, mask, drop, kv[0])
         if self.cross_attn is not None:
-            a = self.cross_block(a, enc_out, src_mask, drop, kv[1], packing)
+            a = self.cross_block(a, enc_out, packing, src_mask, drop, kv[1])
         probs = None
         if self.fuse_params is not None:
             a, probs = fuse_attention(a, history, self.fuse_params, dropout=drop)
@@ -337,12 +341,12 @@ class Seq2SeqModel:
 
     # -- forward -------------------------------------------------------------
 
-    def embed(self, ids: np.ndarray, side: str, start: int = 0,
-              packing: Packing | None = None) -> Tensor:
-        """Scaled token embeddings plus positions for ids [T] or [B, T].
+    def embed(self, ids: np.ndarray, side: str, packing: Packing,
+              start: int = 0) -> Tensor:
+        """Scaled token embeddings plus positions of the real ids of the grid
+        ``ids`` [B, T] or [T], as the rows [N, d] of its ``packing``.
 
-        The ids sit at positions ``start``, ``start + 1``, ... A batch's
-        ``packing`` embeds its real ids only, as packed rows [N, d].
+        Each row's ids sit at positions ``start``, ``start + 1``, ...
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size < 1:
@@ -356,31 +360,25 @@ class Seq2SeqModel:
             (self.src_embed, self.src_pos) if side == "encoder"
             else (self.tgt_embed, self.tgt_pos)
         )
-        if packing is not None:
-            ids, positions = packing.take(ids), packing.positions + start
-        else:
-            positions = np.arange(start, n)
-        scaled = embedding_lookup(table, ids) * math.sqrt(self.config.d_model)
-        return scaled + embedding_lookup(pos, positions)
+        scaled = embedding_lookup(table, packing.take(ids)) * math.sqrt(self.config.d_model)
+        return scaled + embedding_lookup(pos, packing.positions + start)
 
     def encode(self, src_ids, *, lengths=None, drop_masks=None):
         """Run the encoder stack; returns (top output, LayerCache).
 
-        The top output has the shape of ``src_ids`` plus d. ``lengths`` gives
-        the real length of each row of a batch [B, S]; the batch runs as its
-        real rows, padded keys are masked out of self-attention, and the top
-        output is spread onto the grid [B, S, d], zero at the pads, while the
-        cache holds the rows [N, d].
+        ``lengths`` gives the real length of each row of a batch [B, S]
+        (default: all S). The grid runs as its real rows, padded keys are
+        masked out of self-attention, and the top output is spread onto the
+        grid [B, S, d] or [S, d], zero at any pads, while the cache holds the
+        rows [N, d].
         ``drop_masks`` are the dropout masks of the stack's sublayers, in
         forward order (see ``dropout_masks``); None runs without dropout.
         """
         src_ids = np.asarray(src_ids, dtype=np.int64)
         packing = Packing.of(lengths, src_ids.shape)
-        h = self.embed(src_ids, "encoder", packing=packing)
-        mask = None if packing is None else packing.key_mask
-        cache = self._run_stack("encoder", h, drop_masks, mask, packing=packing)
-        top = cache.outputs[-1]
-        return (top if packing is None else packing.pad(top)), cache
+        h = self.embed(src_ids, "encoder", packing)
+        cache = self._run_stack("encoder", h, packing, drop_masks, packing.key_mask)
+        return packing.pad(cache.outputs[-1]), cache
 
     def decode(self, tgt_prefix_ids, enc_out, *, src_lengths=None, tgt_lengths=None,
                drop_masks=None, state=None):
@@ -389,45 +387,47 @@ class Seq2SeqModel:
         ``state`` is a DecodeState (default: a fresh one). The prefix is
         always the whole prefix, but only the positions the state has not
         seen run through the causally masked stack, so logits and the cache,
-        ``fuse_probs`` included, cover those positions. Logits are [t, V]
-        for a lone prefix and [N, V] rows in sentence order for a batch;
-        one new position per sentence gives one row each, which scores its
-        next token. A later call must pass the previous prefix plus at
-        least one position, or it raises ShapeError.
+        ``fuse_probs`` included, cover those positions. Logits are the rows
+        [N, V] of those positions in sentence order, [t, V] for a lone
+        prefix; one new position per sentence gives one row each, which
+        scores its next token. A later call must pass the previous prefix
+        plus at least one position, or it raises ShapeError, as it does
+        after a padded prefix.
 
         ``enc_out`` is what ``encode`` returned, on the grid [S, d] or
         [B, S, d]. ``src_lengths``, the real length of each of its rows, only
         masks out its pad keys; lengths that do not fit that grid raise
         ShapeError. ``tgt_lengths`` gives the real lengths of a padded target
-        batch [B, t], whose logits then cover its real positions only. These
-        three are read on the state's first call only.
+        batch [B, t], whose logits then cover its real positions only, and
+        which no later call may extend. These three are read on the state's
+        first call only.
         """
         ids = np.asarray(tgt_prefix_ids, dtype=np.int64)
         state = DecodeState() if state is None else state
         start = state.cached_positions(ids)
         if start == 0:
-            src = Packing.of(src_lengths, enc_out.shape[:-1], "the encoder output's grid")
-            state.src_mask = None if src is None else src.key_mask
+            state.src_mask = Packing.of(src_lengths, enc_out.shape[:-1],
+                                        "the encoder output's grid").key_mask
             state.self_kv = [KVCache() for _ in self.dec_layers]
             state.cross_kv = [KVCache(static=True) for _ in self.dec_layers]
         new = ids[..., start:]
         packing = Packing.of(None if start else tgt_lengths, new.shape)
-        h = self.embed(new, "decoder", start, packing)
+        state.padded = packing.key_mask is not None
+        h = self.embed(new, "decoder", packing, start)
         # The newest position sees every key: one new row needs no mask.
         mask = None if new.shape[-1] == 1 else make_causal_mask(ids.shape[-1])[start:]
-        cache = self._run_stack("decoder", h, drop_masks, mask, enc_out=enc_out,
+        cache = self._run_stack("decoder", h, packing, drop_masks, mask, enc_out=enc_out,
                                 src_mask=state.src_mask,
-                                kv=list(zip(state.self_kv, state.cross_kv)),
-                                packing=packing)
+                                kv=list(zip(state.self_kv, state.cross_kv)))
         state.ids = ids
         return cache.outputs[-1].matmul(self.out_proj), cache
 
-    def _run_stack(self, side, h, drop_masks, mask, enc_out=None, src_mask=None,
-                   kv=None, packing=None) -> LayerCache:
-        """Run the embedding output ``h`` through every layer of ``side``.
+    def _run_stack(self, side, h, packing, drop_masks, mask, enc_out=None, src_mask=None,
+                   kv=None) -> LayerCache:
+        """Run the embedding output ``h``, the rows [N, d] of the grid
+        ``packing``, through every layer of ``side``.
 
-        ``kv`` gives each layer its (self, cross) KVCache pair, or is None;
-        ``packing`` is the Packing of ``h``, None for a lone sentence.
+        ``kv`` gives each layer its (self, cross) KVCache pair, or is None.
         """
         drop = _dropper(drop_masks)
         if drop is not None:
@@ -438,8 +438,8 @@ class Seq2SeqModel:
         for k, layer in enumerate(layers):
             x = accumulate_previous(cache.outputs) if accum else cache.outputs[-1]
             cache.layer_inputs.append(x)
-            y, probs = layer.forward(x, list(cache.outputs), mask, enc_out, src_mask, drop,
-                                     kv[k] if kv else (None, None), packing)
+            y, probs = layer.forward(x, list(cache.outputs), packing, mask, enc_out,
+                                     src_mask, drop, kv[k] if kv else (None, None))
             if probs is not None:
                 cache.fuse_probs[k] = probs
             cache.outputs.append(y)
@@ -447,8 +447,8 @@ class Seq2SeqModel:
 
     def forward(self, src_ids, tgt_in_ids, *, src_lengths=None, tgt_lengths=None,
                 drop_rng=None) -> Tensor:
-        """Teacher-forced logits for one sentence pair [T, V], or the rows
-        [N, V] of a batch's real target positions in sentence order
+        """Teacher-forced logits: the rows [N, V] of the real target
+        positions in sentence order, [T, V] for one sentence pair
         (``encode`` and ``decode`` also return each side's LayerCache)."""
         src_ids = np.asarray(src_ids, dtype=np.int64)
         tgt_in_ids = np.asarray(tgt_in_ids, dtype=np.int64)
@@ -468,7 +468,7 @@ class Seq2SeqModel:
         """Inverted-dropout masks of every encoder and decoder sublayer.
 
         Returns (encoder masks, decoder masks), each a list in forward order
-        shaped like the activations ([T, d] or a batch's rows [N, d]), or
+        shaped like the activations, the rows [N, d] of their grid, or
         (None, None) when ``rng`` is None or the rate is 0. Each sentence
         draws rng.random((length, d_model)) per sublayer: its encoder
         embedding, then self, fuse and ffn in each encoder layer, then its
@@ -484,8 +484,7 @@ class Seq2SeqModel:
         sides = []
         for ids, lengths, layers in ((src_ids, src_lengths, self.enc_layers),
                                      (tgt_ids, tgt_lengths, self.dec_layers)):
-            packing = Packing.of(lengths, ids.shape)
-            lengths = ids.shape[-1:] if packing is None else packing.lengths
+            lengths = Packing.of(lengths, ids.shape).lengths
             n_sites = 1 + sum(layer.dropout_sites for layer in layers)
             sides.append((lengths, np.cumsum(lengths) - lengths,
                           np.empty((n_sites, sum(lengths), d))))

@@ -64,7 +64,7 @@ def test_padding_mask_prefix():
 
 def test_padding_mask_full_length():
     """A batch with no padded row packs by reshaping and has no padding mask;
-    a lone sentence has no Packing."""
+    a lone sentence is a one-row Packing whose rows are its grid."""
     rows = Tensor(np.arange(24.0).reshape(8, 3))
     for lengths in (None, [4, 4]):
         packing = Packing.of(lengths, (2, 4))
@@ -73,8 +73,15 @@ def test_padding_mask_full_length():
         grid = packing.pad(rows)
         assert np.array_equal(grid.data, rows.data.reshape(2, 4, 3))
         assert np.array_equal(packing.pack(grid).data, rows.data)
-    assert Packing.of(None, (4,)) is None
-    assert Packing.of([4], (4,)) is None
+    rows = Tensor(np.arange(12.0).reshape(4, 3))
+    for lengths in (None, [4]):
+        packing = Packing.of(lengths, (4,))
+        assert packing.key_mask is None
+        assert np.array_equal(packing.lengths, [4])
+        assert np.array_equal(packing.index, np.arange(4))
+        assert packing.pad(rows).shape == (4, 3)
+        assert np.array_equal(packing.pad(rows).data, rows.data)
+        assert np.array_equal(packing.pack(rows).data, rows.data)
 
 
 def test_padding_mask_mixed_lengths_match_per_example_oracle():
@@ -87,9 +94,11 @@ def test_padding_mask_mixed_lengths_match_per_example_oracle():
 
 def test_padding_mask_rejects_bad_lengths():
     # A length of 0, a length above the width, an extra row and a missing
-    # one; a lone sentence [4] has no pads, so any length but [4] misfits.
+    # one; a lone sentence [4] has no pads, so any length but [4] misfits;
+    # a length that is not an integer misfits too.
     for lengths, shape in (([0, 4], (2, 4)), ([2, 5], (2, 4)), ([2, 4, 4], (2, 4)),
-                           ([2], (2, 4)), ([3], (4,)), ([5], (4,)), ([4, 4], (4,))):
+                           ([2], (2, 4)), ([3], (4,)), ([5], (4,)), ([4, 4], (4,)),
+                           ([2.5, 4], (2, 4)), (["2", 4], (2, 4))):
         with pytest.raises(ShapeError, match="do not fit padded ids"):
             Packing.of(lengths, shape)
 

@@ -4,7 +4,7 @@ import pytest
 
 from layerfuse.attention import pad_ids
 from layerfuse.fusion import extract_fuse_probs
-from layerfuse.model import ModelConfig, Seq2SeqModel
+from layerfuse.model import DecodeState, ModelConfig, Seq2SeqModel
 from layerfuse.tensor import ShapeError, Tensor, backward, no_grad
 from layerfuse.training import (
     _TAG_DROPOUT,
@@ -125,6 +125,56 @@ def test_a_lone_sentence_refuses_lengths_shorter_than_itself():
         with pytest.raises(ShapeError, match="encoder output"):
             model.decode(prefix, enc_out, src_lengths=[3])
         model.decode(prefix, enc_out, src_lengths=[4])
+
+
+def test_decode_refuses_to_extend_a_padded_target_prefix():
+    model = make_model("fuse")
+    src = np.array([[3, 4, 5], [6, 7, 8]])
+    prefix = np.array([[1, 5, 0, 0], [1, 6, 7, 8]])
+    with no_grad():
+        enc_out, _ = model.encode(src)
+        state = DecodeState()
+        model.decode(prefix, enc_out, tgt_lengths=[2, 4], state=state)
+        longer = np.concatenate([prefix, [[4], [4]]], axis=1)
+        with pytest.raises(ShapeError, match="padded prefix"):
+            model.decode(longer, enc_out, state=state)
+        # A full-length first call stays extendable.
+        state = DecodeState()
+        model.decode(prefix, enc_out, tgt_lengths=[4, 4], state=state)
+        model.decode(longer, enc_out, state=state)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_lone_sentence_is_a_batch_of_one(variant):
+    """src, tgt and src[None], tgt[None] give bitwise-equal results."""
+    r = np.random.default_rng(8)
+    src, tgt_in = r.integers(3, 9, size=5), r.integers(3, 9, size=4)
+    model = make_model(variant, dropout=0.1)
+    for drop_seed in (None, 3):
+        lone, one = (model.forward(s, t, drop_rng=None if drop_seed is None
+                                   else np.random.default_rng(drop_seed)).data
+                     for s, t in ((src, tgt_in), (src[None], tgt_in[None])))
+        assert lone.shape == one.shape == (4, 9)
+        assert np.array_equal(lone, one)
+    with no_grad():
+        runs = []
+        for s, t in ((src, tgt_in), (src[None], tgt_in[None])):
+            enc_out, enc = model.encode(s)
+            _, dec = model.decode(t, enc_out)
+            state, steps = DecodeState(), []
+            for n in range(1, t.shape[-1] + 1):
+                steps.append(model.decode(t[..., :n], enc_out, state=state)[0].data)
+            runs.append((enc_out.data.reshape(5, 16), enc, dec, steps))
+    (lone_out, *lone_caches, lone_steps), (one_out, *one_caches, one_steps) = runs
+    assert np.array_equal(lone_out, one_out)
+    for a, b in zip(lone_caches, one_caches):
+        for x, y in zip(a.outputs + a.layer_inputs, b.outputs + b.layer_inputs, strict=True):
+            assert x.shape == y.shape and np.array_equal(x.data, y.data)
+        assert a.fuse_probs.keys() == b.fuse_probs.keys()
+        for k in a.fuse_probs:
+            assert np.array_equal(a.fuse_probs[k], b.fuse_probs[k])
+    for x, y in zip(lone_steps, one_steps, strict=True):
+        assert x.shape == y.shape == (1, 9) and np.array_equal(x, y)
 
 
 def test_no_sequences_is_a_shape_error():

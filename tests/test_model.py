@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from layerfuse.attention import make_causal_mask, multi_head_attention
+from layerfuse.attention import Packing, make_causal_mask, multi_head_attention
 from layerfuse.fusion import accumulate_previous
 from layerfuse.model import (
     DecodeState,
@@ -18,6 +18,11 @@ from oracles import reference_forward
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def lone(x):
+    """The one-row Packing of a lone sentence: ids [T] or its rows [T, d]."""
+    return Packing.of(None, x.shape[:1])
 
 
 def tiny_config(**kw):
@@ -91,18 +96,21 @@ def test_config_fused_layer_listing():
 def test_zero_embedding_table_leaves_positional_rows():
     model = Seq2SeqModel(tiny_config())
     model.src_embed.data[:] = 0.0
-    out = model.embed(np.array([3, 5, 3]), "encoder")
+    ids = np.array([3, 5, 3])
+    out = model.embed(ids, "encoder", lone(ids))
     assert np.array_equal(out.data, model.src_pos.data[:3])
 
 
 def test_embed_single_token_shape():
     model = Seq2SeqModel(tiny_config())
-    assert model.embed(np.array([4]), "encoder").shape == (1, 8)
+    ids = np.array([4])
+    assert model.embed(ids, "encoder", lone(ids)).shape == (1, 8)
 
 
 def test_repeated_token_rows_differ_by_positional_rows():
     model = Seq2SeqModel(tiny_config())
-    out = model.embed(np.array([6, 6]), "encoder")
+    ids = np.array([6, 6])
+    out = model.embed(ids, "encoder", lone(ids))
     diff = out.data[0] - out.data[1]
     want = model.src_pos.data[0] - model.src_pos.data[1]
     assert np.max(np.abs(diff - want)) < 1e-12
@@ -110,10 +118,9 @@ def test_repeated_token_rows_differ_by_positional_rows():
 
 def test_embed_length_checks():
     model = Seq2SeqModel(tiny_config(max_len=3))
-    with pytest.raises(ShapeError):
-        model.embed(np.array([], dtype=np.int64), "encoder")
-    with pytest.raises(ShapeError):
-        model.embed(np.array([1, 2, 3, 4]), "encoder")
+    for ids in (np.array([], dtype=np.int64), np.array([1, 2, 3, 4])):
+        with pytest.raises(ShapeError):
+            model.embed(ids, "encoder", lone(ids))
 
 
 # -- encoder layer ----------------------------------------------------------------
@@ -123,7 +130,7 @@ def test_encoder_self_block_single_position():
     model = Seq2SeqModel(tiny_config())
     layer = model.enc_layers[0]
     x = Tensor(rng(2).standard_normal((1, 8)))
-    got = layer.self_block(x)
+    got = layer.self_block(x, lone(x))
     # single key: attention output reduces to the value path of x itself
     want, probs = multi_head_attention(x, x, layer.self_attn)
     want = layer_norm(x + want, layer.norm_self.gamma, layer.norm_self.beta)
@@ -134,7 +141,8 @@ def test_encoder_self_block_single_position():
 def test_encoder_identical_positions_identical_rows():
     model = Seq2SeqModel(tiny_config())
     row = rng(3).standard_normal(8)
-    out = model.enc_layers[0].self_block(Tensor(np.stack([row, row])))
+    x = Tensor(np.stack([row, row]))
+    out = model.enc_layers[0].self_block(x, lone(x))
     assert np.array_equal(out.data[0], out.data[1])
 
 
@@ -142,7 +150,7 @@ def test_encoder_layer_matches_composed_primitives():
     model = Seq2SeqModel(tiny_config())
     layer = model.enc_layers[1]
     x = Tensor(rng(4).standard_normal((4, 8)))
-    got = layer.ffn_block(layer.self_block(x))
+    got = layer.ffn_block(layer.self_block(x, lone(x)))
 
     a, _ = multi_head_attention(x, x, layer.self_attn)
     a = layer_norm(x + a, layer.norm_self.gamma, layer.norm_self.beta)
@@ -158,8 +166,9 @@ def test_decoder_position_zero_attends_itself_only():
     model = Seq2SeqModel(tiny_config())
     layer = model.dec_layers[0]
     x = Tensor(rng(5).standard_normal((3, 8)))
-    got = layer.self_block(x, make_causal_mask(3))
-    solo = layer.self_block(Tensor(x.data[:1].copy()), make_causal_mask(1))
+    got = layer.self_block(x, lone(x), make_causal_mask(3))
+    first = Tensor(x.data[:1].copy())
+    solo = layer.self_block(first, lone(first), make_causal_mask(1))
     assert np.allclose(got.data[0], solo.data[0], atol=1e-12)
 
 
@@ -167,10 +176,10 @@ def test_causal_mask_ignores_future_rows():
     model = Seq2SeqModel(tiny_config())
     layer = model.dec_layers[0]
     x = rng(6).standard_normal((4, 8))
-    base = layer.self_block(Tensor(x.copy()), make_causal_mask(4))
+    base = layer.self_block(Tensor(x.copy()), lone(x), make_causal_mask(4))
     x2 = x.copy()
     x2[2:] = rng(7).standard_normal((2, 8))
-    moved = layer.self_block(Tensor(x2), make_causal_mask(4))
+    moved = layer.self_block(Tensor(x2), lone(x2), make_causal_mask(4))
     assert np.array_equal(base.data[:2], moved.data[:2])
 
 
@@ -188,7 +197,7 @@ def test_cross_attention_single_encoder_key():
     layer = model.dec_layers[0]
     x = Tensor(rng(9).standard_normal((3, 8)))
     enc = Tensor(rng(10).standard_normal((1, 8)))
-    got = layer.cross_block(x, enc)
+    got = layer.cross_block(x, enc, lone(x))
     want, _ = multi_head_attention(x, enc, layer.cross_attn)
     want = layer_norm(x + want, layer.norm_cross.gamma, layer.norm_cross.beta)
     assert np.array_equal(got.data, want.data)
@@ -203,7 +212,7 @@ def test_cross_attention_zero_memory_is_residual_only():
     layer = model.dec_layers[1]
     x = Tensor(rng(11).standard_normal((2, 8)))
     enc = Tensor(np.zeros((3, 8)))
-    got = layer.cross_block(x, enc)
+    got = layer.cross_block(x, enc, lone(x))
     want = layer_norm(x, layer.norm_cross.gamma, layer.norm_cross.beta)
     assert np.array_equal(got.data, want.data)
 
