@@ -92,11 +92,13 @@ class Packing:
         shortest = 1 if len(shape) > 1 else width
         if lengths is None and width >= shortest:  # the default fits
             return cls(np.full(rows, width), shape)
+        given = np.asarray(lengths, dtype=object)  # asarray reads [True, 4] as [1, 4]
         lengths = np.asarray(lengths)
         if (lengths.dtype.kind not in "iu" or lengths.shape != (rows,)
+                or any(isinstance(n, (bool, np.bool_)) for n in given.flat)
                 or ((lengths < shortest) | (lengths > width)).any()):
             raise ShapeError(
-                f"lengths {lengths.tolist()} do not fit {name} {tuple(shape)}"
+                f"lengths {given.tolist()} do not fit {name} {tuple(shape)}"
             )
         return cls(lengths, shape)
 
@@ -178,14 +180,15 @@ class AttentionParams:
 
     @classmethod
     def create(cls, rng: np.random.Generator, d_model: int, n_heads: int) -> "AttentionParams":
-        """Xavier-uniform init, one draw per head: all q heads, then k, then v, then w_o."""
+        """Xavier-uniform init of each [d, d_k] head, one draw per projection: q, k, v, w_o."""
         if d_model % n_heads != 0:
             raise ShapeError(f"d_model {d_model} not divisible by n_heads {n_heads}")
         d_k = d_model // n_heads
+        limit = math.sqrt(6.0 / (d_model + d_k))
 
         def heads() -> np.ndarray:
-            return np.concatenate(
-                [_xavier(rng, d_model, d_k) for _ in range(n_heads)], axis=1)
+            w = rng.uniform(-limit, limit, size=(n_heads, d_model, d_k))
+            return np.concatenate(w, axis=1)  # [d, h*d_k], head i as column block i
 
         w_q, w_k, w_v = heads(), heads(), heads()
         w_o = _xavier(rng, d_model, d_model)

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .compgen import (
@@ -45,8 +46,6 @@ __all__ = ["main", "default_config", "load_config", "apply_override",
            "cmd_gen", "cmd_train", "cmd_eval", "cmd_analyze", "cmd_sweep",
            "UsageError"]
 
-DEFAULT_VARIANTS = tuple(VARIANT_NAMES)
-
 
 class UsageError(ValueError):
     """Bad flags, bad config keys, missing inputs."""
@@ -55,16 +54,9 @@ class UsageError(ValueError):
 def default_config() -> dict:
     return {
         "corpus": CorpusSpec().to_dict(),
-        "model": {
-            "d_model": 64,
-            "n_heads": 4,
-            "d_ffn": 128,
-            "n_enc_layers": 2,
-            "n_dec_layers": 2,
-            "max_len": 48,
-            "dropout": 0.1,
-            "seed": 0,
-        },
+        # ModelConfig's defaults, less the fields _model_config fills in.
+        "model": {f.name: f.default for f in fields(ModelConfig) if f.name not in
+                  ("src_vocab", "tgt_vocab", "fusion_mode", "fusion_sides")},
         "train": TrainConfig().to_dict(),
         "data_dir": "data",
         "out_dir": "out",
@@ -287,7 +279,7 @@ def _train_run(cfg: dict, corpus: Corpus, model: Seq2SeqModel, tcfg: TrainConfig
         "steps": state.step,
         "variant": model.config.variant,
         "param_count": model.param_count(),
-        "final_loss": history[-1]["loss"] if history else None,
+        "final_loss": history[-1]["loss"],
         "best_dev_loss": state.best_dev_loss,
     }
     _write_json(out_dir / "train_summary.json", summary)
@@ -387,7 +379,7 @@ def cmd_train(cfg: dict, resume: str | None = None) -> int:
     return 0
 
 
-def cmd_eval(cfg: dict, checkpoint: str | None = None, split: str = "cg_test") -> int:
+def cmd_eval(cfg: dict, checkpoint: str | None, split: str) -> int:
     corpus = _load_corpus(cfg)
     model = _load_run_model(cfg, corpus, checkpoint)
     metrics = _eval_run(cfg, corpus, model, split)
@@ -407,12 +399,11 @@ def cmd_analyze(cfg: dict, checkpoint: str | None = None) -> int:
     return 0
 
 
-def cmd_sweep(cfg: dict, variants=None, seeds=None) -> int:
+def cmd_sweep(cfg: dict, variants: list, seeds: list) -> int:
     """train + eval --split cg_test + analyze for every (variant, seed) into
     out_dir/runs/<variant>-s<seed>, then the sweep_results tables."""
-    variants = list(variants or DEFAULT_VARIANTS)
     try:
-        seeds = [int(s) for s in (seeds if seeds is not None else (0, 1, 2))]
+        seeds = [int(s) for s in seeds]
     except ValueError as exc:
         raise UsageError(f"seeds must be comma-separated integers: {exc}") from exc
     # A repeat would train twice into one run directory.
@@ -516,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="train and evaluate a grid of variants "
                                      "and seeds")
     common(p)
-    p.add_argument("--variants", default=",".join(DEFAULT_VARIANTS),
+    p.add_argument("--variants", default=",".join(VARIANT_NAMES),
                    help="comma-separated variant names")
     p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
     return parser
@@ -538,7 +529,6 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, variants=args.variants.split(","),
                              seeds=args.seeds.split(","))
-        raise UsageError(f"unknown command {args.command!r}")
     except (UsageError, GenerationError, FusionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

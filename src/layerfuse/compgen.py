@@ -293,10 +293,9 @@ def bucket_context_length(n: int) -> str:
 
 
 def _inventories(spec: CorpusSpec) -> dict:
-    sizes = {"np": spec.n_np, "vp": spec.n_vp, "pp": spec.n_pp, "mod": spec.n_mod}
     return {
-        role: tuple(f"{_ROLE_PREFIX[role]}{i}" for i in range(sizes[role]))
-        for role in _ROLE_PREFIX
+        role: tuple(f"{prefix}{i}" for i in range(spec._inventory_size(role)))
+        for role, prefix in _ROLE_PREFIX.items()
     }
 
 

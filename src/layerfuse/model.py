@@ -49,8 +49,6 @@ from .tensor import ShapeError, Tensor, embedding_lookup, layer_norm
 
 __all__ = ["ModelConfig", "LayerCache", "DecodeState", "Seq2SeqModel"]
 
-LN_EPS = 1e-5
-
 
 @dataclass
 class ModelConfig:
@@ -61,7 +59,7 @@ class ModelConfig:
     d_ffn: int = 128
     n_enc_layers: int = 2
     n_dec_layers: int = 2
-    max_len: int = 64
+    max_len: int = 48
     dropout: float = 0.1
     fusion_mode: str = "fuse"
     fusion_sides: str = "both"
@@ -191,7 +189,7 @@ class _LayerNormParams:
         self.beta = reg.add(f"{prefix}.beta", np.zeros(d))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta, LN_EPS)
+        return layer_norm(x, self.gamma, self.beta)
 
 
 class _FeedForward:

@@ -63,6 +63,11 @@ EVAL_BATCH = 64
 
 CHECKPOINT_VERSION = 2
 
+# Adam's betas and epsilon, fixed at the Transformer's (Vaswani et al. 2017).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-9
+
 
 class TrainingError(RuntimeError):
     """Numeric failure during training (non-finite loss)."""
@@ -78,9 +83,6 @@ class TrainConfig:
     batch_size: int = 16
     lr: float = 2e-3
     warmup: int = 200
-    beta1: float = 0.9
-    beta2: float = 0.98
-    adam_eps: float = 1e-9
     label_smoothing: float = 0.1
     clip_norm: float = 1.0
     seed: int = 0
@@ -88,14 +90,12 @@ class TrainConfig:
 
     def validate(self) -> None:
         check_int_fields(self)
-        if self.batch_size < 1 or self.warmup < 1:
-            raise ValueError("batch_size >= 1 and warmup >= 1 required")
-        if self.lr <= 0 or self.clip_norm <= 0 or self.adam_eps <= 0:
-            raise ValueError("lr, clip_norm and adam_eps must be positive")
+        if self.steps < 1 or self.batch_size < 1 or self.warmup < 1:
+            raise ValueError("steps >= 1, batch_size >= 1 and warmup >= 1 required")
+        if self.lr <= 0 or self.clip_norm <= 0:
+            raise ValueError("lr and clip_norm must be positive")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError("label_smoothing must be in [0, 1)")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must be in [0, 1)")
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
 
@@ -217,7 +217,7 @@ def train_step(model: Seq2SeqModel, batch, cfg: TrainConfig, state: TrainState) 
     params = model.parameters()
     grad_norm = _global_grad_norm(params)
     scale = cfg.clip_norm / grad_norm if grad_norm > cfg.clip_norm else 1.0
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
     for name, p in params.items():
@@ -226,7 +226,7 @@ def train_step(model: Seq2SeqModel, batch, cfg: TrainConfig, state: TrainState) 
             g = g * scale
         m = state.adam_m[name] = b1 * state.adam_m[name] + (1.0 - b1) * g
         v = state.adam_v[name] = b2 * state.adam_v[name] + (1.0 - b2) * (g * g)
-        p.data = p.data - lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
+        p.data = p.data - lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
     return {"loss": loss_val, "lr": lr, "grad_norm": grad_norm}
 
 

@@ -20,9 +20,10 @@ from layerfuse.cli import (
     load_config,
     main,
 )
-from layerfuse.compgen import load_corpus
+from layerfuse.compgen import CorpusSpec, load_corpus
 from layerfuse.fusion import VARIANT_NAMES
-from layerfuse.training import load_checkpoint
+from layerfuse.model import ModelConfig
+from layerfuse.training import TrainConfig, load_checkpoint
 from oracles import oracle_cter, oracle_exact_match
 
 TINY_SETS = [
@@ -74,6 +75,15 @@ def test_default_config_sections():
     cfg = default_config()
     assert {"corpus", "model", "train"} <= set(cfg)
     assert {"data_dir", "out_dir", "variant"} <= set(cfg)
+    # Each section is its dataclass's defaults.
+    assert cfg["corpus"] == CorpusSpec().to_dict()
+    assert cfg["train"] == TrainConfig().to_dict()
+    # The CLI fills the vocab sizes from the corpus and the fusion fields
+    # from variant, so the model section leaves them out.
+    model = ModelConfig(src_vocab=1, tgt_vocab=1).to_dict()
+    for key in ("src_vocab", "tgt_vocab", "fusion_mode", "fusion_sides"):
+        del model[key]
+    assert list(cfg["model"].items()) == list(model.items())
 
 
 def readme_section(heading):
@@ -180,17 +190,6 @@ def test_train_outputs(pipeline):
     assert summary["variant"] == "fuse"
     log = (run / "train_log.jsonl").read_text().splitlines()
     assert [json.loads(l)["step"] for l in log] == [1, 2, 3]
-
-
-def test_train_zero_steps_saves_init_checkpoint(pipeline, tmp_path):
-    run = tmp_path / "run0"
-    rc = main(["train", "--out", str(run)]
-              + sets("train.steps=0", data_dir=str(pipeline["data"])))
-    assert rc == 0
-    model, state = load_checkpoint(run / "checkpoint.npz")
-    assert state is not None and state.step == 0
-    summary = json.loads((run / "train_summary.json").read_text())
-    assert summary["final_loss"] is None
 
 
 def test_train_fixed_seed_reproduces_loss(pipeline, tmp_path):
@@ -711,6 +710,9 @@ def run_on_corpus(command, *corpus_sets):
     (command_with("gen", "corpus.n_np=1.5"), 2, "n_np must be an integer"),
     (command_with("gen", "corpus.n_train=2.5"), 2, "n_train must be an integer"),
     (command_with("train", "train.steps=2.5"), 2, "steps must be an integer"),
+    (command_with("train", "train.steps=0"), 2, "steps >= 1"),
+    (sweep_seeds("0", "vanilla", "train.steps=0"), 2, "steps >= 1"),
+    (command_with("train", "train.beta1=0.9"), 2, "unknown config key 'train.beta1'"),
     (command_with("train", "model.seed=true"), 2, "seed must be an integer"),
     (command_with("train", "model.fusion_mode=fuse"), 2, "unknown config key"),
     (sweep_seeds("-1"), 2, "seed must be an integer >= 0"),
@@ -738,6 +740,7 @@ def run_on_corpus(command, *corpus_sets):
         "model-section-int", "seed-flag-negative", "model-seed-negative",
         "train-seed-negative", "corpus-seed-negative", "batch-size-float", "d-ffn-float",
         "n-enc-layers-float", "n-np-float", "n-train-float", "steps-float",
+        "train-steps-zero", "sweep-steps-zero", "adam-beta1-key",
         "model-seed-bool", "fusion-mode-key", "sweep-seed-negative", "sweep-n-heads-zero",
         "sweep-cg-test-empty",
         "model-object-unknown-key", "data-dir-int", "data-dir-null", "sweep-out-dir-int"])

@@ -284,12 +284,14 @@ def decode_pairs():
 
 
 def decode_model(variant, steps=6):
-    """Trained just enough that some sentences stop at EOS and some run out."""
+    """Trained just enough that some sentences stop at EOS and some run out;
+    untrained with ``steps=0``."""
     cfg = ModelConfig(src_vocab=10, tgt_vocab=10, d_model=16, n_heads=2, d_ffn=24,
                       n_enc_layers=2, n_dec_layers=2, max_len=8, dropout=0.0, seed=4)
     model = Seq2SeqModel(cfg.with_variant(variant))
-    train_loop(model, decode_pairs(), TrainConfig(steps=steps, batch_size=8, lr=3e-3,
-                                                  warmup=5, seed=1))
+    if steps:
+        train_loop(model, decode_pairs(), TrainConfig(steps=steps, batch_size=8, lr=3e-3,
+                                                      warmup=5, seed=1))
     return model
 
 
