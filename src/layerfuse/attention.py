@@ -93,7 +93,10 @@ class Packing:
         if lengths is None and width >= shortest:  # the default fits
             return cls(np.full(rows, width), shape)
         given = np.asarray(lengths, dtype=object)  # asarray reads [True, 4] as [1, 4]
-        lengths = np.asarray(lengths)
+        try:
+            lengths = np.asarray(lengths)
+        except ValueError:  # ragged rows: not integers, refused below
+            lengths = given
         if (lengths.dtype.kind not in "iu" or lengths.shape != (rows,)
                 or any(isinstance(n, (bool, np.bool_)) for n in given.flat)
                 or ((lengths < shortest) | (lengths > width)).any()):

@@ -14,12 +14,13 @@ held-out compound is rendered in a fixed number of distinct contexts, which
 is what the aggregate error ratio quantifies over.
 
 Metrics: instance-level compound translation error ratio (a prediction errs
-when no valid realization of the example's compound occurs contiguously in
-it), aggregate-level CTER (a compound errs when any of its contexts errs),
+when the realization of the example's compound does not occur contiguously
+in it), aggregate-level CTER (a compound errs when any of its contexts errs),
 and exact match.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -28,12 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write, check_int_fields
+from .fileio import atomic_write, check_number_fields
 
 __all__ = [
     "PAD", "BOS", "EOS", "SPECIALS", "PATTERNS", "SPLITS",
     "GenerationError", "CorpusSpec", "Vocabulary", "AtomDictionary",
-    "Compound", "CompoundAnnotation", "Example", "Corpus", "CTERReport",
+    "Compound", "Example", "Corpus", "CTERReport",
     "realize_compound", "generate_corpus", "write_corpus", "load_corpus",
     "check_compound", "cter", "exact_match", "bucket_context_length",
     "example_to_triple", "triples",
@@ -90,7 +91,7 @@ class CorpusSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        check_int_fields(self, GenerationError)
+        check_number_fields(self, GenerationError)
         if self.n_context_tokens < 1 or self.n_contexts < 1:
             raise GenerationError("need at least one context token and template")
         if self.min_context_len > self.max_context_len:
@@ -171,15 +172,9 @@ class Vocabulary:
 
 @dataclass
 class AtomDictionary:
-    """Source token -> tuple of target realizations (each a token tuple)."""
+    """Source token -> its target realization, a token tuple."""
 
     realizations: dict
-
-    def lookup(self, atom: str) -> tuple:
-        try:
-            return self.realizations[atom]
-        except KeyError:
-            raise GenerationError(f"atom {atom!r} missing from dictionary") from None
 
 
 @dataclass(frozen=True)
@@ -192,56 +187,63 @@ class Compound:
         return PATTERNS[self.pattern]
 
 
+@functools.cache  # one order per pattern; callers only read it
 def _emission_order(roles) -> list[int]:
     """Target-side order of atom indices: each mod jumps before its head np."""
     order = list(range(len(roles)))
     for j, role in enumerate(roles):
-        if role != "mod":
-            continue
-        head = None
-        for i in range(j - 1, -1, -1):
-            if roles[i] == "np":
-                head = i
-                break
-        if head is None:
-            continue
-        order.remove(j)
-        order.insert(order.index(head), j)
+        if role == "mod":
+            head = max(i for i in range(j) if roles[i] == "np")
+            order.remove(j)
+            order.insert(order.index(head), j)
     return order
 
 
+def _translate(words, dictionary: AtomDictionary) -> tuple:
+    """The target tokens of ``words``: each word's realization in turn."""
+    out: list[str] = []
+    for word in words:
+        try:
+            out.extend(dictionary.realizations[word])
+        except KeyError:
+            raise GenerationError(f"atom {word!r} missing from dictionary") from None
+    return tuple(out)
+
+
 def realize_compound(compound: Compound, dictionary: AtomDictionary) -> tuple:
-    """All valid target realizations, reordered, as a tuple of token tuples."""
-    order = _emission_order(compound.roles)
-    per_atom = [dictionary.lookup(compound.atoms[i]) for i in order]
-    outs = []
-    for choice in itertools.product(*per_atom):
-        tokens: list[str] = []
-        for part in choice:
-            tokens.extend(part)
-        outs.append(tuple(tokens))
-    return tuple(outs)
-
-
-@dataclass
-class CompoundAnnotation:
-    pattern: str
-    atoms: tuple
-    span: tuple
-    realizations: tuple
-    compound_id: int | None = None
+    """The compound's target realization, reordered, as a token tuple."""
+    return _translate([compound.atoms[i] for i in _emission_order(compound.roles)],
+                      dictionary)
 
 
 @dataclass
 class Example:
+    """A compound at ``src[span[0]:span[1]]`` of context ``context_id``; its
+    ``realization`` is in ``tgt``. cg_test numbers its compounds by ``compound_id``."""
+
     src: tuple
     tgt: tuple
-    compound: CompoundAnnotation
+    compound: Compound
+    span: tuple
+    realization: tuple
     context_id: int
-    compound_length: int
-    context_length: int
-    context_bucket: str
-    has_mod: bool
+    compound_id: int | None = None
+
+    @property
+    def compound_length(self) -> int:
+        return len(self.compound.atoms)
+
+    @property
+    def context_length(self) -> int:
+        return len(self.src) - self.compound_length
+
+    @property
+    def context_bucket(self) -> str:
+        return bucket_context_length(self.context_length)
+
+    @property
+    def has_mod(self) -> bool:
+        return "mod" in self.compound.roles
 
     def to_dict(self) -> dict:
         return {
@@ -250,9 +252,9 @@ class Example:
             "compound": {
                 "pattern": self.compound.pattern,
                 "atoms": list(self.compound.atoms),
-                "span": list(self.compound.span),
-                "realizations": [list(r) for r in self.compound.realizations],
-                "compound_id": self.compound.compound_id,
+                "span": list(self.span),
+                "realizations": [list(self.realization)],
+                "compound_id": self.compound_id,
             },
             "context_id": self.context_id,
             "compound_length": self.compound_length,
@@ -303,9 +305,9 @@ def _build_dictionary(spec: CorpusSpec, inventories: dict) -> AtomDictionary:
     real: dict = {}
     for atoms in inventories.values():
         for atom in atoms:
-            real[atom] = ((atom.upper(),),)
+            real[atom] = (atom.upper(),)
     for i in range(spec.n_context_tokens):
-        real[f"c{i}"] = ((f"C{i}",),)
+        real[f"c{i}"] = (f"C{i}",)
     return AtomDictionary(real)
 
 
@@ -348,36 +350,19 @@ class _HeldIndex:
         return False
 
 
-def _map_context(tokens, dictionary: AtomDictionary) -> tuple:
-    out: list[str] = []
-    for tok in tokens:
-        out.extend(dictionary.lookup(tok)[0])
-    return tuple(out)
-
-
 def _build_example(compound: Compound, context_id: int, contexts,
                    dictionary: AtomDictionary,
                    compound_id: int | None = None) -> Example:
     prefix, suffix = contexts[context_id]
-    reals = realize_compound(compound, dictionary)
-    src = prefix + compound.atoms + suffix
-    tgt = _map_context(prefix, dictionary) + reals[0] + _map_context(suffix, dictionary)
-    ctx_len = len(prefix) + len(suffix)
+    realization = realize_compound(compound, dictionary)
     return Example(
-        src=src,
-        tgt=tgt,
-        compound=CompoundAnnotation(
-            pattern=compound.pattern,
-            atoms=compound.atoms,
-            span=(len(prefix), len(prefix) + len(compound.atoms)),
-            realizations=reals,
-            compound_id=compound_id,
-        ),
+        src=prefix + compound.atoms + suffix,
+        tgt=_translate(prefix, dictionary) + realization + _translate(suffix, dictionary),
+        compound=compound,
+        span=(len(prefix), len(prefix) + len(compound.atoms)),
+        realization=realization,
         context_id=context_id,
-        compound_length=len(compound.atoms),
-        context_length=ctx_len,
-        context_bucket=bucket_context_length(ctx_len),
-        has_mod="mod" in compound.roles,
+        compound_id=compound_id,
     )
 
 
@@ -405,7 +390,7 @@ def _sample_split(n: int, tag: int, spec: CorpusSpec, inventories, contexts,
 def _patch_atom_coverage(train, spec, inventories, contexts, dictionary,
                          held) -> None:
     """Replace tail examples until every atom occurs somewhere in train."""
-    all_atoms = [a for role in ("np", "vp", "pp", "mod")
+    all_atoms = [(role, a) for role in ("np", "vp", "pp", "mod")
                  for a in inventories[role]
                  if any(role in PATTERNS[p] for p in spec.patterns)]
     patch_slot = len(train) - 1
@@ -418,11 +403,11 @@ def _patch_atom_coverage(train, spec, inventories, contexts, dictionary,
 
     for _round in range(4):
         have = covered()
-        missing = [a for a in all_atoms if a not in have]
+        missing = [(role, a) for role, a in all_atoms if a not in have]
         if not missing:
             return
-        for atom in missing:
-            comp = _find_compound_with(atom, spec, inventories, held)
+        for role, atom in missing:
+            comp = _find_compound_with(role, atom, spec, inventories, held)
             if comp is None:
                 raise GenerationError(
                     f"atom {atom!r} has no usable compound outside the holdout; "
@@ -435,13 +420,12 @@ def _patch_atom_coverage(train, spec, inventories, contexts, dictionary,
             ctx_id = patch_slot % spec.n_contexts
             train[patch_slot] = _build_example(comp, ctx_id, contexts, dictionary)
             patch_slot -= 1
-    if any(a not in covered() for a in all_atoms):
+    if any(a not in covered() for _, a in all_atoms):
         raise GenerationError("atom coverage could not be established")
 
 
-def _find_compound_with(atom: str, spec: CorpusSpec, inventories,
+def _find_compound_with(role: str, atom: str, spec: CorpusSpec, inventories,
                         held: "_HeldIndex") -> Compound | None:
-    role = next(r for r, pre in _ROLE_PREFIX.items() if atom.startswith(pre))
     for pattern in spec.patterns:
         roles = PATTERNS[pattern]
         if role not in roles:
@@ -502,13 +486,10 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
             cg_test.append(_build_example(comp, int(ctx_id), contexts, dictionary,
                                           compound_id=cid))
 
-    src_tokens = list(SPECIALS) + sorted(
-        {tok for role in inventories.values() for tok in role}
-        | {f"c{i}" for i in range(spec.n_context_tokens)}
-    )
+    # The dictionary maps every atom and context token: its keys are the source words.
+    src_tokens = list(SPECIALS) + sorted(dictionary.realizations)
     tgt_tokens = list(SPECIALS) + sorted(
-        {tok for reals in dictionary.realizations.values()
-         for real in reals for tok in real}
+        {tok for real in dictionary.realizations.values() for tok in real}
     )
     return Corpus(
         spec=spec,
@@ -618,14 +599,13 @@ def load_corpus(data_dir: str | Path) -> Corpus:
 
 def check_compound(prediction, example: Example,
                    dictionary: AtomDictionary) -> bool:
-    """True when some valid realization occurs contiguously in the prediction."""
-    compound = Compound(example.compound.pattern, example.compound.atoms)
+    """True when the compound's realization occurs contiguously in the prediction."""
+    real = realize_compound(example.compound, dictionary)
     pred = tuple(prediction)
-    for real in realize_compound(compound, dictionary):
-        length = len(real)
-        for start in range(len(pred) - length + 1):
-            if pred[start:start + length] == real:
-                return True
+    length = len(real)
+    for start in range(len(pred) - length + 1):
+        if pred[start:start + length] == real:
+            return True
     return False
 
 
@@ -668,8 +648,7 @@ def cter(predictions, examples, dictionary: AtomDictionary) -> CTERReport:
             for pred, ex in zip(predictions, examples)]
     by_compound: dict = {}
     for ex, err in zip(examples, errs):
-        key = (ex.compound.compound_id
-               if ex.compound.compound_id is not None else ex.compound.atoms)
+        key = ex.compound_id if ex.compound_id is not None else ex.compound.atoms
         by_compound[key] = by_compound.get(key, False) or err
     n_inst = len(examples)
     n_comp = len(by_compound)

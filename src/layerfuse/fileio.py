@@ -1,22 +1,27 @@
 """Crash-safe file writes shared by the corpus, checkpoint and run writers,
-and the integer check shared by their config dataclasses."""
+and the number check shared by their config dataclasses."""
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 import os
 from pathlib import Path
 
-__all__ = ["atomic_write", "check_int_fields"]
+__all__ = ["atomic_write", "check_number_fields"]
 
 
-def check_int_fields(config, error=ValueError) -> None:
+def check_number_fields(config, error=ValueError) -> None:
     """Raise ``error`` unless every int field of dataclass ``config`` holds an
-    int >= 0; bools and floats are refused."""
+    int >= 0 and every float field a finite int or float; bools are refused in
+    both."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if f.type in (int, "int") and (type(value) is not int or value < 0):
             raise error(f"{f.name} must be an integer >= 0, got {value!r}")
+        if f.type in (float, "float") and (type(value) not in (int, float)
+                                           or not math.isfinite(value)):
+            raise error(f"{f.name} must be a finite number, got {value!r}")
 
 
 @contextlib.contextmanager

@@ -43,7 +43,7 @@ from .attention import (
     make_causal_mask,
     multi_head_attention,
 )
-from .fileio import check_int_fields
+from .fileio import check_number_fields
 from .fusion import VARIANT_NAMES, accumulate_previous, fuse_attention, parse_variant
 from .tensor import ShapeError, Tensor, embedding_lookup, layer_norm
 
@@ -66,7 +66,7 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        check_int_fields(self)
+        check_number_fields(self)
         if self.n_heads < 1 or self.d_model < 1 or self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"n_heads {self.n_heads} must be >= 1 and d_model "

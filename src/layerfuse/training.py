@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attention import pad_ids
-from .fileio import atomic_write, check_int_fields
+from .fileio import atomic_write, check_number_fields
 from .model import DecodeState, ModelConfig, Seq2SeqModel
 from .tensor import ShapeError, Tensor, backward, cross_entropy, no_grad
 
@@ -89,7 +89,7 @@ class TrainConfig:
     checkpoint_interval: int = 200
 
     def validate(self) -> None:
-        check_int_fields(self)
+        check_number_fields(self)
         if self.steps < 1 or self.batch_size < 1 or self.warmup < 1:
             raise ValueError("steps >= 1, batch_size >= 1 and warmup >= 1 required")
         if self.lr <= 0 or self.clip_norm <= 0:
@@ -459,7 +459,7 @@ def load_checkpoint(path: str | Path) -> tuple[Seq2SeqModel, TrainState]:
                                best_dev_loss=meta.get("best_dev_loss"))
         except KeyError as exc:
             raise CheckpointError(f"{path} meta has no {exc} entry") from exc
-        check_int_fields(state, lambda msg: CheckpointError(f"{path} meta: {msg}"))
+        check_number_fields(state, lambda msg: CheckpointError(f"{path} meta: {msg}"))
         best = state.best_dev_loss
         if best is not None and type(best) not in (int, float):
             raise CheckpointError(f"{path} meta: best_dev_loss {best!r} is not a number")

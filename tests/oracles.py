@@ -130,11 +130,11 @@ def oracle_cter(predictions, examples) -> tuple[float, float]:
     """(instance_rate, aggregate_rate) recounted from example annotations."""
     errors = []
     for pred, ex in zip(predictions, examples):
-        errors.append(not oracle_compound_ok(pred, ex.compound.realizations))
+        errors.append(not oracle_compound_ok(pred, (ex.realization,)))
     instance = sum(errors) / len(errors)
     groups: dict = {}
     for ex, err in zip(examples, errors):
-        key = ex.compound.compound_id
+        key = ex.compound_id
         if key is None:
             key = ex.compound.atoms
         groups.setdefault(key, []).append(err)

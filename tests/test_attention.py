@@ -95,10 +95,12 @@ def test_padding_mask_mixed_lengths_match_per_example_oracle():
 def test_padding_mask_rejects_bad_lengths():
     # A length of 0, a length above the width, an extra row and a missing
     # one; a lone sentence [4] has no pads, so any length but [4] misfits;
-    # a length that is not an integer, a bool among them, misfits too.
+    # a length that is not an integer, a bool or a ragged row among them,
+    # misfits too.
     for lengths, shape in (([0, 4], (2, 4)), ([2, 5], (2, 4)), ([2, 4, 4], (2, 4)),
                            ([2], (2, 4)), ([3], (4,)), ([5], (4,)), ([4, 4], (4,)),
-                           ([2.5, 4], (2, 4)), (["2", 4], (2, 4)), ([True, 4], (2, 4))):
+                           ([2.5, 4], (2, 4)), (["2", 4], (2, 4)), ([True, 4], (2, 4)),
+                           ([[1], [2, 3]], (2, 4))):
         with pytest.raises(ShapeError, match="do not fit padded ids"):
             Packing.of(lengths, shape)
 

@@ -714,6 +714,13 @@ def run_on_corpus(command, *corpus_sets):
     (sweep_seeds("0", "vanilla", "train.steps=0"), 2, "steps >= 1"),
     (command_with("train", "train.beta1=0.9"), 2, "unknown config key 'train.beta1'"),
     (command_with("train", "model.seed=true"), 2, "seed must be an integer"),
+    (command_with("train", "train.lr=true"), 2, "lr must be a finite number, got True"),
+    (command_with("train", "train.lr=Infinity"), 2, "lr must be a finite number, got inf"),
+    (command_with("train", "model.dropout=false"), 2, "dropout must be a finite number"),
+    (command_with("train", "train.label_smoothing=x"), 2,
+     "label_smoothing must be a finite number, got 'x'"),
+    (sweep_seeds("0", "vanilla", "train.clip_norm=true"), 2,
+     "clip_norm must be a finite number"),
     (command_with("train", "model.fusion_mode=fuse"), 2, "unknown config key"),
     (sweep_seeds("-1"), 2, "seed must be an integer >= 0"),
     (sweep_seeds("0", "vanilla", "model.n_heads=0"), 2, "n_heads 0"),
@@ -741,8 +748,9 @@ def run_on_corpus(command, *corpus_sets):
         "train-seed-negative", "corpus-seed-negative", "batch-size-float", "d-ffn-float",
         "n-enc-layers-float", "n-np-float", "n-train-float", "steps-float",
         "train-steps-zero", "sweep-steps-zero", "adam-beta1-key",
-        "model-seed-bool", "fusion-mode-key", "sweep-seed-negative", "sweep-n-heads-zero",
-        "sweep-cg-test-empty",
+        "model-seed-bool", "lr-bool", "lr-infinite", "dropout-bool",
+        "label-smoothing-string", "sweep-clip-norm-bool", "fusion-mode-key",
+        "sweep-seed-negative", "sweep-n-heads-zero", "sweep-cg-test-empty",
         "model-object-unknown-key", "data-dir-int", "data-dir-null", "sweep-out-dir-int"])
 def test_bad_input_exits_with_one_error_line(pipeline, tmp_path, make_argv, code, detail):
     argv = make_argv(pipeline, tmp_path)

@@ -16,7 +16,6 @@ from layerfuse.compgen import (
     SPECIALS,
     AtomDictionary,
     Compound,
-    CompoundAnnotation,
     CorpusSpec,
     Example,
     GenerationError,
@@ -91,21 +90,18 @@ def test_emission_order_moves_mod_before_head():
 
 def test_realize_compound_reorders_and_expands():
     dictionary = AtomDictionary({
-        "v1": (("V1",),),
-        "n1": (("N1",), ("N1B",)),
-        "m1": (("M1",),),
+        "v1": ("V1",),
+        "n1": ("N1",),
+        "m1": ("M1", "K1"),
     })
     comp = Compound("vp_np_mod", ("v1", "n1", "m1"))
-    reals = realize_compound(comp, dictionary)
-    assert ("V1", "M1", "N1") in reals
-    assert ("V1", "M1", "N1B") in reals
-    assert len(reals) == 2
+    assert realize_compound(comp, dictionary) == ("V1", "M1", "K1", "N1")
 
 
 def test_realize_missing_atom_is_error():
     with pytest.raises(GenerationError):
         realize_compound(Compound("vp_np", ("v1", "n9")),
-                         AtomDictionary({"v1": (("V1",),)}))
+                         AtomDictionary({"v1": ("V1",)}))
 
 
 # -- generated corpus invariants -----------------------------------------------------
@@ -145,7 +141,7 @@ def test_cg_compounds_each_in_k_distinct_contexts(corpus):
     k = corpus.spec.contexts_per_compound
     by_compound: dict = {}
     for ex in corpus.cg_test:
-        by_compound.setdefault(ex.compound.compound_id, []).append(ex.context_id)
+        by_compound.setdefault(ex.compound_id, []).append(ex.context_id)
     assert len(by_compound) == corpus.spec.n_cg_compounds
     for ctx_ids in by_compound.values():
         assert len(ctx_ids) == k
@@ -164,13 +160,13 @@ def test_train_covers_every_atom(corpus):
 
 def test_compound_span_points_at_atoms(corpus):
     for ex in corpus.train[:50] + corpus.cg_test[:50]:
-        lo, hi = ex.compound.span
+        lo, hi = ex.span
         assert tuple(ex.src[lo:hi]) == ex.compound.atoms
 
 
 def test_target_contains_a_stored_realization(corpus):
     for ex in corpus.train[:50] + corpus.cg_test[:50]:
-        assert oracle_compound_ok(ex.tgt, ex.compound.realizations)
+        assert oracle_compound_ok(ex.tgt, (ex.realization,))
 
 
 def test_example_annotation_consistency(corpus):
@@ -348,23 +344,21 @@ def test_reference_prediction_is_correct(corpus):
 def test_deleting_realization_breaks_prediction(corpus):
     ex = corpus.cg_test[0]
     lo = None
-    for real in ex.compound.realizations:
-        for start in range(len(ex.tgt) - len(real) + 1):
-            if tuple(ex.tgt[start:start + len(real)]) == real:
-                lo = (start, start + len(real))
+    real = ex.realization
+    for start in range(len(ex.tgt) - len(real) + 1):
+        if tuple(ex.tgt[start:start + len(real)]) == real:
+            lo = (start, start + len(real))
     assert lo is not None
     pred = list(ex.tgt[: lo[0]]) + list(ex.tgt[lo[1]:])
     assert not check_compound(pred, ex, corpus.dictionary)
 
 
 def test_scrambled_interior_breaks_contiguity(corpus):
-    dictionary = AtomDictionary({"v0": (("V0",),), "n0": (("N0",),)})
+    dictionary = AtomDictionary({"v0": ("V0",), "n0": ("N0",)})
     ex = Example(
         src=("v0", "n0"), tgt=("V0", "N0"),
-        compound=CompoundAnnotation("vp_np", ("v0", "n0"), (0, 2),
-                                    (("V0", "N0"),)),
-        context_id=0, compound_length=2, context_length=0,
-        context_bucket="<6", has_mod=False)
+        compound=Compound("vp_np", ("v0", "n0")), span=(0, 2),
+        realization=("V0", "N0"), context_id=0)
     assert check_compound(["V0", "N0"], ex, dictionary)
     assert check_compound(["X", "V0", "N0", "Y"], ex, dictionary)
     assert not check_compound(["V0", "X", "N0"], ex, dictionary)
@@ -386,7 +380,7 @@ def test_randomized_checks_agree_with_substring_oracle(corpus):
         elif op == 3:  # random junk of similar length
             pred = [f"Z{int(r.integers(50))}" for _ in pred]
         got = check_compound(pred, ex, corpus.dictionary)
-        want = oracle_compound_ok(pred, ex.compound.realizations)
+        want = oracle_compound_ok(pred, (ex.realization,))
         assert got == want, (pred, ex.compound.atoms)
         agree += 1
     assert agree == 200
@@ -396,15 +390,13 @@ def test_randomized_checks_agree_with_substring_oracle(corpus):
 
 
 def _mini_examples(k=5, wrong=2):
-    dictionary = AtomDictionary({"v0": (("V0",),), "n0": (("N0",),)})
+    dictionary = AtomDictionary({"v0": ("V0",), "n0": ("N0",)})
     examples, preds = [], []
     for i in range(k):
         ex = Example(
             src=("v0", "n0"), tgt=("V0", "N0"),
-            compound=CompoundAnnotation("vp_np", ("v0", "n0"), (0, 2),
-                                        (("V0", "N0"),), compound_id=0),
-            context_id=i, compound_length=2, context_length=3,
-            context_bucket="<6", has_mod=False)
+            compound=Compound("vp_np", ("v0", "n0")), span=(0, 2),
+            realization=("V0", "N0"), context_id=i, compound_id=0)
         examples.append(ex)
         preds.append(["V0", "N0"] if i >= wrong else ["V0"])
     return preds, examples, dictionary

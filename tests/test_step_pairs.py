@@ -37,3 +37,11 @@ def test_decode_of_a_checkout_against_itself_gives_identical_outputs():
     # 600 cg_test sources, each decoding the full 30-token budget.
     assert "outputs: identical (600 sources, 18000 tokens on the change side)\n" in out
     assert_timed(out, "decode")
+
+
+def test_corpus_of_a_checkout_against_itself_writes_identical_files():
+    out = run_against_itself("--op", "corpus")
+    # Four splits and the manifest of the default corpus.
+    assert re.search(r"^outputs: identical \(5 files, \d+ bytes on the change side\)$",
+                     out, re.M), out
+    assert_timed(out, "corpus")

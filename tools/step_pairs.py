@@ -1,7 +1,7 @@
-"""In-process paired timing of ``train_step`` or batched greedy decoding in a
-parent and a change checkout.
+"""In-process paired timing of ``train_step``, batched greedy decoding or
+corpus generation in a parent and a change checkout.
 
-    python3 tools/step_pairs.py PARENT_DIR CHANGE_DIR [--op train|decode]
+    python3 tools/step_pairs.py PARENT_DIR CHANGE_DIR [--op train|decode|corpus]
                                 [--variant fuse] [--episodes 8]
 
 Loads each checkout's ``src/layerfuse`` into this one process as a package of
@@ -25,16 +25,24 @@ outside the target vocabulary, as the decode_fuse benchmark has it, so every
 row decodes the CLI's full ``eval_max_new_tokens`` budget. It prints each
 side's median decode time with quartiles over the episodes and in how many
 the change was faster, and exits 1 when the two sides' decoded tokens differ.
+
+``--op corpus`` times ``generate_corpus(CorpusSpec())`` plus ``write_corpus``
+per side and episode, the two calls sweep_small's operation makes once each;
+each side writes into a temporary directory of its own outside both
+checkouts, and no model is built. It prints the same medians, quartiles and
+episode wins, and exits 1 when the two sides wrote different files.
 """
 from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import importlib
 import importlib.util
 import os
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -73,6 +81,8 @@ class Side:
 class TrainSide(Side):
     """A side that trains; an episode is STEPS ``train_step`` calls."""
 
+    unit, work = "step", f"{STEPS} steps"
+
     def __init__(self, *args):
         super().__init__(*args)
         corpus = self.corpus
@@ -101,6 +111,8 @@ class DecodeSide(Side):
     """A side that decodes; an episode is one ``greedy_decode_batch`` of the
     cg_test sources."""
 
+    unit, work, differ = "decode", "one cg_test decode", "decoded different tokens"
+
     def __init__(self, *args):
         super().__init__(*args)
         corpus = self.corpus
@@ -116,12 +128,48 @@ class DecodeSide(Side):
             self.model, self.sources, self.compgen.BOS, self.eos, self.max_new)
         return [(time.perf_counter() - t0) * 1000.0], decoded
 
+    @staticmethod
+    def summary(decoded) -> str:
+        tokens = sum(len(ids) for ids, _ in decoded)
+        return f"{len(decoded)} sources, {tokens} tokens on the change side"
+
+
+class CorpusSide:
+    """A side that builds the default corpus; an episode generates it and
+    writes it into the side's temporary directory."""
+
+    unit, work, differ = "corpus", "one default corpus written", "wrote different files"
+
+    def __init__(self, checkout: Path, name: str, variant: str):
+        load_package(name, checkout)
+        self.compgen = importlib.import_module(f"{name}.compgen")
+        self.tmp = tempfile.TemporaryDirectory(prefix=f"{name}-")
+        self.out = Path(self.tmp.name)
+
+    def episode(self) -> tuple[list[float], dict]:
+        """Generate and write the corpus; returns ([ms], {file: (bytes, sha256)})."""
+        gc.collect()
+        t0 = time.perf_counter()
+        compgen = self.compgen
+        compgen.write_corpus(compgen.generate_corpus(compgen.CorpusSpec()), self.out)
+        ms = (time.perf_counter() - t0) * 1000.0
+        return [ms], {f.name: (f.stat().st_size, hashlib.sha256(f.read_bytes()).hexdigest())
+                      for f in sorted(self.out.iterdir())}
+
+    @staticmethod
+    def summary(files) -> str:
+        size = sum(n for n, _ in files.values())
+        return f"{len(files)} files, {size} bytes on the change side"
+
+
+SIDE_CLASSES = {"train": TrainSide, "decode": DecodeSide, "corpus": CorpusSide}
+
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", type=Path, help="checkout of the parent commit")
     p.add_argument("change", type=Path, help="checkout of the change")
-    p.add_argument("--op", choices=("train", "decode"), default="train")
+    p.add_argument("--op", choices=tuple(SIDE_CLASSES), default="train")
     p.add_argument("--variant", default="fuse")
     p.add_argument("--episodes", type=int, default=8)
     args = p.parse_args(argv)
@@ -132,13 +180,11 @@ def main(argv=None) -> int:
     import numpy as np  # numpy reads the thread setting when it loads
 
     sys.dont_write_bytecode = True  # leave both checkouts as they are
-    train = args.op == "train"
-    unit = "step" if train else "decode"
+    side_class = SIDE_CLASSES[args.op]
+    unit = side_class.unit
     print(f"blas threads {BLAS_THREADS} (OMP, OPENBLAS, MKL), numpy {np.__version__}, "
-          f"variant {args.variant}, {args.episodes} episodes of "
-          + (f"{STEPS} steps" if train else "one cg_test decode") + " per side",
+          f"variant {args.variant}, {args.episodes} episodes of {side_class.work} per side",
           flush=True)
-    side_class = TrainSide if train else DecodeSide
     sides = {side: side_class(getattr(args, side), f"_step_pairs_{side}", args.variant)
              for side in SIDES}
     times = {side: [] for side in SIDES}
@@ -153,18 +199,17 @@ def main(argv=None) -> int:
         print(f"episode {e}: " + "  ".join(f"{side} {medians[side]:.2f} ms"
                                             for side in SIDES), file=sys.stderr, flush=True)
     for side in SIDES:
-        # One episode of decoding is one time: its quartiles are that time.
+        # An episode of decoding or of the corpus is one time: its quartiles are that time.
         q1, q2, q3 = (statistics.quantiles(times[side], n=4, method="inclusive")
                       if len(times[side]) > 1 else times[side] * 3)
         print(f"{side}: median {unit} {q2:.2f} ms [q1 {q1:.2f}, q3 {q3:.2f}]")
     print(f"change median {unit} lower in {change_lower}/{args.episodes} episodes")
-    if not train:
+    if side_class is not TrainSide:
         same = results["parent"] == results["change"]
-        tokens = sum(len(ids) for ids, _ in results["change"])
         print(f"outputs: {'identical' if same else 'DIFFERENT'} "
-              f"({len(results['change'])} sources, {tokens} tokens on the change side)")
+              f"({side_class.summary(results['change'])})")
         if not same:
-            print("error: the two sides decoded different tokens", file=sys.stderr)
+            print(f"error: the two sides {side_class.differ}", file=sys.stderr)
         return 0 if same else 1
     print("last loss: " + "  ".join(f"{side} {results[side]!r}" for side in SIDES))
     params = {side: sides[side].model.parameters() for side in SIDES}
