@@ -15,12 +15,14 @@ calls, for decoding one position at a time.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, concat, gather_rows, scatter_rows, softmax
+from .tensor import (ShapeError, Tensor, concat, gather_rows, merge_heads, scatter_rows,
+                     softmax, split_heads)
 
 __all__ = [
     "AttentionParams",
@@ -91,7 +93,7 @@ class Packing:
         rows, width = math.prod(shape[:-1]), shape[-1]
         shortest = 1 if len(shape) > 1 else width
         if lengths is None and width >= shortest:  # the default fits
-            return cls(np.full(rows, width), shape)
+            return _unpadded(tuple(shape))
         given = np.asarray(lengths, dtype=object)  # asarray reads [True, 4] as [1, 4]
         try:
             lengths = np.asarray(lengths)
@@ -125,6 +127,16 @@ class Packing:
         if self.key_mask is not None:
             return gather_rows(x, self.index)
         return x if len(self.shape) == 1 else x.reshape(-1, x.shape[-1])
+
+
+@functools.cache
+def _unpadded(shape: tuple) -> Packing:
+    """The one Packing of an unpadded grid ``shape``, shared by every caller,
+    so its arrays are read-only."""
+    packing = Packing(np.full(math.prod(shape[:-1]), shape[-1]), shape)
+    for array in (packing.lengths, packing.real, packing.index):
+        array.flags.writeable = False
+    return packing
 
 
 def _mask_bias(mask: np.ndarray, shape: tuple) -> np.ndarray:
@@ -203,18 +215,6 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """[..., n, h*d] -> [..., h, n, d]: one attention problem per head."""
-    *lead, n, width = x.shape
-    return x.reshape(*lead, n, n_heads, width // n_heads).swapaxes(-2, -3)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    """[..., h, n, d] -> [..., n, h*d], heads concatenated in head order."""
-    *lead, h, n, d = x.shape
-    return x.swapaxes(-2, -3).reshape(*lead, n, h * d)
-
-
 @dataclass
 class KVCache:
     """One attention site's projected keys and values, [..., h, n, d_k] each.
@@ -255,12 +255,12 @@ def multi_head_attention(
     """
     h = params.n_heads
     q = query.matmul(params.w_q)
-    q = _split_heads(q if packing is None else packing.pad(q), h)
+    q = split_heads(q if packing is None else packing.pad(q), h)
     if cache is not None and cache.static and cache.k is not None:
         k, v = cache.k, cache.v
     else:
-        k = _split_heads(memory.matmul(params.w_k), h)
-        v = _split_heads(memory.matmul(params.w_v), h)
+        k = split_heads(memory.matmul(params.w_k), h)
+        v = split_heads(memory.matmul(params.w_v), h)
         if cache is not None:
             if cache.k is not None:
                 k = concat([cache.k, k], axis=-2)
@@ -269,5 +269,5 @@ def multi_head_attention(
     if mask is not None and np.ndim(mask) > 2:
         mask = np.expand_dims(mask, -3)  # one mask for every head
     out, probs = scaled_dot_attention(q, k, v, mask)
-    out = _merge_heads(out)
+    out = merge_heads(out)
     return (out if packing is None else packing.pack(out)).matmul(params.w_o), probs

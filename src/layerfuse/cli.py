@@ -259,13 +259,13 @@ def _keep_logged_steps(path: Path, last_step: int) -> None:
 # -- run-directory stages: train, eval and analyze run one, sweep all three ----
 
 
-def _train_run(cfg: dict, corpus: Corpus, model: Seq2SeqModel, tcfg: TrainConfig,
-               state=None, dev: bool = True) -> dict:
-    """Train (or continue ``state``) into out_dir; returns train_summary.json's dict."""
+def _train_run(cfg: dict, model: Seq2SeqModel, tcfg: TrainConfig, train_set: list,
+               dev_set: list | None = None, state=None) -> dict:
+    """Train (or continue ``state``) on the encoded ``train_set`` into out_dir,
+    with dev-loss passes over ``dev_set`` if given; returns
+    train_summary.json's dict."""
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_set = triples(corpus.train, corpus.src_vocab, corpus.tgt_vocab)
-    dev_set = triples(corpus.dev, corpus.src_vocab, corpus.tgt_vocab) if dev else None
     # The log is written a line per step, so a killed run keeps what it logged.
     log_path = out_dir / "train_log.jsonl"
     if state is not None:
@@ -373,7 +373,9 @@ def cmd_train(cfg: dict, resume: str | None = None) -> int:
                              f"{tcfg.steps}; resume with more steps")
     else:
         model = Seq2SeqModel(_model_config(cfg, corpus))
-    summary = _train_run(cfg, corpus, model, tcfg, state)
+    vocabs = corpus.src_vocab, corpus.tgt_vocab
+    summary = _train_run(cfg, model, tcfg, triples(corpus.train, *vocabs),
+                         triples(corpus.dev, *vocabs), state)
     print(f"trained {summary['steps']} steps, variant={summary['variant']}, "
           f"params={summary['param_count']}, final_loss={summary['final_loss']}")
     return 0
@@ -427,12 +429,13 @@ def cmd_sweep(cfg: dict, variants: list, seeds: list) -> int:
     corpus = generate_corpus(spec)
     write_corpus(corpus, out_dir / "data")
 
+    train_set = triples(corpus.train, corpus.src_vocab, corpus.tgt_vocab)
     rows = []
     for variant, seed, run_cfg, tcfg in runs:
         model = Seq2SeqModel(_model_config(run_cfg, corpus))
         # No dev-loss passes: the sweep reports cg_test only, and a pass
         # over the default 500 dev sentences outweighs a short run.
-        summary = _train_run(run_cfg, corpus, model, tcfg, dev=False)
+        summary = _train_run(run_cfg, model, tcfg, train_set)
         metrics = _eval_run(run_cfg, corpus, model, "cg_test")
         if model.config.fuses:
             _analyze_run(run_cfg, corpus, model)

@@ -688,11 +688,9 @@ def exact_match(predictions, references) -> float:
 
 def example_to_triple(ex: Example, src_vocab: Vocabulary, tgt_vocab: Vocabulary):
     """Encode an example as (src_ids, tgt_in_ids, tgt_out_ids)."""
-    src = src_vocab.encode(ex.src)
-    tgt = tgt_vocab.encode(ex.tgt)
-    tgt_in = np.concatenate([[BOS], tgt]).astype(np.int64)
-    tgt_out = np.concatenate([tgt, [EOS]]).astype(np.int64)
-    return src, tgt_in, tgt_out
+    tgt = [tgt_vocab.index[tok] for tok in ex.tgt]
+    return (src_vocab.encode(ex.src), np.array([BOS, *tgt], dtype=np.int64),
+            np.array([*tgt, EOS], dtype=np.int64))
 
 
 def triples(examples, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> list:

@@ -5,7 +5,10 @@ position, over that position's representations from all earlier layers
 (embedding included). It is ordinary multi_head_attention with one query
 per position and that position's stacked history as the key sequence. Keys
 never cross positions: position t sees only its own layer history, so
-decoder causality is preserved by construction.
+decoder causality is preserved by construction. Layer 0 attends over the
+embedding alone with weight exactly 1: its output is the embedding's value
+and output projection, and its w_q and w_k get no gradient, keeping their
+initial values (they still count among the parameters).
 
 Variants, as (fusion_mode, fusion_sides) pairs; VARIANT_NAMES lists the
 only pairs a model accepts:
@@ -114,6 +117,12 @@ def _attend_history(query_state, prev_outputs, params, layer_mask=None):
         if not mask.any():
             raise FusionError("layer_mask leaves no attendable layer")
         mask = mask[None, :]
+    if n_hist == 1:
+        # Softmax over one key is exactly 1.0 and sends exactly 0 back to the
+        # scores, so the attention output is the entry's value projection and
+        # w_q and w_k take no part (their gradient stays None).
+        out = prev_outputs[0].matmul(params.w_v).matmul(params.w_o)
+        return out, np.ones((*query_state.shape[:-1], params.n_heads, 1))
     history = stack(prev_outputs, axis=-2)
     query = query_state.reshape(*query_state.shape[:-1], 1, query_state.shape[-1])
     out, probs = multi_head_attention(query, history, params, mask)

@@ -26,8 +26,10 @@ __all__ = [
     "gather_rows",
     "grad_check",
     "layer_norm",
+    "merge_heads",
     "scatter_rows",
     "softmax",
+    "split_heads",
     "stack",
 ]
 
@@ -374,6 +376,25 @@ def scatter_rows(x: Tensor, index: np.ndarray, shape: tuple) -> Tensor:
     def bw(g, a=x, index=index):
         _accum(a, _rows(g)[index])
     return _result(data.reshape(shape), (x,), bw)
+
+
+def split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """[..., n, h*d] -> [..., h, n, d]: one attention problem per head."""
+    *lead, n, width = x.data.shape
+    data = x.data.reshape(*lead, n, n_heads, width // n_heads).swapaxes(-2, -3)
+    def bw(g, a=x):
+        _accum(a, g.swapaxes(-2, -3).reshape(a.data.shape))
+    return _result(data, (x,), bw)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """[..., h, n, d] -> [..., n, h*d], heads concatenated in head order;
+    the inverse of ``split_heads``."""
+    *lead, h, n, d = x.data.shape
+    data = x.data.swapaxes(-2, -3).reshape(*lead, n, h * d)
+    def bw(g, a=x):
+        _accum(a, g.reshape(*lead, n, h, d).swapaxes(-2, -3))
+    return _result(data, (x,), bw)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:

@@ -84,6 +84,14 @@ def test_padding_mask_full_length():
         assert np.array_equal(packing.pack(rows).data, rows.data)
 
 
+def test_unpadded_packing_is_shared_and_read_only():
+    packing = Packing.of(None, (2, 4))
+    assert Packing.of(None, (2, 4)) is packing
+    for array in (packing.lengths, packing.real, packing.index):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
 def test_padding_mask_mixed_lengths_match_per_example_oracle():
     lengths = [1, 3, 4, 2]
     m = Packing.of(lengths, (4, 4)).key_mask

@@ -43,7 +43,9 @@ def loss_and_grads(model, loss_fn):
     model.zero_grad()
     loss = loss_fn()
     backward(loss)
-    return loss.item(), {n: p.grad.copy() for n, p in model.parameters().items()}
+    # A parameter off the tape has no gradient; train_step reads it as zeros.
+    return loss.item(), {n: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                         for n, p in model.parameters().items()}
 
 
 def pad_heavy_batch(seed=0, n=6):

@@ -489,6 +489,7 @@ def test_example_to_triple_frames_bos_eos(corpus):
     ex = corpus.train[0]
     src, tgt_in, tgt_out = example_to_triple(ex, corpus.src_vocab,
                                              corpus.tgt_vocab)
+    assert [a.dtype for a in (src, tgt_in, tgt_out)] == [np.int64] * 3
     assert tgt_in[0] == BOS and tgt_out[-1] == EOS
     assert np.array_equal(tgt_in[1:], tgt_out[:-1])
     assert corpus.src_vocab.decode(src) == list(ex.src)

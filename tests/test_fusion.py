@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from layerfuse.attention import AttentionParams
+from layerfuse.attention import AttentionParams, multi_head_attention
 from layerfuse.fusion import (
     VARIANT_NAMES,
     FusionError,
@@ -13,7 +13,7 @@ from layerfuse.fusion import (
     parse_variant,
 )
 from layerfuse.model import ModelConfig, Seq2SeqModel
-from layerfuse.tensor import Tensor, concat, layer_norm
+from layerfuse.tensor import Tensor, concat, layer_norm, stack
 from oracles import naive_fuse_attention
 
 
@@ -129,6 +129,23 @@ def test_fuse_single_history_prob_one_and_projection():
     want = concat([h0.matmul(params.w_v.cols(i * d_k, (i + 1) * d_k)) for i in range(h)],
                   axis=1).matmul(params.w_o)
     assert np.max(np.abs(core.data - want.data)) < 1e-12
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["T_d", "B_T_d"])
+@pytest.mark.parametrize("layer_mask", [None, [True]])
+def test_fuse_one_entry_history_is_the_stacked_attention_bitwise(lead, layer_mask):
+    d, h, seq = 6, 2, 4
+    params = AttentionParams.create(rng(33), d_model=d, n_heads=h)
+    r = rng(34)
+    entry = Tensor(r.standard_normal((*lead, seq, d)))
+    q = Tensor(r.standard_normal((*lead, seq, d)))
+    core, probs = fuse_attention_core(q, [entry], params, layer_mask=layer_mask)
+    mask = None if layer_mask is None else np.array([layer_mask])
+    want, want_probs = multi_head_attention(q.reshape(*lead, seq, 1, d),
+                                            stack([entry], axis=-2), params, mask)
+    assert np.array_equal(core.data, want.data.reshape(core.shape))
+    assert np.array_equal(np.stack([p.data for p in probs], axis=-2),
+                          want_probs.data[..., 0, :])
 
 
 def test_fuse_identical_histories_give_identical_outputs():

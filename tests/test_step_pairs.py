@@ -17,8 +17,9 @@ def run_against_itself(*args) -> str:
     return result.stdout
 
 
-def assert_timed(out: str, unit: str) -> None:
-    assert re.search(rf"^change median {unit} lower in [01]/1 episodes$", out, re.M), out
+def assert_timed(out: str, unit: str, pairs: int = 1) -> None:
+    assert re.search(rf"^change median {unit} lower in \d+/{pairs} pairs$", out, re.M), out
+    assert re.search(r"^median change/parent ratio: [\d.]+$", out, re.M), out
     for side in ("parent", "change"):
         assert re.search(rf"^{side}: median {unit} [\d.]+ ms \[q1 [\d.]+, q3 [\d.]+\]$",
                          out, re.M), out
@@ -37,6 +38,13 @@ def test_decode_of_a_checkout_against_itself_gives_identical_outputs():
     # 600 cg_test sources, each decoding the full 30-token budget.
     assert "outputs: identical (600 sources, 18000 tokens on the change side)\n" in out
     assert_timed(out, "decode")
+
+
+def test_greedy_of_a_checkout_against_itself_gives_identical_outputs():
+    out = run_against_itself("--op", "greedy")
+    # One pair per cg_test source, each a lone decode of the full budget.
+    assert "outputs: identical (600 sources, 18000 tokens on the change side)\n" in out
+    assert_timed(out, "decode", pairs=600)
 
 
 def test_corpus_of_a_checkout_against_itself_writes_identical_files():

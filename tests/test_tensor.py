@@ -17,8 +17,10 @@ from layerfuse.tensor import (
     embedding_lookup,
     grad_check,
     layer_norm,
+    merge_heads,
     no_grad,
     softmax,
+    split_heads,
 )
 from oracles import (
     naive_cross_entropy,
@@ -369,6 +371,18 @@ def test_concat_roundtrip_and_gradient():
     assert np.array_equal(joined.data[:, 3:], b.data)
     err = grad_check(lambda: (concat([a, b], axis=1)
                               * concat([a, b], axis=1)).sum(), wrt=[a, b])
+    assert err < 1e-6
+
+
+def test_split_and_merge_heads_are_one_op_each_and_inverse():
+    x = Tensor(rng(40).standard_normal((2, 3, 6)), requires_grad=True)
+    heads = split_heads(x, 2)
+    assert np.array_equal(heads.data, x.data.reshape(2, 3, 2, 3).swapaxes(-2, -3))
+    merged = merge_heads(heads)
+    assert np.array_equal(merged.data, x.data)
+    assert merged._parents == (heads,) and heads._parents == (x,)
+    w = Tensor(rng(41).standard_normal((2, 2, 3, 3)))
+    err = grad_check(lambda: (merge_heads(split_heads(x, 2) * w) * x).sum(), wrt=[x])
     assert err < 1e-6
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from layerfuse import training
 from layerfuse.attention import Packing
+from layerfuse.fusion import VARIANT_NAMES
 from layerfuse.model import DecodeState, ModelConfig, Seq2SeqModel, _Layer
 from layerfuse.tensor import ShapeError, no_grad
 from layerfuse.training import (
@@ -140,6 +141,30 @@ def test_zero_learning_rate_freezes_parameters():
     train_step(model, toy_pairs(2, seed=5), cfg, state)
     for name, t in model.parameters().items():
         assert np.array_equal(t.data, before[name]), name
+
+
+@pytest.mark.parametrize("variant, frozen", [
+    ("fuse", ["enc.0", "dec.0"]),
+    ("fuse_enc", ["enc.0"]),
+    ("fuse_dec", ["dec.0"]),
+    ("fuse_top", []),  # its one fused layer per side is the top one, layer 1
+])
+def test_first_fused_layer_query_and_key_get_no_gradient(variant, frozen):
+    # Layer 0 attends over the embedding alone with weight exactly 1, so its
+    # w_q and w_k are off the tape and keep their initial values.
+    mode, sides = VARIANT_NAMES[variant]
+    model = tiny_model(n_enc_layers=2, n_dec_layers=2, fusion_mode=mode,
+                       fusion_sides=sides)
+    cfg = train_cfg(lr=1e-2)
+    state = init_state(model, cfg)
+    params = model.parameters()
+    before = {k: v.data.copy() for k, v in params.items()}
+    want = {f"{layer}.fuse.{w}" for layer in frozen for w in ("w_q", "w_k")}
+    for step in range(3):
+        train_step(model, toy_pairs(4, seed=step), cfg, state)
+        assert {name for name, t in params.items() if t.grad is None} == want
+    for name, t in params.items():
+        assert np.array_equal(t.data, before[name]) == (name in want), name
 
 
 def test_gradient_clipping_reported_norm():

@@ -1,36 +1,40 @@
-"""In-process paired timing of ``train_step``, batched greedy decoding or
-corpus generation in a parent and a change checkout.
+"""In-process paired timing of ``train_step``, greedy decoding or corpus
+generation in a parent and a change checkout.
 
-    python3 tools/step_pairs.py PARENT_DIR CHANGE_DIR [--op train|decode|corpus]
-                                [--variant fuse] [--episodes 8]
+    python3 tools/step_pairs.py PARENT_DIR CHANGE_DIR
+        [--op train|decode|greedy|corpus] [--variant fuse] [--episodes 8]
 
 Loads each checkout's ``src/layerfuse`` into this one process as a package of
 its own, with one BLAS thread set before numpy loads, so both sides share the
 interpreter, the numpy build and the host's state of the moment. Each side
 builds the CLI's default model section for the variant on the default corpus.
-An episode runs the op on one side and then on the other, the parent first in
-even episodes and the change first in odd ones.
+An episode is one or more pairs; a pair runs one operation on each side. The
+side that runs first alternates from pair to pair, and from episode to
+episode for the same pair. Every op prints each side's median time with
+quartiles over all episodes, in how many pairs the change's median was
+lower, and the median over the pairs of the change's median divided by the
+parent's.
 
 ``--op train`` (the default) trains with ``TrainConfig(seed=0)``: an episode
-resets both sides' parameters and Adam state and times STEPS ``train_step``
-calls per side. It prints each side's median step time with quartiles over
-all episodes, in how many episodes the change's median step was lower, both
-sides' last losses and the largest absolute parameter difference after the
-last episode. It exits 1 when the last losses differ by more than 1e-9
-relative, the train_fuse benchmark's same-seed tolerance.
+is one pair, which resets both sides' parameters and Adam state and times
+STEPS ``train_step`` calls per side. It also prints both sides' last losses
+and the largest absolute parameter difference after the last episode. It
+exits 1 when the last losses differ by more than 1e-9 relative, the
+train_fuse benchmark's same-seed tolerance.
 
 ``--op decode`` times one ``greedy_decode_batch`` of the default corpus's
 cg_test sources per side and episode, with the untrained model and EOS an id
 outside the target vocabulary, as the decode_fuse benchmark has it, so every
-row decodes the CLI's full ``eval_max_new_tokens`` budget. It prints each
-side's median decode time with quartiles over the episodes and in how many
-the change was faster, and exits 1 when the two sides' decoded tokens differ.
+row decodes the CLI's full ``eval_max_new_tokens`` budget. ``--op greedy``
+times decode_fuse's own operation in the same setting: an episode is one pair
+per cg_test source, each a lone ``greedy_decode`` of that source. Both exit 1
+when the two sides' decoded tokens differ.
 
 ``--op corpus`` times ``generate_corpus(CorpusSpec())`` plus ``write_corpus``
 per side and episode, the two calls sweep_small's operation makes once each;
 each side writes into a temporary directory of its own outside both
-checkouts, and no model is built. It prints the same medians, quartiles and
-episode wins, and exits 1 when the two sides wrote different files.
+checkouts, and no model is built. It exits 1 when the two sides wrote
+different files.
 """
 from __future__ import annotations
 
@@ -81,7 +85,7 @@ class Side:
 class TrainSide(Side):
     """A side that trains; an episode is STEPS ``train_step`` calls."""
 
-    unit, work = "step", f"{STEPS} steps"
+    unit, work, pairs = "step", f"{STEPS} steps", 1
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -91,7 +95,7 @@ class TrainSide(Side):
         self.cfg = self.training.TrainConfig(seed=0)
         self.initial = {n: p.data.copy() for n, p in self.model.parameters().items()}
 
-    def episode(self) -> tuple[list[float], float]:
+    def run(self, _) -> tuple[list[float], float]:
         """Train STEPS steps from the initial model; returns (step ms, last loss)."""
         for name, p in self.model.parameters().items():
             p.data = self.initial[name].copy()
@@ -111,7 +115,8 @@ class DecodeSide(Side):
     """A side that decodes; an episode is one ``greedy_decode_batch`` of the
     cg_test sources."""
 
-    unit, work, differ = "decode", "one cg_test decode", "decoded different tokens"
+    unit, work, pairs = "decode", "one cg_test decode", 1
+    differ = "decoded different tokens"
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -120,7 +125,7 @@ class DecodeSide(Side):
         self.eos = len(corpus.tgt_vocab)  # never emitted: every row runs the budget
         self.max_new = self.cli.default_config()["eval_max_new_tokens"]
 
-    def episode(self) -> tuple[list[float], list]:
+    def run(self, _) -> tuple[list[float], list]:
         """Decode every source; returns ([ms], the decoded (tokens, truncated) pairs)."""
         gc.collect()
         t0 = time.perf_counter()
@@ -129,16 +134,36 @@ class DecodeSide(Side):
         return [(time.perf_counter() - t0) * 1000.0], decoded
 
     @staticmethod
-    def summary(decoded) -> str:
+    def summary(outputs) -> str:
+        decoded = [pair for output in outputs for pair in output]
         tokens = sum(len(ids) for ids, _ in decoded)
         return f"{len(decoded)} sources, {tokens} tokens on the change side"
+
+
+class GreedySide(DecodeSide):
+    """A side that decodes as decode_fuse does; a pair is one lone
+    ``greedy_decode`` of one cg_test source."""
+
+    work = "one lone decode of each cg_test source"
+
+    @property
+    def pairs(self) -> int:
+        return len(self.sources)
+
+    def run(self, i: int) -> tuple[list[float], list]:
+        """Decode source i; returns ([ms], [its (tokens, truncated) pair])."""
+        t0 = time.perf_counter()
+        decoded = self.training.greedy_decode(
+            self.model, self.sources[i], self.compgen.BOS, self.eos, self.max_new)
+        return [(time.perf_counter() - t0) * 1000.0], [decoded]
 
 
 class CorpusSide:
     """A side that builds the default corpus; an episode generates it and
     writes it into the side's temporary directory."""
 
-    unit, work, differ = "corpus", "one default corpus written", "wrote different files"
+    unit, work, pairs = "corpus", "one default corpus written", 1
+    differ = "wrote different files"
 
     def __init__(self, checkout: Path, name: str, variant: str):
         load_package(name, checkout)
@@ -146,7 +171,7 @@ class CorpusSide:
         self.tmp = tempfile.TemporaryDirectory(prefix=f"{name}-")
         self.out = Path(self.tmp.name)
 
-    def episode(self) -> tuple[list[float], dict]:
+    def run(self, _) -> tuple[list[float], dict]:
         """Generate and write the corpus; returns ([ms], {file: (bytes, sha256)})."""
         gc.collect()
         t0 = time.perf_counter()
@@ -157,12 +182,14 @@ class CorpusSide:
                       for f in sorted(self.out.iterdir())}
 
     @staticmethod
-    def summary(files) -> str:
+    def summary(outputs) -> str:
+        (files,) = outputs
         size = sum(n for n, _ in files.values())
         return f"{len(files)} files, {size} bytes on the change side"
 
 
-SIDE_CLASSES = {"train": TrainSide, "decode": DecodeSide, "corpus": CorpusSide}
+SIDE_CLASSES = {"train": TrainSide, "decode": DecodeSide, "greedy": GreedySide,
+                "corpus": CorpusSide}
 
 
 def main(argv=None) -> int:
@@ -187,30 +214,40 @@ def main(argv=None) -> int:
           flush=True)
     sides = {side: side_class(getattr(args, side), f"_step_pairs_{side}", args.variant)
              for side in SIDES}
+    pairs = sides["change"].pairs
     times = {side: [] for side in SIDES}
-    results, change_lower = {}, 0
+    outputs = {side: [None] * pairs for side in SIDES}  # the last episode's, by pair
+    change_lower, ratios = 0, []
     for e in range(args.episodes):
-        medians = {}
-        for side in (SIDES if e % 2 == 0 else SIDES[::-1]):
-            op_ms, results[side] = sides[side].episode()
-            times[side] += op_ms
-            medians[side] = statistics.median(op_ms)
-        change_lower += medians["change"] < medians["parent"]
-        print(f"episode {e}: " + "  ".join(f"{side} {medians[side]:.2f} ms"
-                                            for side in SIDES), file=sys.stderr, flush=True)
+        episode_ms = {side: [] for side in SIDES}
+        for i in range(pairs):
+            medians = {}
+            for side in (SIDES if (e + i) % 2 == 0 else SIDES[::-1]):
+                op_ms, outputs[side][i] = sides[side].run(i)
+                episode_ms[side] += op_ms
+                medians[side] = statistics.median(op_ms)
+            change_lower += medians["change"] < medians["parent"]
+            ratios.append(medians["change"] / medians["parent"])
+        print(f"episode {e}: " + "  ".join(
+            f"{side} {statistics.median(episode_ms[side]):.2f} ms" for side in SIDES),
+            file=sys.stderr, flush=True)
+        for side in SIDES:
+            times[side] += episode_ms[side]
     for side in SIDES:
-        # An episode of decoding or of the corpus is one time: its quartiles are that time.
+        # One time in all (one decode or corpus episode): its quartiles are that time.
         q1, q2, q3 = (statistics.quantiles(times[side], n=4, method="inclusive")
                       if len(times[side]) > 1 else times[side] * 3)
         print(f"{side}: median {unit} {q2:.2f} ms [q1 {q1:.2f}, q3 {q3:.2f}]")
-    print(f"change median {unit} lower in {change_lower}/{args.episodes} episodes")
+    print(f"change median {unit} lower in {change_lower}/{len(ratios)} pairs")
+    print(f"median change/parent ratio: {statistics.median(ratios):.3f}")
     if side_class is not TrainSide:
-        same = results["parent"] == results["change"]
+        same = outputs["parent"] == outputs["change"]
         print(f"outputs: {'identical' if same else 'DIFFERENT'} "
-              f"({side_class.summary(results['change'])})")
+              f"({side_class.summary(outputs['change'])})")
         if not same:
             print(f"error: the two sides {side_class.differ}", file=sys.stderr)
         return 0 if same else 1
+    results = {side: outputs[side][0] for side in SIDES}
     print("last loss: " + "  ".join(f"{side} {results[side]!r}" for side in SIDES))
     params = {side: sides[side].model.parameters() for side in SIDES}
     if params["parent"].keys() != params["change"].keys():
