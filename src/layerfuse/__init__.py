@@ -22,7 +22,6 @@ from .compgen import (
 from .fusion import (
     FusionError,
     accumulate_previous,
-    extract_fuse_probs,
     fuse_attention,
     fuse_attention_core,
     parse_variant,
@@ -48,6 +47,7 @@ from .training import (
     TrainingError,
     TrainState,
     eval_loss,
+    extract_fuse_probs,
     greedy_decode,
     greedy_decode_batch,
     load_checkpoint,

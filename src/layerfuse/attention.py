@@ -185,10 +185,6 @@ class AttentionParams:
     w_o: Tensor
     n_heads: int
 
-    @property
-    def d_k(self) -> int:
-        return self.w_q.shape[1] // self.n_heads
-
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.{name}": getattr(self, name)
                 for name in ("w_q", "w_k", "w_v", "w_o")}

@@ -31,12 +31,13 @@ from .compgen import (
     write_corpus,
 )
 from .fileio import atomic_write
-from .fusion import VARIANT_NAMES, FusionError, extract_fuse_probs, parse_variant
+from .fusion import VARIANT_NAMES, FusionError, parse_variant
 from .model import ModelConfig, Seq2SeqModel
 from .training import (
     CheckpointError,
     TrainConfig,
     TrainingError,
+    extract_fuse_probs,
     greedy_decode_batch,
     load_checkpoint,
     train_loop,
@@ -324,9 +325,7 @@ def _analyze_run(cfg: dict, corpus: Corpus, model: Seq2SeqModel) -> None:
     layer over an analysis sample; FusionError for an unfused variant."""
     pool = corpus.cg_test or corpus.test or corpus.train
     sample = pool[: cfg["analysis_examples"]]
-    batch = [(src, tgt_in) for src, tgt_in, _ in
-             triples(sample, corpus.src_vocab, corpus.tgt_vocab)]
-    probs = extract_fuse_probs(model, batch)
+    probs = extract_fuse_probs(model, triples(sample, corpus.src_vocab, corpus.tgt_vocab))
     # layer is 1-based; prev_layer is 0-based, 0 being the embedding output.
     _write_csv(Path(cfg["out_dir"]) / "fuse_probs.csv",
                ["side", "layer", "prev_layer", "probability"],

@@ -33,7 +33,7 @@ from .fileio import atomic_write, check_number_fields
 
 __all__ = [
     "PAD", "BOS", "EOS", "SPECIALS", "PATTERNS", "SPLITS",
-    "GenerationError", "CorpusSpec", "Vocabulary", "AtomDictionary",
+    "GenerationError", "CorpusSpec", "Vocabulary",
     "Compound", "Example", "Corpus", "CTERReport",
     "realize_compound", "generate_corpus", "write_corpus", "load_corpus",
     "check_compound", "cter", "exact_match", "bucket_context_length",
@@ -170,13 +170,6 @@ class Vocabulary:
         return [self.tokens[int(i)] for i in ids]
 
 
-@dataclass
-class AtomDictionary:
-    """Source token -> its target realization, a token tuple."""
-
-    realizations: dict
-
-
 @dataclass(frozen=True)
 class Compound:
     pattern: str
@@ -199,18 +192,18 @@ def _emission_order(roles) -> list[int]:
     return order
 
 
-def _translate(words, dictionary: AtomDictionary) -> tuple:
+def _translate(words, dictionary: dict) -> tuple:
     """The target tokens of ``words``: each word's realization in turn."""
     out: list[str] = []
     for word in words:
         try:
-            out.extend(dictionary.realizations[word])
+            out.extend(dictionary[word])
         except KeyError:
             raise GenerationError(f"atom {word!r} missing from dictionary") from None
     return tuple(out)
 
 
-def realize_compound(compound: Compound, dictionary: AtomDictionary) -> tuple:
+def realize_compound(compound: Compound, dictionary: dict) -> tuple:
     """The compound's target realization, reordered, as a token tuple."""
     return _translate([compound.atoms[i] for i in _emission_order(compound.roles)],
                       dictionary)
@@ -269,7 +262,7 @@ class Corpus:
     spec: CorpusSpec
     src_vocab: Vocabulary
     tgt_vocab: Vocabulary
-    dictionary: AtomDictionary
+    dictionary: dict  # source word -> its target realization, a token tuple
     train: list = field(default_factory=list)
     dev: list = field(default_factory=list)
     test: list = field(default_factory=list)
@@ -301,14 +294,14 @@ def _inventories(spec: CorpusSpec) -> dict:
     }
 
 
-def _build_dictionary(spec: CorpusSpec, inventories: dict) -> AtomDictionary:
+def _build_dictionary(spec: CorpusSpec, inventories: dict) -> dict:
     real: dict = {}
     for atoms in inventories.values():
         for atom in atoms:
             real[atom] = (atom.upper(),)
     for i in range(spec.n_context_tokens):
         real[f"c{i}"] = (f"C{i}",)
-    return AtomDictionary(real)
+    return real
 
 
 def _build_contexts(spec: CorpusSpec, rng: np.random.Generator) -> list:
@@ -351,7 +344,7 @@ class _HeldIndex:
 
 
 def _build_example(compound: Compound, context_id: int, contexts,
-                   dictionary: AtomDictionary,
+                   dictionary: dict,
                    compound_id: int | None = None) -> Example:
     prefix, suffix = contexts[context_id]
     realization = realize_compound(compound, dictionary)
@@ -487,9 +480,9 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
                                           compound_id=cid))
 
     # The dictionary maps every atom and context token: its keys are the source words.
-    src_tokens = list(SPECIALS) + sorted(dictionary.realizations)
+    src_tokens = list(SPECIALS) + sorted(dictionary)
     tgt_tokens = list(SPECIALS) + sorted(
-        {tok for real in dictionary.realizations.values() for tok in real}
+        {tok for real in dictionary.values() for tok in real}
     )
     return Corpus(
         spec=spec,
@@ -598,7 +591,7 @@ def load_corpus(data_dir: str | Path) -> Corpus:
 
 
 def check_compound(prediction, example: Example,
-                   dictionary: AtomDictionary) -> bool:
+                   dictionary: dict) -> bool:
     """True when the compound's realization occurs contiguously in the prediction."""
     real = realize_compound(example.compound, dictionary)
     pred = tuple(prediction)
@@ -636,7 +629,7 @@ def _breakdown(pairs) -> dict:
     return dict(sorted(groups.items(), key=lambda kv: str(kv[0])))
 
 
-def cter(predictions, examples, dictionary: AtomDictionary) -> CTERReport:
+def cter(predictions, examples, dictionary: dict) -> CTERReport:
     """Compound translation error ratio, instance- and aggregate-level."""
     if len(predictions) != len(examples):
         raise ValueError(

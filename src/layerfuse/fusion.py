@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import AttentionParams, multi_head_attention, pad_ids
-from .tensor import Tensor, layer_norm, no_grad, stack
+from .attention import AttentionParams, multi_head_attention
+from .tensor import Tensor, layer_norm, stack
 
 __all__ = [
     "FusionError",
@@ -33,7 +33,6 @@ __all__ = [
     "accumulate_previous",
     "fuse_attention_core",
     "fuse_attention",
-    "extract_fuse_probs",
 ]
 
 
@@ -153,30 +152,3 @@ def fuse_attention(
         core = dropout(core)
     return layer_norm(query_state + core, _NORM_GAMMA, _NORM_BETA), probs
 
-
-def extract_fuse_probs(model, batch) -> dict[str, dict[int, np.ndarray]]:
-    """Average fuse-attention distributions over a batch of (src, tgt_in) pairs.
-
-    The pairs run as one padded encode and decode, so each side's
-    ``LayerCache.fuse_probs`` hold the real positions only; they are averaged
-    flat over every (example, position, head) row, so each average is a
-    distribution.
-    Returns {side: {layer_idx: probs[len n_history]}} with 0-based layer
-    indices; layer 0's history holds only the embedding, so its row is [1.0].
-    Raises FusionError when the model has no fuse-attention sublayers.
-    """
-    if not model.config.fuses:
-        raise FusionError(
-            f"variant {model.config.variant!r} has no fuse-attention sublayers to inspect"
-        )
-    src, src_len = pad_ids([src_ids for src_ids, _ in batch])
-    tgt_in, tgt_len = pad_ids([tgt_in_ids for _, tgt_in_ids in batch])
-    with no_grad():
-        enc_out, enc = model.encode(src, lengths=src_len)
-        _, dec = model.decode(tgt_in, enc_out, src_lengths=src_len, tgt_lengths=tgt_len)
-    averaged: dict[str, dict[int, np.ndarray]] = {}
-    for side, cache in (("encoder", enc), ("decoder", dec)):
-        for k, probs in cache.fuse_probs.items():
-            rows = probs.reshape(-1, k + 1)
-            averaged.setdefault(side, {})[k] = rows.sum(axis=0) / rows.shape[0]
-    return averaged

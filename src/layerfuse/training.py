@@ -29,6 +29,7 @@ import numpy as np
 
 from .attention import pad_ids
 from .fileio import atomic_write, check_number_fields
+from .fusion import FusionError
 from .model import DecodeState, ModelConfig, Seq2SeqModel
 from .tensor import ShapeError, Tensor, backward, cross_entropy, no_grad
 
@@ -41,12 +42,12 @@ __all__ = [
     "init_state",
     "PaddedBatch",
     "pad_batch",
-    "teacher_forced",
     "batch_loss",
     "train_step",
     "train_loop",
     "eval_loss",
     "token_accuracy",
+    "extract_fuse_probs",
     "greedy_decode",
     "greedy_decode_batch",
     "save_checkpoint",
@@ -179,24 +180,13 @@ def pad_batch(triples) -> PaddedBatch:
     return PaddedBatch(src, src_len, tgt_in, targets, tgt_len)
 
 
-def teacher_forced(model: Seq2SeqModel, batch: PaddedBatch,
-                   drop_rng=None) -> tuple[Tensor, np.ndarray]:
-    """One forward over a padded batch.
-
-    Returns ``model.forward``'s rows [N, V] of the N real target positions,
-    sentence by sentence, and their target ids ``batch.targets``.
-    """
-    logits = model.forward(batch.src, batch.tgt_in, src_lengths=batch.src_len,
-                           tgt_lengths=batch.tgt_len, drop_rng=drop_rng)
-    return logits, batch.targets
-
-
 def batch_loss(model: Seq2SeqModel, batch: PaddedBatch, label_smoothing: float,
                drop_rng=None) -> Tensor:
     """Summed token NLL of the real targets divided by their count."""
-    logits, targets = teacher_forced(model, batch, drop_rng)
-    nll = cross_entropy(logits, targets, label_smoothing, reduction="sum")
-    return nll * (1.0 / len(targets))
+    logits = model.forward(batch.src, batch.tgt_in, src_lengths=batch.src_len,
+                           tgt_lengths=batch.tgt_len, drop_rng=drop_rng)
+    nll = cross_entropy(logits, batch.targets, label_smoothing, reduction="sum")
+    return nll * (1.0 / len(batch.targets))
 
 
 def train_step(model: Seq2SeqModel, batch, cfg: TrainConfig, state: TrainState) -> dict:
@@ -231,18 +221,28 @@ def train_step(model: Seq2SeqModel, batch, cfg: TrainConfig, state: TrainState) 
 
 
 def _eval_chunks(model: Seq2SeqModel, triples):
-    """teacher_forced's (logits, targets) for each EVAL_BATCH chunk, with no tape."""
+    """The teacher-forced pass without a tape or dropout, one EVAL_BATCH chunk
+    of sentence triples at a time.
+
+    Yields each chunk's (logits [N, V], targets [N], encoder LayerCache,
+    decoder LayerCache): the rows of its N real target positions in sentence
+    order, and each side's history over its real positions.
+    """
     triples = list(triples)
     with no_grad():
         for i in range(0, len(triples), EVAL_BATCH):
-            yield teacher_forced(model, pad_batch(triples[i:i + EVAL_BATCH]))
+            batch = pad_batch(triples[i:i + EVAL_BATCH])
+            enc_out, enc = model.encode(batch.src, lengths=batch.src_len)
+            logits, dec = model.decode(batch.tgt_in, enc_out, src_lengths=batch.src_len,
+                                       tgt_lengths=batch.tgt_len)
+            yield logits, batch.targets, enc, dec
 
 
 def eval_loss(model: Seq2SeqModel, triples, label_smoothing: float = 0.0) -> float:
     """Teacher-forced mean token loss without dropout."""
     total = 0.0
     tokens = 0
-    for logits, targets in _eval_chunks(model, triples):
+    for logits, targets, _, _ in _eval_chunks(model, triples):
         total += cross_entropy(logits, targets, label_smoothing, reduction="sum").item()
         tokens += len(targets)
     return total / max(tokens, 1)
@@ -252,10 +252,35 @@ def token_accuracy(model: Seq2SeqModel, triples) -> float:
     """Fraction of teacher-forced positions whose argmax hits the target."""
     hits = 0
     tokens = 0
-    for logits, targets in _eval_chunks(model, triples):
+    for logits, targets, _, _ in _eval_chunks(model, triples):
         hits += int(np.sum(np.argmax(logits.data, axis=1) == targets))
         tokens += len(targets)
     return hits / max(tokens, 1)
+
+
+def extract_fuse_probs(model: Seq2SeqModel, triples) -> dict[str, dict[int, np.ndarray]]:
+    """Mean fuse-attention distribution of each fused layer over sentence triples.
+
+    Each side's ``LayerCache.fuse_probs`` hold its real positions only; the
+    rows of every chunk are averaged flat over every (sentence, position,
+    head), so each average is a distribution.
+    Returns {side: {layer_idx: probs[len n_history]}} with 0-based layer
+    indices; layer 0's history holds only the embedding, so its row is [1.0].
+    Raises FusionError when the model has no fuse-attention sublayers.
+    """
+    if not model.config.fuses:
+        raise FusionError(
+            f"variant {model.config.variant!r} has no fuse-attention sublayers to inspect"
+        )
+    rows: dict[str, dict[int, list]] = {}
+    for _, _, enc, dec in _eval_chunks(model, triples):
+        for side, cache in (("encoder", enc), ("decoder", dec)):
+            for k, probs in cache.fuse_probs.items():
+                rows.setdefault(side, {}).setdefault(k, []).append(probs.reshape(-1, k + 1))
+    if not rows:
+        raise ShapeError("extract_fuse_probs over no sequences")
+    return {side: {k: np.concatenate(chunks).mean(axis=0) for k, chunks in layers.items()}
+            for side, layers in rows.items()}
 
 
 def train_loop(

@@ -231,7 +231,7 @@ def test_multi_head_respects_mask():
 
 def test_params_create_shapes_and_names():
     params = AttentionParams.create(rng(22), d_model=8, n_heads=4)
-    assert params.n_heads == 4 and params.d_k == 2
+    assert params.n_heads == 4 and params.w_q.shape == (8, 4 * 2)  # [d, h*d_k]
     named = params.named("enc.0.self")
     assert list(named) == [f"enc.0.self.{w}" for w in ("w_q", "w_k", "w_v", "w_o")]
     for t in named.values():

@@ -2,14 +2,16 @@
 import numpy as np
 import pytest
 
+from layerfuse import training
 from layerfuse.attention import pad_ids
-from layerfuse.fusion import extract_fuse_probs
 from layerfuse.model import DecodeState, ModelConfig, Seq2SeqModel
 from layerfuse.tensor import ShapeError, Tensor, backward, no_grad
 from layerfuse.training import (
     _TAG_DROPOUT,
+    EVAL_BATCH,
     TrainConfig,
     batch_loss,
+    extract_fuse_probs,
     init_state,
     pad_batch,
     train_step,
@@ -278,19 +280,64 @@ def test_dropout_masks_follow_the_per_sentence_stream():
     assert abs(got - plain) > 1e-6
 
 
-def test_fuse_probs_of_a_padded_batch_skip_pad_positions():
-    model = make_model("fuse")
-    pairs = [(src, tgt_in) for src, tgt_in, _ in mixed_batch(seed=4)]
-    got = extract_fuse_probs(model, pairs)
+def fuse_rows(model, grids):
+    """Each fused layer's probability rows over (src, tgt_in, lengths) grids,
+    each run as one encode and decode, keyed by (side, layer)."""
     rows = {}
     with no_grad():
-        for src, tgt_in in pairs:
-            enc_out, enc = model.encode(src)
-            _, dec = model.decode(tgt_in, enc_out)
+        for src, tgt_in, src_len, tgt_len in grids:
+            enc_out, enc = model.encode(src, lengths=src_len)
+            _, dec = model.decode(tgt_in, enc_out, src_lengths=src_len, tgt_lengths=tgt_len)
             for side, cache in (("encoder", enc), ("decoder", dec)):
                 for k, probs in cache.fuse_probs.items():
                     rows.setdefault((side, k), []).append(probs.reshape(-1, k + 1))
+    return {key: np.concatenate(blocks) for key, blocks in rows.items()}
+
+
+def per_sentence_rows(model, triples):
+    return fuse_rows(model, [(src, tgt_in, None, None) for src, tgt_in, _ in triples])
+
+
+def assert_fuse_probs_match(got, rows, tol):
     assert {(side, k) for side in got for k in got[side]} == set(rows)
-    for (side, k), blocks in rows.items():
-        want = np.concatenate(blocks).mean(axis=0)
-        assert np.max(np.abs(got[side][k] - want)) <= 1e-12
+    for (side, k), block in rows.items():
+        assert np.max(np.abs(got[side][k] - block.mean(axis=0))) <= tol
+
+
+def test_fuse_probs_of_a_padded_batch_skip_pad_positions():
+    model = make_model("fuse")
+    triples = mixed_batch(seed=4)
+    got = extract_fuse_probs(model, triples)
+    assert_fuse_probs_match(got, per_sentence_rows(model, triples), 1e-12)
+
+
+def many_triples(n, seed=0):
+    """``n`` sentence triples of random lengths 1..7."""
+    r = np.random.default_rng(seed)
+    out = []
+    for src_len, tgt_len in r.integers(1, 8, size=(n, 2)):
+        tgt = r.integers(3, 9, size=int(tgt_len))
+        out.append((r.integers(3, 9, size=int(src_len)), np.concatenate([[1], tgt[:-1]]), tgt))
+    return out
+
+
+def test_fuse_probs_over_chunks_equal_one_padded_batch():
+    model = make_model("fuse")
+    triples = many_triples(150)
+    got = extract_fuse_probs(model, triples)
+    batch = pad_batch(triples)
+    one_batch = fuse_rows(model, [(batch.src, batch.tgt_in, batch.src_len, batch.tgt_len)])
+    assert_fuse_probs_match(got, one_batch, 0.0)
+    assert_fuse_probs_match(got, per_sentence_rows(model, triples), 1e-12)
+
+
+def test_fuse_probs_pad_one_chunk_of_eval_batch_at_a_time(monkeypatch):
+    padded = []
+
+    def spy(triples):
+        padded.append(len(triples))
+        return pad_batch(triples)
+
+    monkeypatch.setattr(training, "pad_batch", spy)
+    extract_fuse_probs(make_model("fuse"), many_triples(150))
+    assert padded == [EVAL_BATCH, EVAL_BATCH, 150 - 2 * EVAL_BATCH]

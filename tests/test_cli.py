@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layerfuse import cli
+from layerfuse import cli, training
 from layerfuse.cli import (
     UsageError,
     _build_parser,
@@ -23,7 +23,7 @@ from layerfuse.cli import (
 from layerfuse.compgen import CorpusSpec, load_corpus
 from layerfuse.fusion import VARIANT_NAMES
 from layerfuse.model import ModelConfig
-from layerfuse.training import TrainConfig, load_checkpoint
+from layerfuse.training import TrainConfig, load_checkpoint, pad_batch
 from oracles import oracle_cter, oracle_exact_match
 
 TINY_SETS = [
@@ -392,6 +392,23 @@ def test_analyze_decodes_nothing(pipeline, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "greedy_decode_batch", no_decoding)
     assert written_by(pipeline, tmp_path, "analyze") == {"fuse_probs.csv"}
+
+
+def test_analyze_pads_its_whole_sample_in_eval_chunks(pipeline, tmp_path, monkeypatch):
+    padded = []
+
+    def spy(triples):
+        padded.append([list(src) for src, _, _ in triples])
+        return pad_batch(triples)
+
+    monkeypatch.setattr(training, "pad_batch", spy)
+    monkeypatch.setattr(training, "EVAL_BATCH", 5)
+    assert written_by(pipeline, tmp_path, "analyze") == {"fuse_probs.csv"}
+    corpus = load_corpus(pipeline["data"])
+    # analysis_examples=8 of the corpus's 12 cg_test examples, in chunks of 5.
+    sample = [list(corpus.src_vocab.encode(ex.src)) for ex in corpus.cg_test[:8]]
+    assert [len(chunk) for chunk in padded] == [5, 3]
+    assert padded[0] + padded[1] == sample
 
 
 def test_eval_writes_cter_breakdowns_on_cg_test_only(pipeline, tmp_path):

@@ -14,7 +14,6 @@ from layerfuse.compgen import (
     PAD,
     PATTERNS,
     SPECIALS,
-    AtomDictionary,
     Compound,
     CorpusSpec,
     Example,
@@ -89,19 +88,18 @@ def test_emission_order_moves_mod_before_head():
 
 
 def test_realize_compound_reorders_and_expands():
-    dictionary = AtomDictionary({
+    dictionary = {
         "v1": ("V1",),
         "n1": ("N1",),
         "m1": ("M1", "K1"),
-    })
+    }
     comp = Compound("vp_np_mod", ("v1", "n1", "m1"))
     assert realize_compound(comp, dictionary) == ("V1", "M1", "K1", "N1")
 
 
 def test_realize_missing_atom_is_error():
     with pytest.raises(GenerationError):
-        realize_compound(Compound("vp_np", ("v1", "n9")),
-                         AtomDictionary({"v1": ("V1",)}))
+        realize_compound(Compound("vp_np", ("v1", "n9")), {"v1": ("V1",)})
 
 
 # -- generated corpus invariants -----------------------------------------------------
@@ -354,7 +352,7 @@ def test_deleting_realization_breaks_prediction(corpus):
 
 
 def test_scrambled_interior_breaks_contiguity(corpus):
-    dictionary = AtomDictionary({"v0": ("V0",), "n0": ("N0",)})
+    dictionary = {"v0": ("V0",), "n0": ("N0",)}
     ex = Example(
         src=("v0", "n0"), tgt=("V0", "N0"),
         compound=Compound("vp_np", ("v0", "n0")), span=(0, 2),
@@ -390,7 +388,7 @@ def test_randomized_checks_agree_with_substring_oracle(corpus):
 
 
 def _mini_examples(k=5, wrong=2):
-    dictionary = AtomDictionary({"v0": ("V0",), "n0": ("N0",)})
+    dictionary = {"v0": ("V0",), "n0": ("N0",)}
     examples, preds = [], []
     for i in range(k):
         ex = Example(

@@ -7,13 +7,13 @@ from layerfuse.fusion import (
     VARIANT_NAMES,
     FusionError,
     accumulate_previous,
-    extract_fuse_probs,
     fuse_attention,
     fuse_attention_core,
     parse_variant,
 )
 from layerfuse.model import ModelConfig, Seq2SeqModel
 from layerfuse.tensor import Tensor, concat, layer_norm, stack
+from layerfuse.training import extract_fuse_probs
 from oracles import naive_fuse_attention
 
 
@@ -246,7 +246,7 @@ def _tiny_model(variant):
 
 def _tiny_batch(n=3):
     r = rng(30)
-    return [(r.integers(3, 8, size=4), r.integers(3, 8, size=3))
+    return [(r.integers(3, 8, size=4), r.integers(3, 8, size=3), r.integers(3, 8, size=3))
             for _ in range(n)]
 
 

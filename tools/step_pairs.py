@@ -4,13 +4,16 @@ generation in a parent and a change checkout.
     python3 tools/step_pairs.py PARENT_DIR CHANGE_DIR
         [--op train|decode|greedy|corpus] [--variant fuse] [--episodes 8]
 
-Loads each checkout's ``src/layerfuse`` into this one process as a package of
-its own, with one BLAS thread set before numpy loads, so both sides share the
-interpreter, the numpy build and the host's state of the moment. Each side
-builds the CLI's default model section for the variant on the default corpus.
-An episode is one or more pairs; a pair runs one operation on each side. The
-side that runs first alternates from pair to pair, and from episode to
-episode for the same pair. Every op prints each side's median time with
+Loads each checkout's ``src/layerfuse`` into this one process twice, each
+copy a package of its own, with one BLAS thread set before numpy loads, so
+both sides share the interpreter, the numpy build and the host's state of the
+moment. Each copy builds the CLI's default model section for the variant on
+the default corpus. A side's first copy loads before the other side's and
+its second after it, and episodes switch copies every two episodes, so
+neither side gains from the load order. An episode is one or more pairs; a
+pair runs one operation on each side. The side that runs first alternates
+from pair to pair, and from episode to episode for the same pair, so each
+copy runs both orders. Every op prints each side's median time with
 quartiles over all episodes, in how many pairs the change's median was
 lower, and the median over the pairs of the change's median divided by the
 parent's.
@@ -212,13 +215,18 @@ def main(argv=None) -> int:
     print(f"blas threads {BLAS_THREADS} (OMP, OPENBLAS, MKL), numpy {np.__version__}, "
           f"variant {args.variant}, {args.episodes} episodes of {side_class.work} per side",
           flush=True)
-    sides = {side: side_class(getattr(args, side), f"_step_pairs_{side}", args.variant)
-             for side in SIDES}
-    pairs = sides["change"].pairs
+    # Copy 0 loads the parent first, copy 1 the change.
+    copies = [{}, {}]
+    for c, order in enumerate((SIDES, SIDES[::-1])):
+        for side in order:
+            copies[c][side] = side_class(getattr(args, side), f"_step_pairs_{side}{c}",
+                                         args.variant)
+    pairs = copies[0]["change"].pairs
     times = {side: [] for side in SIDES}
     outputs = {side: [None] * pairs for side in SIDES}  # the last episode's, by pair
     change_lower, ratios = 0, []
     for e in range(args.episodes):
+        sides = copies[e // 2 % 2]
         episode_ms = {side: [] for side in SIDES}
         for i in range(pairs):
             medians = {}
