@@ -142,11 +142,12 @@ def _check_run_settings(cfg: dict) -> None:
             raise UsageError(f"{key} must be an integer >= 1, got {value!r}")
 
 
-def _corpus_spec(cfg: dict) -> CorpusSpec:
+def _section(cls, name: str, section: dict):
+    """``cls`` built from a config section; a refusal is a UsageError."""
     try:
-        return CorpusSpec.from_dict(cfg["corpus"])
-    except TypeError as exc:
-        raise UsageError(f"bad corpus section: {exc}") from exc
+        return cls(**section)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad {name} section: {exc}") from exc
 
 
 def _check_lengths(corpus: Corpus, max_len: int) -> None:
@@ -167,23 +168,10 @@ def _model_config(cfg: dict, corpus: Corpus | None = None) -> ModelConfig:
     section["fusion_mode"], section["fusion_sides"] = parse_variant(cfg["variant"])
     section["src_vocab"] = len(corpus.src_vocab) if corpus is not None else 1
     section["tgt_vocab"] = len(corpus.tgt_vocab) if corpus is not None else 1
-    try:
-        mcfg = ModelConfig.from_dict(section)
-        mcfg.validate()
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad model section: {exc}") from exc
+    mcfg = _section(ModelConfig, "model", section)
     if corpus is not None:
         _check_lengths(corpus, mcfg.max_len)
     return mcfg
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    try:
-        tcfg = TrainConfig.from_dict(cfg["train"])
-        tcfg.validate()
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad train section: {exc}") from exc
-    return tcfg
 
 
 def _load_corpus(cfg: dict) -> Corpus:
@@ -337,7 +325,7 @@ def _analyze_run(cfg: dict, corpus: Corpus, model: Seq2SeqModel) -> None:
 
 
 def cmd_gen(cfg: dict) -> int:
-    spec = _corpus_spec(cfg)
+    spec = _section(CorpusSpec, "corpus", cfg["corpus"])
     corpus = generate_corpus(spec)
     out = Path(cfg["data_dir"])
     write_corpus(corpus, out)
@@ -350,7 +338,7 @@ def cmd_gen(cfg: dict) -> int:
 
 def cmd_train(cfg: dict, resume: str | None = None) -> int:
     corpus = _load_corpus(cfg)
-    tcfg = _train_config(cfg)
+    tcfg = _section(TrainConfig, "train", cfg["train"])
     state = None
     if resume is not None:
         model, state = load_checkpoint(resume)
@@ -412,7 +400,7 @@ def cmd_sweep(cfg: dict, variants: list, seeds: list) -> int:
         repeated = sorted({str(x) for x in values if values.count(x) > 1})
         if repeated:
             raise UsageError(f"--{name} repeats {', '.join(repeated)}")
-    spec = _corpus_spec(cfg)
+    spec = _section(CorpusSpec, "corpus", cfg["corpus"])
     if spec.n_cg_compounds == 0:
         raise UsageError("sweep scores cg_test only, but corpus.n_cg_compounds is 0")
     out_dir = Path(cfg["out_dir"])
@@ -424,7 +412,8 @@ def cmd_sweep(cfg: dict, variants: list, seeds: list) -> int:
             run_cfg["out_dir"] = str(out_dir / "runs" / f"{variant}-s{seed}")
             run_cfg["model"]["seed"] = run_cfg["train"]["seed"] = seed
             _model_config(run_cfg)  # every run is checked before any work
-            runs.append((variant, seed, run_cfg, _train_config(run_cfg)))
+            tcfg = _section(TrainConfig, "train", run_cfg["train"])
+            runs.append((variant, seed, run_cfg, tcfg))
     corpus = generate_corpus(spec)
     write_corpus(corpus, out_dir / "data")
 

@@ -72,8 +72,11 @@ class GenerationError(ValueError):
     """The corpus spec cannot be satisfied (holdout infeasible, etc.)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorpusSpec:
+    """What generate_corpus builds; construction refuses a bad spec. Any
+    iterable of pattern names is stored as a tuple."""
+
     n_np: int = 40
     n_vp: int = 40
     n_pp: int = 40
@@ -90,7 +93,8 @@ class CorpusSpec:
     patterns: tuple = tuple(PATTERNS)
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "patterns", tuple(self.patterns))
         check_number_fields(self, GenerationError)
         if self.n_context_tokens < 1 or self.n_contexts < 1:
             raise GenerationError("need at least one context token and template")
@@ -108,7 +112,7 @@ class CorpusSpec:
         if not self.patterns:
             raise GenerationError("at least one compound pattern is required")
         for name in self.patterns:
-            if name not in PATTERNS:
+            if not isinstance(name, str) or name not in PATTERNS:
                 raise GenerationError(f"unknown pattern {name!r}")
             for role in PATTERNS[name]:
                 if self._inventory_size(role) < 1:
@@ -140,12 +144,6 @@ class CorpusSpec:
         d = asdict(self)
         d["patterns"] = list(self.patterns)
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CorpusSpec":
-        d = dict(d)
-        d["patterns"] = tuple(d.get("patterns", tuple(PATTERNS)))
-        return cls(**d)
 
 
 class Vocabulary:
@@ -436,7 +434,6 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     Raises GenerationError when the holdout is infeasible: too few distinct
     compounds, an atom left uncoverable, or too few context templates.
     """
-    spec.validate()
     inventories = _inventories(spec)
     dictionary = _build_dictionary(spec, inventories)
     contexts = _build_contexts(spec, np.random.default_rng([spec.seed, _TAG_CONTEXTS]))
@@ -561,8 +558,7 @@ def load_corpus(data_dir: str | Path) -> Corpus:
         raise FileNotFoundError(f"no corpus manifest at {manifest_path}")
     manifest = manifest_path.read_bytes()
     try:
-        spec = CorpusSpec.from_dict(json.loads(manifest)["spec"])
-        spec.validate()
+        spec = CorpusSpec(**json.loads(manifest)["spec"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"{manifest_path} is not a version-1 corpus manifest: {exc!r}"

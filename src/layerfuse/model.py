@@ -50,8 +50,10 @@ from .tensor import ShapeError, Tensor, embedding_lookup, layer_norm
 __all__ = ["ModelConfig", "LayerCache", "DecodeState", "Seq2SeqModel"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
+    """The model's shape, variant and seed; construction refuses a bad one."""
+
     src_vocab: int
     tgt_vocab: int
     d_model: int = 64
@@ -65,7 +67,7 @@ class ModelConfig:
     fusion_sides: str = "both"
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_number_fields(self)
         if self.n_heads < 1 or self.d_model < 1 or self.d_model % self.n_heads != 0:
             raise ValueError(
@@ -110,10 +112,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -294,7 +292,6 @@ class Seq2SeqModel:
     """
 
     def __init__(self, config: ModelConfig):
-        config.validate()
         self.config = config
         rng = np.random.default_rng(config.seed)
         reg = _Registry()

@@ -78,8 +78,10 @@ class CheckpointError(RuntimeError):
     """Unreadable, corrupt, or incompatible checkpoint file."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Optimizer and schedule settings; construction refuses a bad one."""
+
     steps: int = 600
     batch_size: int = 16
     lr: float = 2e-3
@@ -89,7 +91,7 @@ class TrainConfig:
     seed: int = 0
     checkpoint_interval: int = 200
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_number_fields(self)
         if self.steps < 1 or self.batch_size < 1 or self.warmup < 1:
             raise ValueError("steps >= 1, batch_size >= 1 and warmup >= 1 required")
@@ -102,10 +104,6 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -299,7 +297,6 @@ def train_loop(
     end, plus best.npz whenever the dev loss improves (never without a
     ``dev_set``). Returns the final state and the list of per-step records.
     """
-    cfg.validate()
     if not train_set:
         raise ValueError("empty training set")
     if state is None:
@@ -474,7 +471,7 @@ def load_checkpoint(path: str | Path) -> tuple[Seq2SeqModel, TrainState]:
                 f"expected {CHECKPOINT_VERSION}"
             )
         try:
-            model = Seq2SeqModel(ModelConfig.from_dict(meta["model_config"]))
+            model = Seq2SeqModel(ModelConfig(**meta["model_config"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path} has a bad model_config: {exc}") from exc
         for name, p in model.parameters().items():

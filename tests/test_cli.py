@@ -743,6 +743,10 @@ def run_on_corpus(command, *corpus_sets):
     (sweep_seeds("0", "vanilla", "model.n_heads=0"), 2, "n_heads 0"),
     (sweep_seeds("0", "vanilla", "corpus.n_cg_compounds=0"), 2, "n_cg_compounds is 0"),
     (command_with("train", 'model={"bogus": 1}'), 2, "unknown config key 'model.bogus'"),
+    (command_with("gen", 'corpus.patterns=[["np_mod"]]'), 2,
+     "bad corpus section: unknown pattern ['np_mod']"),
+    (sweep_seeds("0", "vanilla", 'corpus.patterns=[["np_mod"]]'), 2,
+     "bad corpus section: unknown pattern ['np_mod']"),
     (without_out(["gen"], "data_dir=5"), 2, "data_dir must be a non-empty path"),
     (without_out(["gen"], "data_dir=null"), 2, "data_dir must be a non-empty path"),
     (without_out(["sweep", "--seeds", "0", "--variants", "vanilla"], "out_dir=7"), 2,
@@ -768,7 +772,8 @@ def run_on_corpus(command, *corpus_sets):
         "model-seed-bool", "lr-bool", "lr-infinite", "dropout-bool",
         "label-smoothing-string", "sweep-clip-norm-bool", "fusion-mode-key",
         "sweep-seed-negative", "sweep-n-heads-zero", "sweep-cg-test-empty",
-        "model-object-unknown-key", "data-dir-int", "data-dir-null", "sweep-out-dir-int"])
+        "model-object-unknown-key", "gen-pattern-list", "sweep-pattern-list",
+        "data-dir-int", "data-dir-null", "sweep-out-dir-int"])
 def test_bad_input_exits_with_one_error_line(pipeline, tmp_path, make_argv, code, detail):
     argv = make_argv(pipeline, tmp_path)
     result = subprocess.run([sys.executable, "-m", "layerfuse.cli"] + argv,

@@ -1,4 +1,5 @@
 """Synthetic corpus generation, holdout guarantees, and the two metrics."""
+import dataclasses
 import hashlib
 import json
 
@@ -52,23 +53,32 @@ def corpus():
 
 def test_spec_round_trip():
     spec = small_spec(patterns=("np_mod", "vp_np"))
-    assert CorpusSpec.from_dict(spec.to_dict()) == spec
+    assert CorpusSpec(**spec.to_dict()) == spec
+    assert small_spec(patterns=["np_mod", "vp_np"]) == spec
+
+
+def test_spec_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        small_spec().n_np = 9
 
 
 def test_spec_rejects_unknown_pattern():
     with pytest.raises(GenerationError):
-        small_spec(patterns=("np_pp",)).validate()
+        small_spec(patterns=("np_pp",))
+    for name in (["np_mod"], 3, None):
+        with pytest.raises(GenerationError, match="unknown pattern"):
+            small_spec(patterns=(name,))
 
 
 def test_spec_rejects_empty_inventory_for_needed_role():
     with pytest.raises(GenerationError):
-        small_spec(n_mod=0).validate()
-    small_spec(n_mod=0, patterns=("vp_np", "pp_np")).validate()
+        small_spec(n_mod=0)
+    small_spec(n_mod=0, patterns=("vp_np", "pp_np"))
 
 
 def test_spec_rejects_too_few_contexts():
     with pytest.raises(GenerationError):
-        small_spec(n_contexts=2, contexts_per_compound=3).validate()
+        small_spec(n_contexts=2, contexts_per_compound=3)
 
 
 def test_degenerate_inventory_has_no_feasible_holdout():

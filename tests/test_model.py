@@ -1,4 +1,5 @@
 """Encoder-decoder wiring: embeddings, sublayers, caches, variants."""
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -42,7 +43,7 @@ def weights_of(model):
 
 def test_config_round_trip():
     cfg = tiny_config(fusion_mode="fuse", fusion_sides="decoder")
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig(**cfg.to_dict()) == cfg
 
 
 def test_config_variant_shorthand():
@@ -53,14 +54,19 @@ def test_config_variant_shorthand():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        tiny_config(d_model=6, n_heads=4).validate()
+        tiny_config(d_model=6, n_heads=4)
     with pytest.raises(ValueError):
-        tiny_config(dropout=1.5).validate()
+        tiny_config(dropout=1.5)
     with pytest.raises(ValueError):
-        tiny_config(fusion_mode="dense").validate()
+        tiny_config(fusion_mode="dense")
     with pytest.raises(ValueError):
-        tiny_config(src_vocab=0).validate()
-    tiny_config(n_enc_layers=1, n_dec_layers=1).validate()
+        tiny_config(src_vocab=0)
+    tiny_config(n_enc_layers=1, n_dec_layers=1)
+
+
+def test_config_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tiny_config().d_model = 16
 
 
 @pytest.mark.parametrize("kw, detail", [
@@ -75,9 +81,7 @@ def test_config_validation():
 ])
 def test_config_refuses_unnamed_pairs_and_empty_stacks(kw, detail):
     with pytest.raises(ValueError, match=detail):
-        tiny_config(**kw).validate()
-    with pytest.raises(ValueError, match=detail):
-        Seq2SeqModel(tiny_config(**kw))
+        tiny_config(**kw)
 
 
 def test_config_fused_layer_listing():
