@@ -84,7 +84,7 @@ def test_lr_rejects_step_zero():
 
 def test_train_config_validation():
     for kw in (dict(steps=-1), dict(warmup=0), dict(label_smoothing=1.0), dict(lr=-1.0),
-               dict(lr=0.0), dict(clip_norm=0.0), dict(batch_size=0)):
+               dict(clip_norm=0.0), dict(batch_size=0)):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
 
@@ -135,6 +135,12 @@ def test_one_batch_overfitting_descends():
     drops = sum(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     assert drops / (len(losses) - 1) >= 0.9
     assert losses[-1] < losses[0]
+
+
+def test_zero_learning_rate_freezes_parameters():
+    # Freezing by lr 0 is refused when the config is built, so no step runs with it.
+    with pytest.raises(ValueError, match="lr"):
+        train_cfg(lr=0.0)
 
 
 @pytest.mark.parametrize("variant, frozen", [
