@@ -74,8 +74,8 @@ class GenerationError(ValueError):
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """What generate_corpus builds; construction refuses a bad spec. Any
-    iterable of pattern names is stored as a tuple."""
+    """What generate_corpus builds; construction refuses a bad spec. A list
+    of pattern names is stored as a tuple."""
 
     n_np: int = 40
     n_vp: int = 40
@@ -94,6 +94,9 @@ class CorpusSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.patterns, (list, tuple)):
+            raise GenerationError("patterns must be a list of distinct pattern "
+                                  f"names, got {self.patterns!r}")
         object.__setattr__(self, "patterns", tuple(self.patterns))
         check_number_fields(self, GenerationError)
         if self.n_context_tokens < 1 or self.n_contexts < 1:
@@ -114,6 +117,9 @@ class CorpusSpec:
         for name in self.patterns:
             if not isinstance(name, str) or name not in PATTERNS:
                 raise GenerationError(f"unknown pattern {name!r}")
+            if self.patterns.count(name) > 1:
+                raise GenerationError("patterns must be a list of distinct pattern "
+                                      f"names, got {name!r} twice")
             for role in PATTERNS[name]:
                 if self._inventory_size(role) < 1:
                     raise GenerationError(
@@ -235,24 +241,6 @@ class Example:
     @property
     def has_mod(self) -> bool:
         return "mod" in self.compound.roles
-
-    def to_dict(self) -> dict:
-        return {
-            "src": list(self.src),
-            "tgt": list(self.tgt),
-            "compound": {
-                "pattern": self.compound.pattern,
-                "atoms": list(self.compound.atoms),
-                "span": list(self.span),
-                "realizations": [list(self.realization)],
-                "compound_id": self.compound_id,
-            },
-            "context_id": self.context_id,
-            "compound_length": self.compound_length,
-            "context_length": self.context_length,
-            "context_bucket": self.context_bucket,
-            "has_mod": self.has_mod,
-        }
 
 
 @dataclass
@@ -500,10 +488,30 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _tokens(seq) -> str:
+    return '["' + '","'.join(seq) + '"]'
+
+
+def _example_line(ex: Example) -> str:
+    """The corpus line of ``ex``, one JSON object with sorted keys and no
+    spaces, from one template. No string needs escaping: atoms such as ``n12``
+    and their uppercase realizations, context tokens ``c7``/``C7``, PATTERNS
+    keys and the four bucket labels are built from ASCII letters, digits and
+    ``_<-+`` alone. No token list is empty: each holds the compound."""
+    c, (lo, hi) = ex.compound, ex.span
+    cid = "null" if ex.compound_id is None else ex.compound_id
+    mod = "true" if ex.has_mod else "false"
+    return (f'{{"compound":{{"atoms":{_tokens(c.atoms)},"compound_id":{cid},'
+            f'"pattern":"{c.pattern}","realizations":[{_tokens(ex.realization)}],'
+            f'"span":[{lo},{hi}]}},"compound_length":{ex.compound_length},'
+            f'"context_bucket":"{ex.context_bucket}","context_id":{ex.context_id},'
+            f'"context_length":{ex.context_length},"has_mod":{mod},'
+            f'"src":{_tokens(ex.src)},"tgt":{_tokens(ex.tgt)}}}\n')
+
+
 def _split_lines(corpus: Corpus, name: str):
     """The lines of <name>.jsonl, one example each."""
-    for ex in corpus.split(name):
-        yield _canonical_json(ex.to_dict()) + "\n"
+    return map(_example_line, corpus.split(name))
 
 
 def _manifest_text(corpus: Corpus) -> str:
@@ -535,13 +543,15 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> None:
         fh.write(_manifest_text(corpus))
 
 
-def _check_lines(path: Path, got: list, want) -> None:
-    """Raise ValueError at the first line where ``got``, the byte lines read
-    from ``path``, differs from ``want``, the text lines written for it."""
-    for lineno, (line, wanted) in enumerate(itertools.zip_longest(got, want), 1):
-        if wanted is None or line != wanted.encode():
-            raise ValueError(f"{path} line {lineno} differs from what its "
-                             "manifest's spec generates")
+def _check_file(path: Path, got: bytes, want: str) -> None:
+    """Raise ValueError, naming the first line that differs, unless ``got``,
+    the bytes read from ``path``, are ``want``, the text written for it."""
+    want = want.encode()
+    if got != want:
+        pairs = itertools.zip_longest(got.splitlines(True), want.splitlines(True))
+        lineno = next(i for i, (line, wanted) in enumerate(pairs, 1) if line != wanted)
+        raise ValueError(f"{path} line {lineno} differs from what its "
+                         "manifest's spec generates")
 
 
 def load_corpus(data_dir: str | Path) -> Corpus:
@@ -566,9 +576,9 @@ def load_corpus(data_dir: str | Path) -> Corpus:
     splits = {}
     for name, count in spec.split_sizes().items():
         path = data / f"{name}.jsonl"
-        splits[name] = path.read_bytes().splitlines(keepends=True) if path.exists() else []
-        if len(splits[name]) != count:
-            raise ValueError(f"{path} holds {len(splits[name])} examples, but "
+        splits[name] = path.read_bytes() if path.exists() else b""
+        if (held := len(splits[name].splitlines())) != count:
+            raise ValueError(f"{path} holds {held} examples, but "
                              f"{manifest_path} counts {count}")
     try:
         corpus = generate_corpus(spec)
@@ -576,10 +586,9 @@ def load_corpus(data_dir: str | Path) -> Corpus:
         raise ValueError(
             f"{manifest_path} is not a version-1 corpus manifest: {exc!r}"
         ) from exc
-    _check_lines(manifest_path, manifest.splitlines(keepends=True),
-                 _manifest_text(corpus).splitlines(keepends=True))
-    for name, lines in splits.items():
-        _check_lines(data / f"{name}.jsonl", lines, _split_lines(corpus, name))
+    _check_file(manifest_path, manifest, _manifest_text(corpus))
+    for name, got in splits.items():
+        _check_file(data / f"{name}.jsonl", got, "".join(_split_lines(corpus, name)))
     return corpus
 
 
@@ -677,9 +686,9 @@ def exact_match(predictions, references) -> float:
 
 def example_to_triple(ex: Example, src_vocab: Vocabulary, tgt_vocab: Vocabulary):
     """Encode an example as (src_ids, tgt_in_ids, tgt_out_ids)."""
-    tgt = [tgt_vocab.index[tok] for tok in ex.tgt]
-    return (src_vocab.encode(ex.src), np.array([BOS, *tgt], dtype=np.int64),
-            np.array([*tgt, EOS], dtype=np.int64))
+    ids = np.array([BOS, *(tgt_vocab.index[tok] for tok in ex.tgt), EOS],
+                   dtype=np.int64)
+    return src_vocab.encode(ex.src), ids[:-1], ids[1:]
 
 
 def triples(examples, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> list:

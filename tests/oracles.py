@@ -10,6 +10,7 @@ step: no cache.
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -148,6 +149,44 @@ def oracle_exact_match(predictions, references) -> float:
         if len(p) == len(r) and all(a == b for a, b in zip(p, r)):
             hits += 1
     return hits / len(predictions)
+
+
+# -- corpus serialization and encoding oracles -----------------------------------
+
+
+def oracle_example_dict(ex) -> dict:
+    """The corpus record of ``ex`` as a plain dict."""
+    return {
+        "src": list(ex.src),
+        "tgt": list(ex.tgt),
+        "compound": {
+            "pattern": ex.compound.pattern,
+            "atoms": list(ex.compound.atoms),
+            "span": list(ex.span),
+            "realizations": [list(ex.realization)],
+            "compound_id": ex.compound_id,
+        },
+        "context_id": ex.context_id,
+        "compound_length": ex.compound_length,
+        "context_length": ex.context_length,
+        "context_bucket": ex.context_bucket,
+        "has_mod": ex.has_mod,
+    }
+
+
+def oracle_example_line(ex) -> str:
+    """The corpus line of ``ex``: its record through json.dumps, sorted keys,
+    no spaces."""
+    return json.dumps(oracle_example_dict(ex), sort_keys=True,
+                      separators=(",", ":")) + "\n"
+
+
+def oracle_example_triple(ex, src_vocab, tgt_vocab, bos: int, eos: int):
+    """(src_ids, tgt_in_ids, tgt_out_ids) of ``ex``, each its own int64 array."""
+    tgt = [tgt_vocab.index[tok] for tok in ex.tgt]
+    return (np.array([src_vocab.index[tok] for tok in ex.src], dtype=np.int64),
+            np.array([bos, *tgt], dtype=np.int64),
+            np.array([*tgt, eos], dtype=np.int64))
 
 
 # -- flat reference transformer (vanilla, eval mode) ----------------------------

@@ -747,6 +747,12 @@ def run_on_corpus(command, *corpus_sets):
      "bad corpus section: unknown pattern ['np_mod']"),
     (sweep_seeds("0", "vanilla", 'corpus.patterns=[["np_mod"]]'), 2,
      "bad corpus section: unknown pattern ['np_mod']"),
+    (command_with("gen", "corpus.patterns=np_mod"), 2,
+     "bad corpus section: patterns must be a list of distinct pattern names"),
+    (command_with("gen", "corpus.patterns=5"), 2,
+     "bad corpus section: patterns must be a list of distinct pattern names"),
+    (command_with("gen", 'corpus.patterns=["np_mod","np_mod"]'), 2,
+     "bad corpus section: patterns must be a list of distinct pattern names"),
     (without_out(["gen"], "data_dir=5"), 2, "data_dir must be a non-empty path"),
     (without_out(["gen"], "data_dir=null"), 2, "data_dir must be a non-empty path"),
     (without_out(["sweep", "--seeds", "0", "--variants", "vanilla"], "out_dir=7"), 2,
@@ -773,6 +779,7 @@ def run_on_corpus(command, *corpus_sets):
         "label-smoothing-string", "sweep-clip-norm-bool", "fusion-mode-key",
         "sweep-seed-negative", "sweep-n-heads-zero", "sweep-cg-test-empty",
         "model-object-unknown-key", "gen-pattern-list", "sweep-pattern-list",
+        "gen-patterns-string", "gen-patterns-int", "gen-patterns-repeated",
         "data-dir-int", "data-dir-null", "sweep-out-dir-int"])
 def test_bad_input_exits_with_one_error_line(pipeline, tmp_path, make_argv, code, detail):
     argv = make_argv(pipeline, tmp_path)

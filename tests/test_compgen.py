@@ -15,6 +15,7 @@ from layerfuse.compgen import (
     PAD,
     PATTERNS,
     SPECIALS,
+    SPLITS,
     Compound,
     CorpusSpec,
     Example,
@@ -31,7 +32,13 @@ from layerfuse.compgen import (
     realize_compound,
     write_corpus,
 )
-from oracles import oracle_compound_ok, oracle_cter, oracle_exact_match
+from oracles import (
+    oracle_compound_ok,
+    oracle_cter,
+    oracle_example_line,
+    oracle_example_triple,
+    oracle_exact_match,
+)
 
 
 def small_spec(**kw):
@@ -68,6 +75,14 @@ def test_spec_rejects_unknown_pattern():
     for name in (["np_mod"], 3, None):
         with pytest.raises(GenerationError, match="unknown pattern"):
             small_spec(patterns=(name,))
+
+
+@pytest.mark.parametrize("patterns", ["np_mod", 5, None, {"np_mod", "vp_np"},
+                                      ["np_mod", "np_mod"], ("vp_np", "np_mod", "vp_np")])
+def test_spec_rejects_patterns_not_a_list_of_distinct_names(patterns):
+    with pytest.raises(GenerationError,
+                       match="patterns must be a list of distinct pattern names"):
+        small_spec(patterns=patterns)
 
 
 def test_spec_rejects_empty_inventory_for_needed_role():
@@ -187,8 +202,8 @@ def test_example_annotation_consistency(corpus):
 def test_generation_is_deterministic():
     a = generate_corpus(small_spec(seed=4))
     b = generate_corpus(small_spec(seed=4))
-    assert [ex.to_dict() for ex in a.train] == [ex.to_dict() for ex in b.train]
-    assert [ex.to_dict() for ex in a.cg_test] == [ex.to_dict() for ex in b.cg_test]
+    assert a.train == b.train
+    assert a.cg_test == b.cg_test
 
 
 def test_bucket_boundaries():
@@ -209,9 +224,7 @@ def test_write_load_round_trip(tmp_path, corpus):
     assert loaded.spec == corpus.spec
     assert loaded.src_vocab.tokens == corpus.src_vocab.tokens
     for name in ("train", "dev", "test", "cg_test"):
-        got = [ex.to_dict() for ex in loaded.split(name)]
-        want = [ex.to_dict() for ex in corpus.split(name)]
-        assert got == want
+        assert loaded.split(name) == corpus.split(name)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["counts"]["train"] == corpus.spec.n_train
 
@@ -275,14 +288,14 @@ def test_failed_write_keeps_every_file_whole(tmp_path, corpus, monkeypatch, fail
     old = {name: (tmp_path / "data" / name).read_bytes() for name in CORPUS_FILES}
     new = {name: (tmp_path / "other" / name).read_bytes() for name in CORPUS_FILES}
     calls = iter(range(fail_after + 1))
-    to_dict = Example.to_dict
+    example_line = compgen._example_line
 
-    def failing_to_dict(ex):
+    def failing_example_line(ex):
         if next(calls) == fail_after:
             raise OSError("disk full")
-        return to_dict(ex)
+        return example_line(ex)
 
-    monkeypatch.setattr(Example, "to_dict", failing_to_dict)
+    monkeypatch.setattr(compgen, "_example_line", failing_example_line)
     with pytest.raises(OSError, match="disk full"):
         write_corpus(other, tmp_path / "data")
     monkeypatch.undo()
@@ -295,12 +308,43 @@ def test_failed_write_keeps_every_file_whole(tmp_path, corpus, monkeypatch, fail
         loaded = load_corpus(tmp_path / "data")
         assert loaded.spec == corpus.spec
         for name in ("train", "dev", "test", "cg_test"):
-            assert ([ex.to_dict() for ex in loaded.split(name)]
-                    == [ex.to_dict() for ex in corpus.split(name)])
+            assert loaded.split(name) == corpus.split(name)
     else:  # the new train.jsonl beside the old dev split and manifest
         assert got["train.jsonl"] == new["train.jsonl"]
         with pytest.raises(ValueError, match="train.jsonl line 1 differs"):
             load_corpus(tmp_path / "data")
+
+
+def assert_lines_match_oracle(corpus, out_dir):
+    write_corpus(corpus, out_dir)
+    for name in SPLITS:
+        got = (out_dir / f"{name}.jsonl").read_text().splitlines(keepends=True)
+        assert got == [oracle_example_line(ex) for ex in corpus.split(name)], name
+
+
+def test_lines_match_json_dumps_oracle(tmp_path, corpus):
+    assert_lines_match_oracle(corpus, tmp_path / "small")
+    assert_lines_match_oracle(generate_corpus(CorpusSpec()), tmp_path / "default")
+
+
+@given(patterns=st.lists(st.sampled_from(sorted(PATTERNS)), min_size=1, unique=True),
+       n_cg_compounds=st.sampled_from([0, 3]),
+       min_context_len=st.integers(0, 3), extra_len=st.integers(0, 4),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_lines_match_json_dumps_oracle_for_drawn_specs(tmp_path_factory, patterns,
+                                                       n_cg_compounds, min_context_len,
+                                                       extra_len, seed):
+    spec = CorpusSpec(n_np=5, n_vp=5, n_pp=5, n_mod=5, n_context_tokens=6,
+                      n_contexts=4, min_context_len=min_context_len,
+                      max_context_len=min_context_len + extra_len, n_train=60,
+                      n_dev=8, n_test=8, n_cg_compounds=n_cg_compounds,
+                      contexts_per_compound=2, patterns=patterns, seed=seed)
+    corpus = generate_corpus(spec)
+    assert_lines_match_oracle(corpus, tmp_path_factory.mktemp("drawn"))
+    if n_cg_compounds == 0:
+        assert all(ex.compound_id is None for name in SPLITS
+                   for ex in corpus.split(name))
 
 
 def test_load_rejects_split_sizes_off_the_manifest(tmp_path, corpus):
@@ -502,6 +546,16 @@ def test_example_to_triple_frames_bos_eos(corpus):
     assert np.array_equal(tgt_in[1:], tgt_out[:-1])
     assert corpus.src_vocab.decode(src) == list(ex.src)
     assert corpus.tgt_vocab.decode(tgt_out[:-1]) == list(ex.tgt)
+
+
+def test_triples_equal_one_array_per_field_oracle(corpus):
+    vocabs = (corpus.src_vocab, corpus.tgt_vocab)
+    examples = corpus.train[:100] + corpus.cg_test
+    for got, ex in zip(compgen.triples(examples, *vocabs), examples):
+        want = oracle_example_triple(ex, *vocabs, BOS, EOS)
+        for a, b in zip(got, want):
+            assert a.dtype == np.int64
+            assert np.array_equal(a, b)
 
 
 def test_vocabulary_round_trip():
