@@ -136,6 +136,11 @@ def _check_run_settings(cfg: dict) -> None:
     for key in ("data_dir", "out_dir"):
         if not isinstance(cfg[key], str) or not cfg[key]:
             raise UsageError(f"{key} must be a non-empty path, got {cfg[key]!r}")
+        path = Path(cfg[key])
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise UsageError(f"{key} must be a directory path, but "
+                             f"{str(existing)!r} is not a directory")
     for key in ("eval_max_new_tokens", "analysis_examples"):
         value = cfg[key]
         if type(value) is not int or value < 1:

@@ -1,14 +1,14 @@
-"""Cross-layer fuse-attention and the representation-fusion variants.
+"""The representation-fusion variants, accumulation and fuse-attention.
 
-The fuse-attention sublayer lets a layer attend, separately at every
-position, over that position's representations from all earlier layers
-(embedding included). It is ordinary multi_head_attention with one query
-per position and that position's stacked history as the key sequence. Keys
-never cross positions: position t sees only its own layer history, so
-decoder causality is preserved by construction. Layer 0 attends over the
-embedding alone with weight exactly 1: its output is the embedding's value
-and output projection, and its w_q and w_k get no gradient, keeping their
-initial values (they still count among the parameters).
+Fuse-attention lets a layer attend, separately at every position, over that
+position's representations from all earlier layers (embedding included):
+multi_head_attention with one query per position and that position's
+stacked history as the key sequence, returning the pre-residual output. Keys
+never cross positions, so decoder causality is preserved by construction.
+Layer 0 attends over the embedding alone with weight exactly 1: its output
+is the embedding's value and output projection, and its w_q and w_k get no
+gradient, keeping their initial values (they still count among the
+parameters).
 
 Variants, as (fusion_mode, fusion_sides) pairs; VARIANT_NAMES lists the
 only pairs a model accepts:
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import AttentionParams, multi_head_attention
-from .tensor import Tensor, layer_norm, stack
+from .tensor import Tensor, stack
 
 __all__ = [
     "FusionError",
@@ -77,32 +77,21 @@ def accumulate_previous(outputs) -> Tensor:
     return total
 
 
-def fuse_attention_core(
+def fuse_attention(
     query_state: Tensor,
     prev_outputs,
     params: AttentionParams,
     layer_mask: np.ndarray | None = None,
-) -> tuple[Tensor, list[Tensor]]:
+) -> tuple[Tensor, np.ndarray]:
     """Multi-head attention over each position's own layer history.
 
-    ``query_state`` is [..., seq, d] with optional batch axes. Returns the
-    pre-residual output [..., seq, d] and per-head probability arrays
-    [..., seq, n_history] as tensors off the tape.
+    ``query_state`` is [..., seq, d] with optional batch axes; position t's
+    keys and values are its n_history earlier states, stacked on axis -2.
+    Returns the pre-residual output [..., seq, d] and the probabilities
+    [..., seq, h, n_history] as one array, as multi_head_attention does.
 
     ``layer_mask`` (length n_history, True = attendable) masks history rows;
     an empty attendable set is an error.
-    """
-    out, probs = _attend_history(query_state, prev_outputs, params, layer_mask)
-    return out, [Tensor(p) for p in np.moveaxis(probs, -2, 0)]
-
-
-def _attend_history(query_state, prev_outputs, params, layer_mask=None):
-    """``multi_head_attention`` with one query per position over its history.
-
-    The history is stacked on axis -2, so position t's keys and values are
-    its n_history earlier states; queries are one row per position,
-    [..., seq, 1, d].
-    Returns the output [..., seq, d] and probabilities [..., seq, h, n_history].
     """
     prev_outputs = list(prev_outputs)
     n_hist = len(prev_outputs)
@@ -128,27 +117,9 @@ def _attend_history(query_state, prev_outputs, params, layer_mask=None):
     return out.reshape(*query_state.shape), probs.data[..., 0, :]
 
 
-# Affine-free post-norm: fixed gamma=1, beta=0 so the sublayer adds only the
-# attention projections to the parameter count.
-_NORM_GAMMA, _NORM_BETA = Tensor(1.0), Tensor(0.0)
-
-
-def fuse_attention(
-    query_state: Tensor,
-    prev_outputs,
-    params: AttentionParams,
-    *,
-    dropout=None,
-) -> tuple[Tensor, np.ndarray]:
-    """Fuse-attention sublayer: core attention, residual, post-norm.
-
-    Returns the sublayer output and the probabilities [..., seq, h, n_history]
-    as one array. The post-norm carries no learnable affine (see
-    _NORM_GAMMA). ``dropout`` is an optional callable applied to the core
-    output.
-    """
-    core, probs = _attend_history(query_state, prev_outputs, params)
-    if dropout is not None:
-        core = dropout(core)
-    return layer_norm(query_state + core, _NORM_GAMMA, _NORM_BETA), probs
-
+def fuse_attention_core(query_state: Tensor, prev_outputs, params: AttentionParams,
+                        layer_mask: np.ndarray | None = None) -> tuple[Tensor, list[Tensor]]:
+    """``fuse_attention`` with the probabilities as one [..., seq, n_history]
+    tensor per head, off the tape."""
+    out, probs = fuse_attention(query_state, prev_outputs, params, layer_mask)
+    return out, [Tensor(p) for p in np.moveaxis(probs, -2, 0)]

@@ -1,9 +1,11 @@
 """Encoder-decoder transformer with optional cross-layer fusion.
 
 Post-layer-norm convention throughout: sublayer output is
-layer_norm(x + dropout(sublayer(x))). Embeddings are learned, absolute,
-scaled by sqrt(d_model); source/target tables and the output projection are
-all untied. Attention projections carry no biases.
+layer_norm(x + dropout(sublayer(x))), applied to every sublayer, fuse-attention
+included, by the one stack loop ``_run_stack``; fuse-attention's norm has no
+learnable affine. Embeddings are learned, absolute, scaled by sqrt(d_model);
+source/target tables and the output projection are all untied. Attention
+projections carry no biases.
 
 Token ids are a grid: a batch [B, T] right-padded to its rows' ``lengths``
 (default: all T), or one sentence [T], a batch of one with no pads. Inside
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -224,9 +227,10 @@ def _dropper(masks):
 
 
 class _Layer:
-    """One post-norm layer: self-attention, then cross-attention over the
-    encoder output (decoder layers only), then fuse-attention over the layer
-    history (fused layers only), then the feed-forward block."""
+    """One post-norm layer's parameters and sublayers: self-attention,
+    cross-attention over the encoder output (decoder layers only),
+    fuse-attention over the layer history (fused layers only) and the
+    feed-forward block, run in that order by ``Seq2SeqModel._run_stack``."""
 
     def __init__(self, reg, prefix: str, rng, cfg: ModelConfig, *, cross: bool,
                  fused: bool):
@@ -261,27 +265,17 @@ class _Layer:
     def dropout_sites(self) -> int:
         return 2 + (self.cross_attn is not None) + (self.fuse_params is not None)
 
-    def forward(self, x, history, packing, mask=None, enc_out=None, src_mask=None,
-                drop=None, kv=(None, None)):
-        """Returns (output, fuse-attention probs or None).
-
-        ``x`` is the rows [N, d] of the grid ``packing``; ``kv`` is the
-        (self, cross) pair of KVCache for incremental decoding.
-        """
-        a = self.self_block(x, packing, mask, drop, kv[0])
-        if self.cross_attn is not None:
-            a = self.cross_block(a, enc_out, packing, src_mask, drop, kv[1])
-        probs = None
-        if self.fuse_params is not None:
-            a, probs = fuse_attention(a, history, self.fuse_params, dropout=drop)
-        return self.ffn_block(a, drop), probs
-
 
 def _residual(x, out, norm, drop):
     """norm(x + dropout(out))."""
     if drop is not None:
         out = drop(out)
     return norm(x + out)
+
+
+# Fuse-attention's post-norm has no learnable affine, so that sublayer adds
+# only its attention projections to the parameter count.
+_plain_norm = partial(layer_norm, gamma=Tensor(1.0), beta=Tensor(0.0))
 
 
 class Seq2SeqModel:
@@ -411,18 +405,18 @@ class Seq2SeqModel:
         h = self.embed(new, "decoder", packing, start)
         # The newest position sees every key: one new row needs no mask.
         mask = None if new.shape[-1] == 1 else make_causal_mask(ids.shape[-1])[start:]
-        cache = self._run_stack("decoder", h, packing, drop_masks, mask, enc_out=enc_out,
-                                src_mask=state.src_mask,
-                                kv=list(zip(state.self_kv, state.cross_kv)))
+        cache = self._run_stack("decoder", h, packing, drop_masks, mask, enc_out, state)
         state.ids = ids
         return cache.outputs[-1].matmul(self.out_proj), cache
 
-    def _run_stack(self, side, h, packing, drop_masks, mask, enc_out=None, src_mask=None,
-                   kv=None) -> LayerCache:
+    def _run_stack(self, side, h, packing, drop_masks, mask, enc_out=None,
+                   state=None) -> LayerCache:
         """Run the embedding output ``h``, the rows [N, d] of the grid
-        ``packing``, through every layer of ``side``.
-
-        ``kv`` gives each layer its (self, cross) KVCache pair, or is None.
+        ``packing``, through every layer of ``side``: self-attention, then
+        cross-attention over ``enc_out`` (decoder only), fuse-attention
+        (fused layers only) and the feed-forward block, each sublayer as
+        norm(x + dropout(out)). The decoder passes its DecodeState, whose
+        source mask and KVCaches its layers read.
         """
         drop = _dropper(drop_masks)
         if drop is not None:
@@ -433,11 +427,15 @@ class Seq2SeqModel:
         for k, layer in enumerate(layers):
             x = accumulate_previous(cache.outputs) if accum else cache.outputs[-1]
             cache.layer_inputs.append(x)
-            y, probs = layer.forward(x, list(cache.outputs), packing, mask, enc_out,
-                                     src_mask, drop, kv[k] if kv else (None, None))
-            if probs is not None:
-                cache.fuse_probs[k] = probs
-            cache.outputs.append(y)
+            a = layer.self_block(x, packing, mask, drop, state.self_kv[k] if state else None)
+            if layer.cross_attn is not None:
+                a = layer.cross_block(a, enc_out, packing, state.src_mask, drop,
+                                      state.cross_kv[k])
+            if layer.fuse_params is not None:
+                out, cache.fuse_probs[k] = fuse_attention(a, cache.outputs,
+                                                          layer.fuse_params)
+                a = _residual(a, out, _plain_norm, drop)
+            cache.outputs.append(layer.ffn_block(a, drop))
         return cache
 
     def forward(self, src_ids, tgt_in_ids, *, src_lengths=None, tgt_lengths=None,

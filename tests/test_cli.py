@@ -665,6 +665,20 @@ def run_on_corpus(command, *corpus_sets):
     return make
 
 
+def out_at_file(command, under=""):
+    """argv running ``command`` with --out naming a file, or the path
+    ``under`` that file, which no command can make a directory of."""
+    def make(pipeline, tmp_path):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        flags = {"gen": [], "train": [], "sweep": ["--variants", "vanilla", "--seeds", "0"],
+                 "eval": ["--checkpoint", str(pipeline["run"] / "checkpoint.npz")]}[command]
+        data_dir = None if command in ("gen", "sweep") else str(pipeline["data"])
+        return ([command, "--out", str(afile / under) if under else str(afile), *flags]
+                + sets(data_dir=data_dir))
+    return make
+
+
 @pytest.mark.parametrize("make_argv, code, detail", [
     (sweep_seeds("0,x"), 2, "seeds"),
     (sweep_seeds(""), 2, "seeds"),
@@ -757,6 +771,11 @@ def run_on_corpus(command, *corpus_sets):
     (without_out(["gen"], "data_dir=null"), 2, "data_dir must be a non-empty path"),
     (without_out(["sweep", "--seeds", "0", "--variants", "vanilla"], "out_dir=7"), 2,
      "out_dir must be a non-empty path"),
+    (out_at_file("gen"), 2, "data_dir must be a directory path"),
+    (out_at_file("train"), 2, "out_dir must be a directory path"),
+    (out_at_file("sweep"), 2, "out_dir must be a directory path"),
+    (out_at_file("eval"), 2, "out_dir must be a directory path"),
+    (out_at_file("gen", "sub"), 2, "afile' is not a directory"),
 ], ids=["seeds-not-int", "seeds-empty", "truncated-dev-line", "dev-line-missing",
         "dev-token-unknown", "cg-test-source-empty", "train-sources-empty",
         "cg-test-pattern-unknown", "cg-test-one-atom", "cg-test-compound-length-9",
@@ -780,7 +799,8 @@ def run_on_corpus(command, *corpus_sets):
         "sweep-seed-negative", "sweep-n-heads-zero", "sweep-cg-test-empty",
         "model-object-unknown-key", "gen-pattern-list", "sweep-pattern-list",
         "gen-patterns-string", "gen-patterns-int", "gen-patterns-repeated",
-        "data-dir-int", "data-dir-null", "sweep-out-dir-int"])
+        "data-dir-int", "data-dir-null", "sweep-out-dir-int", "gen-out-file",
+        "train-out-file", "sweep-out-file", "eval-out-file", "gen-out-under-file"])
 def test_bad_input_exits_with_one_error_line(pipeline, tmp_path, make_argv, code, detail):
     argv = make_argv(pipeline, tmp_path)
     result = subprocess.run([sys.executable, "-m", "layerfuse.cli"] + argv,

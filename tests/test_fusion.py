@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from layerfuse.attention import AttentionParams, multi_head_attention
+from layerfuse.attention import AttentionParams, Packing, multi_head_attention
 from layerfuse.fusion import (
     VARIANT_NAMES,
     FusionError,
@@ -228,10 +228,20 @@ def test_fuse_sublayer_is_residual_plus_plain_norm():
     q = Tensor(rng(26).standard_normal((3, d)))
     got, probs = fuse_attention(q, outs, params)
     core, per_head = fuse_attention_core(q, outs, params)
-    want = layer_norm(q + core, Tensor(np.ones(d)), Tensor(np.zeros(d)))
-    assert np.array_equal(got.data, want.data)
+    assert np.array_equal(got.data, core.data)
     # One [seq, h, n_history] array holding the per-head rows.
     assert np.array_equal(np.moveaxis(probs, -2, 0), [p.data for p in per_head])
+    # In the model, fuse-attention is a residual sublayer between self-attention
+    # and the feed-forward block, with an affine-free post-norm.
+    model = _tiny_model("fuse_enc")
+    src = np.array([3, 5, 7, 4])
+    _, cache = model.encode(src)
+    d = model.config.d_model
+    for k, layer in enumerate(model.enc_layers):
+        a = layer.self_block(cache.layer_inputs[k], Packing.of(None, src.shape))
+        core, _ = fuse_attention_core(a, cache.outputs[:k + 1], layer.fuse_params)
+        want = layer.ffn_block(layer_norm(a + core, Tensor(np.ones(d)), Tensor(np.zeros(d))))
+        assert np.array_equal(cache.outputs[k + 1].data, want.data), k
 
 
 # -- model-level extraction ------------------------------------------------------------
