@@ -37,10 +37,13 @@ from .training import (
     CheckpointError,
     TrainConfig,
     TrainingError,
+    eval_loss,
     extract_fuse_probs,
     greedy_decode_batch,
+    init_state,
     load_checkpoint,
-    train_loop,
+    save_checkpoint,
+    train_steps,
 )
 
 __all__ = ["main", "default_config", "load_config", "apply_override",
@@ -191,12 +194,17 @@ def _load_corpus(cfg: dict) -> Corpus:
         raise UsageError(str(exc)) from exc
 
 
+def _load_checkpoint(path: str):
+    """load_checkpoint(path); a path that names no file is a usage error."""
+    if not Path(path).is_file():
+        raise UsageError(f"no checkpoint file at {path}")
+    return load_checkpoint(path)
+
+
 def _load_run_model(cfg: dict, corpus: Corpus, checkpoint: str | None) -> Seq2SeqModel:
     """Load ``checkpoint`` (default: out_dir/checkpoint.npz) and check it fits the corpus."""
     ckpt = checkpoint or str(Path(cfg["out_dir"]) / "checkpoint.npz")
-    if not Path(ckpt).exists():
-        raise UsageError(f"checkpoint not found: {ckpt}")
-    model, _ = load_checkpoint(ckpt)
+    model, _ = _load_checkpoint(ckpt)
     have = (model.config.src_vocab, model.config.tgt_vocab)
     want = (len(corpus.src_vocab), len(corpus.tgt_vocab))
     if have != want:
@@ -235,7 +243,8 @@ def _write_csv(path: Path, header: list, rows) -> None:
 def _keep_logged_steps(path: Path, last_step: int) -> None:
     """Rewrite the train log to its parseable records of steps <= ``last_step``.
 
-    A run killed after its last checkpoint logged steps that a resume runs again.
+    A run killed after its last checkpoint logged steps that a resume runs
+    again, and a fresh run (``last_step`` 0) starts the log empty.
     """
     if not path.exists():
         return
@@ -255,25 +264,34 @@ def _keep_logged_steps(path: Path, last_step: int) -> None:
 
 def _train_run(cfg: dict, model: Seq2SeqModel, tcfg: TrainConfig, train_set: list,
                dev_set: list | None = None, state=None) -> dict:
-    """Train (or continue ``state``) on the encoded ``train_set`` into out_dir,
-    with dev-loss passes over ``dev_set`` if given; returns
-    train_summary.json's dict."""
+    """Train (or continue ``state``) on the encoded ``train_set`` into out_dir;
+    returns train_summary.json's dict. Each checkpoint_interval step and the
+    last run a dev-loss pass over ``dev_set`` (if given), and best.npz is saved
+    when it improves; checkpoint.npz at each earlier interval step and the end."""
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    if state is None:
+        state = init_state(model, tcfg)
     # The log is written a line per step, so a killed run keeps what it logged.
     log_path = out_dir / "train_log.jsonl"
-    if state is not None:
-        _keep_logged_steps(log_path, state.step)
-    with open(log_path, "w" if state is None else "a", encoding="utf-8") as log:
-        state, history = train_loop(
-            model, train_set, tcfg, dev_set=dev_set or None,
-            out_dir=out_dir, log_stream=log, state=state,
-        )
+    _keep_logged_steps(log_path, state.step)
+    with open(log_path, "a", encoding="utf-8") as log:
+        for rec in train_steps(model, train_set, tcfg, state):
+            at_interval = state.step % tcfg.checkpoint_interval == 0
+            if dev_set and (at_interval or state.step == tcfg.steps):
+                rec["dev_loss"] = dev = eval_loss(model, dev_set, tcfg.label_smoothing)
+                if state.best_dev_loss is None or dev < state.best_dev_loss:
+                    state.best_dev_loss = dev
+                    save_checkpoint(out_dir / "best.npz", model, state)
+            if at_interval and state.step < tcfg.steps:
+                save_checkpoint(out_dir / "checkpoint.npz", model, state)
+            log.write(json.dumps(rec, sort_keys=True) + "\n")
+    save_checkpoint(out_dir / "checkpoint.npz", model, state)
     summary = {
         "steps": state.step,
         "variant": model.config.variant,
         "param_count": model.param_count(),
-        "final_loss": history[-1]["loss"],
+        "final_loss": rec["loss"],
         "best_dev_loss": state.best_dev_loss,
     }
     _write_json(out_dir / "train_summary.json", summary)
@@ -346,7 +364,7 @@ def cmd_train(cfg: dict, resume: str | None = None) -> int:
     tcfg = _section(TrainConfig, "train", cfg["train"])
     state = None
     if resume is not None:
-        model, state = load_checkpoint(resume)
+        model, state = _load_checkpoint(resume)
         # Batch order and dropout come from train.seed, and the checkpoint
         # carries its run's seed into every later checkpoint.
         if state.seed != tcfg.seed:

@@ -44,6 +44,7 @@ __all__ = [
     "pad_batch",
     "batch_loss",
     "train_step",
+    "train_steps",
     "train_loop",
     "eval_loss",
     "token_accuracy",
@@ -227,6 +228,8 @@ def _eval_chunks(model: Seq2SeqModel, triples):
     order, and each side's history over its real positions.
     """
     triples = list(triples)
+    if not triples:
+        raise ShapeError("evaluation over no sequences")
     with no_grad():
         for i in range(0, len(triples), EVAL_BATCH):
             batch = pad_batch(triples[i:i + EVAL_BATCH])
@@ -243,7 +246,7 @@ def eval_loss(model: Seq2SeqModel, triples, label_smoothing: float = 0.0) -> flo
     for logits, targets, _, _ in _eval_chunks(model, triples):
         total += cross_entropy(logits, targets, label_smoothing, reduction="sum").item()
         tokens += len(targets)
-    return total / max(tokens, 1)
+    return total / tokens
 
 
 def token_accuracy(model: Seq2SeqModel, triples) -> float:
@@ -253,7 +256,7 @@ def token_accuracy(model: Seq2SeqModel, triples) -> float:
     for logits, targets, _, _ in _eval_chunks(model, triples):
         hits += int(np.sum(np.argmax(logits.data, axis=1) == targets))
         tokens += len(targets)
-    return hits / max(tokens, 1)
+    return hits / tokens
 
 
 def extract_fuse_probs(model: Seq2SeqModel, triples) -> dict[str, dict[int, np.ndarray]]:
@@ -275,56 +278,34 @@ def extract_fuse_probs(model: Seq2SeqModel, triples) -> dict[str, dict[int, np.n
         for side, cache in (("encoder", enc), ("decoder", dec)):
             for k, probs in cache.fuse_probs.items():
                 rows.setdefault(side, {}).setdefault(k, []).append(probs.reshape(-1, k + 1))
-    if not rows:
-        raise ShapeError("extract_fuse_probs over no sequences")
     return {side: {k: np.concatenate(chunks).mean(axis=0) for k, chunks in layers.items()}
             for side, layers in rows.items()}
 
 
-def train_loop(
-    model: Seq2SeqModel,
-    train_set,
-    cfg: TrainConfig,
-    dev_set=None,
-    out_dir: str | Path | None = None,
-    log_stream=None,
-    state: TrainState | None = None,
-) -> tuple[TrainState, list[dict]]:
-    """Run cfg.steps optimizer steps (continuing from ``state`` if given).
+def train_steps(model: Seq2SeqModel, train_set, cfg: TrainConfig, state: TrainState):
+    """Run optimizer steps from ``state.step`` to cfg.steps, updating ``state``.
 
-    Writes one JSON line per step to ``log_stream`` and, when ``out_dir`` is
-    set, saves checkpoint.npz every checkpoint_interval steps and once at the
-    end, plus best.npz whenever the dev loss improves (never without a
-    ``dev_set``). Returns the final state and the list of per-step records.
+    Yields each step's record: train_step's loss, lr and grad_norm, plus its
+    ``step`` and ``wall_ms``.
     """
     if not train_set:
         raise ValueError("empty training set")
-    if state is None:
-        state = init_state(model, cfg)
-    out_path = Path(out_dir) if out_dir is not None else None
-    history: list[dict] = []
     while state.step < cfg.steps:
         batch = [train_set[i] for i in batch_indices(state.step, len(train_set), cfg)]
         t0 = time.perf_counter()
         rec = train_step(model, batch, cfg, state)
         rec["wall_ms"] = (time.perf_counter() - t0) * 1000.0
         rec["step"] = state.step
-        at_interval = state.step % cfg.checkpoint_interval == 0
-        if (at_interval or state.step == cfg.steps) and dev_set:
-            dev = eval_loss(model, dev_set, cfg.label_smoothing)
-            rec["dev_loss"] = dev
-            if state.best_dev_loss is None or dev < state.best_dev_loss:
-                state.best_dev_loss = dev
-                if out_path is not None:
-                    save_checkpoint(out_path / "best.npz", model, state)
-        if out_path is not None and at_interval and state.step < cfg.steps:
-            save_checkpoint(out_path / "checkpoint.npz", model, state)
-        if log_stream is not None:
-            log_stream.write(json.dumps(rec, sort_keys=True) + "\n")
-        history.append(rec)
-    if out_path is not None:
-        save_checkpoint(out_path / "checkpoint.npz", model, state)
-    return state, history
+        yield rec
+
+
+def train_loop(model: Seq2SeqModel, train_set, cfg: TrainConfig,
+               state: TrainState | None = None) -> tuple[TrainState, list[dict]]:
+    """Run cfg.steps optimizer steps (continuing from ``state`` if given);
+    returns the final state and the list of per-step records."""
+    if state is None:
+        state = init_state(model, cfg)
+    return state, list(train_steps(model, train_set, cfg, state))
 
 
 def greedy_decode(

@@ -653,6 +653,17 @@ def resume_with(*extra):
     return make
 
 
+def checkpoint_path(command, directory):
+    """argv running ``command`` with --resume (train) or --checkpoint naming a
+    directory, or a file that does not exist."""
+    def make(pipeline, tmp_path):
+        path = tmp_path if directory else tmp_path / "missing.npz"
+        flag = "--resume" if command == "train" else "--checkpoint"
+        return ([command, "--out", str(tmp_path / "r"), flag, str(path)]
+                + sets(data_dir=str(pipeline["data"])))
+    return make
+
+
 def run_on_corpus(command, *corpus_sets):
     """argv running ``command`` with the pipeline's checkpoint on a new
     corpus generated with the settings ``corpus_sets``."""
@@ -776,6 +787,11 @@ def out_at_file(command, under=""):
     (out_at_file("sweep"), 2, "out_dir must be a directory path"),
     (out_at_file("eval"), 2, "out_dir must be a directory path"),
     (out_at_file("gen", "sub"), 2, "afile' is not a directory"),
+    (checkpoint_path("train", directory=False), 2, "no checkpoint file at"),
+    (checkpoint_path("train", directory=True), 2, "no checkpoint file at"),
+    (checkpoint_path("eval", directory=False), 2, "no checkpoint file at"),
+    (checkpoint_path("eval", directory=True), 2, "no checkpoint file at"),
+    (checkpoint_path("analyze", directory=True), 2, "no checkpoint file at"),
 ], ids=["seeds-not-int", "seeds-empty", "truncated-dev-line", "dev-line-missing",
         "dev-token-unknown", "cg-test-source-empty", "train-sources-empty",
         "cg-test-pattern-unknown", "cg-test-one-atom", "cg-test-compound-length-9",
@@ -800,7 +816,9 @@ def out_at_file(command, under=""):
         "model-object-unknown-key", "gen-pattern-list", "sweep-pattern-list",
         "gen-patterns-string", "gen-patterns-int", "gen-patterns-repeated",
         "data-dir-int", "data-dir-null", "sweep-out-dir-int", "gen-out-file",
-        "train-out-file", "sweep-out-file", "eval-out-file", "gen-out-under-file"])
+        "train-out-file", "sweep-out-file", "eval-out-file", "gen-out-under-file",
+        "resume-missing", "resume-directory", "eval-checkpoint-missing",
+        "eval-checkpoint-directory", "analyze-checkpoint-directory"])
 def test_bad_input_exits_with_one_error_line(pipeline, tmp_path, make_argv, code, detail):
     argv = make_argv(pipeline, tmp_path)
     result = subprocess.run([sys.executable, "-m", "layerfuse.cli"] + argv,

@@ -1,6 +1,5 @@
 """Optimizer schedule, training loop, decoding, and checkpointing."""
 import dataclasses
-import io
 import json
 import math
 from pathlib import Path
@@ -8,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layerfuse import training
+from layerfuse import cli, training
 from layerfuse.attention import Packing
 from layerfuse.fusion import VARIANT_NAMES
 from layerfuse.model import DecodeState, ModelConfig, Seq2SeqModel, _Layer
@@ -18,6 +17,7 @@ from layerfuse.training import (
     TrainConfig,
     batch_indices,
     eval_loss,
+    extract_fuse_probs,
     greedy_decode,
     greedy_decode_batch,
     init_state,
@@ -216,39 +216,46 @@ def test_gradient_clipping_reported_norm():
 # -- training loop --------------------------------------------------------------------
 
 
-def test_train_loop_logs_and_checkpoints(tmp_path):
-    model = tiny_model()
-    stream = io.StringIO()
+def record_saves(monkeypatch):
+    """The (file name, step) of every checkpoint the CLI saves, in order."""
+    saves = []
+    real_save = cli.save_checkpoint
+
+    def counting_save(path, model, state):
+        saves.append((Path(path).name, state.step))
+        real_save(path, model, state)
+
+    monkeypatch.setattr(cli, "save_checkpoint", counting_save)
+    return saves
+
+
+def test_train_run_logs_and_checkpoints(tmp_path, monkeypatch):
+    saves = record_saves(monkeypatch)
     cfg = train_cfg(steps=5, checkpoint_interval=2)
-    dev = toy_pairs(4, seed=7)
-    state, history = train_loop(model, toy_pairs(12, seed=8), cfg, dev_set=dev,
-                                out_dir=tmp_path, log_stream=stream)
-    assert state.step == 5
-    assert len(history) == 5
-    lines = [json.loads(l) for l in stream.getvalue().splitlines()]
+    summary = cli._train_run({"out_dir": str(tmp_path)}, tiny_model(), cfg,
+                             toy_pairs(12, seed=8), toy_pairs(4, seed=7))
+    lines = [json.loads(l) for l in (tmp_path / "train_log.jsonl").read_text().splitlines()]
     assert [l["step"] for l in lines] == [1, 2, 3, 4, 5]
     assert all({"loss", "lr", "grad_norm", "wall_ms"} <= set(l) for l in lines)
-    assert "dev_loss" in lines[1]  # checkpoint_interval boundary
-    assert (tmp_path / "checkpoint.npz").exists()
-    assert (tmp_path / "best.npz").exists()
+    # A dev-loss pass at every checkpoint_interval step and at the last step.
+    assert [l["step"] for l in lines if "dev_loss" in l] == [2, 4, 5]
+    # The dev loss improves at each pass, so best.npz is saved before each
+    # checkpoint.npz.
+    assert saves == [("best.npz", 2), ("checkpoint.npz", 2), ("best.npz", 4),
+                     ("checkpoint.npz", 4), ("best.npz", 5), ("checkpoint.npz", 5)]
+    assert summary["steps"] == 5 and summary["final_loss"] == lines[-1]["loss"]
+    assert json.loads((tmp_path / "train_summary.json").read_text()) == summary
 
 
 @pytest.mark.parametrize("steps, interval, want", [
     (4, 200, [("checkpoint.npz", 4)]),
     (6, 3, [("checkpoint.npz", 3), ("checkpoint.npz", 6)]),
 ])
-def test_train_loop_writes_each_checkpoint_once(tmp_path, monkeypatch, steps,
-                                                interval, want):
-    saves = []
-    real_save = training.save_checkpoint
-
-    def counting_save(path, model, state):
-        saves.append((Path(path).name, state.step))
-        real_save(path, model, state)
-
-    monkeypatch.setattr(training, "save_checkpoint", counting_save)
+def test_train_run_writes_each_checkpoint_once(tmp_path, monkeypatch, steps,
+                                               interval, want):
+    saves = record_saves(monkeypatch)
     cfg = train_cfg(steps=steps, checkpoint_interval=interval)
-    train_loop(tiny_model(), toy_pairs(8, seed=15), cfg, out_dir=tmp_path)
+    cli._train_run({"out_dir": str(tmp_path)}, tiny_model(), cfg, toy_pairs(8, seed=15))
     assert saves == want
 
 
@@ -536,6 +543,12 @@ def test_cached_decode_steps_run_one_position_per_layer(monkeypatch):
 def test_token_accuracy_on_overfit_pair():
     model, pair = overfit_single_pair(seed=16)
     assert token_accuracy(model, [pair]) == 1.0
+
+
+@pytest.mark.parametrize("score", [eval_loss, token_accuracy, extract_fuse_probs])
+def test_scoring_no_sentences_is_a_shape_error(score):
+    with pytest.raises(ShapeError, match="no sequences"):
+        score(tiny_model(), [])
 
 
 # -- checkpointing --------------------------------------------------------------------
