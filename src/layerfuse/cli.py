@@ -76,12 +76,12 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return cfg
     p = Path(path)
-    if not p.exists():
-        raise UsageError(f"config file not found: {path}")
+    if not p.is_file():
+        raise UsageError(f"no config file at {path}")
     try:
         user = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UsageError(f"config file {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     _merge(cfg, user)

@@ -564,7 +564,7 @@ def load_corpus(data_dir: str | Path) -> Corpus:
     """
     data = Path(data_dir)
     manifest_path = data / "manifest.json"
-    if not manifest_path.exists():
+    if not manifest_path.is_file():
         raise FileNotFoundError(f"no corpus manifest at {manifest_path}")
     manifest = manifest_path.read_bytes()
     try:
@@ -576,7 +576,7 @@ def load_corpus(data_dir: str | Path) -> Corpus:
     splits = {}
     for name, count in spec.split_sizes().items():
         path = data / f"{name}.jsonl"
-        splits[name] = path.read_bytes() if path.exists() else b""
+        splits[name] = path.read_bytes() if path.is_file() else b""
         if (held := len(splits[name].splitlines())) != count:
             raise ValueError(f"{path} holds {held} examples, but "
                              f"{manifest_path} counts {count}")

@@ -690,6 +690,31 @@ def out_at_file(command, under=""):
     return make
 
 
+def gen_with_config(contents=None):
+    """argv running gen with --config naming a directory, or a file that
+    holds the bytes ``contents``."""
+    def make(pipeline, tmp_path):
+        path = tmp_path / "conf.json"
+        if contents is None:
+            path.mkdir()
+        else:
+            path.write_bytes(contents)
+        return ["gen", "--out", str(tmp_path / "r"), "--config", str(path)]
+    return make
+
+
+def corpus_file_as_directory(name):
+    """argv training on a copy of the pipeline's corpus whose file ``name``
+    is a directory."""
+    def make(pipeline, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        (data / name).unlink()
+        (data / name).mkdir()
+        return ["train", "--out", str(tmp_path / "r")] + sets(data_dir=str(data))
+    return make
+
+
 @pytest.mark.parametrize("make_argv, code, detail", [
     (sweep_seeds("0,x"), 2, "seeds"),
     (sweep_seeds(""), 2, "seeds"),
@@ -792,6 +817,10 @@ def out_at_file(command, under=""):
     (checkpoint_path("eval", directory=False), 2, "no checkpoint file at"),
     (checkpoint_path("eval", directory=True), 2, "no checkpoint file at"),
     (checkpoint_path("analyze", directory=True), 2, "no checkpoint file at"),
+    (gen_with_config(), 2, "no config file at"),
+    (gen_with_config(b'\xff{"corpus": {}}'), 2, "is not valid UTF-8 JSON"),
+    (corpus_file_as_directory("manifest.json"), 2, "no corpus manifest at"),
+    (corpus_file_as_directory("dev.jsonl"), 2, "dev.jsonl holds 0 examples"),
 ], ids=["seeds-not-int", "seeds-empty", "truncated-dev-line", "dev-line-missing",
         "dev-token-unknown", "cg-test-source-empty", "train-sources-empty",
         "cg-test-pattern-unknown", "cg-test-one-atom", "cg-test-compound-length-9",
@@ -818,7 +847,8 @@ def out_at_file(command, under=""):
         "data-dir-int", "data-dir-null", "sweep-out-dir-int", "gen-out-file",
         "train-out-file", "sweep-out-file", "eval-out-file", "gen-out-under-file",
         "resume-missing", "resume-directory", "eval-checkpoint-missing",
-        "eval-checkpoint-directory", "analyze-checkpoint-directory"])
+        "eval-checkpoint-directory", "analyze-checkpoint-directory", "config-directory",
+        "config-not-utf8", "manifest-directory", "dev-split-directory"])
 def test_bad_input_exits_with_one_error_line(pipeline, tmp_path, make_argv, code, detail):
     argv = make_argv(pipeline, tmp_path)
     result = subprocess.run([sys.executable, "-m", "layerfuse.cli"] + argv,
