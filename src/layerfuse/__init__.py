@@ -24,7 +24,6 @@ from .fusion import (
     accumulate_previous,
     fuse_attention,
     fuse_attention_core,
-    parse_variant,
 )
 from .model import DecodeState, LayerCache, ModelConfig, Seq2SeqModel
 from .tensor import (

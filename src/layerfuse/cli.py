@@ -31,7 +31,7 @@ from .compgen import (
     write_corpus,
 )
 from .fileio import atomic_write
-from .fusion import VARIANT_NAMES, FusionError, parse_variant
+from .fusion import VARIANT_NAMES, FusionError
 from .model import ModelConfig, Seq2SeqModel
 from .training import (
     CheckpointError,
@@ -60,7 +60,7 @@ def default_config() -> dict:
         "corpus": CorpusSpec().to_dict(),
         # ModelConfig's defaults, less the fields _model_config fills in.
         "model": {f.name: f.default for f in fields(ModelConfig) if f.name not in
-                  ("src_vocab", "tgt_vocab", "fusion_mode", "fusion_sides")},
+                  ("src_vocab", "tgt_vocab", "variant")},
         "train": TrainConfig().to_dict(),
         "data_dir": "data",
         "out_dir": "out",
@@ -172,8 +172,7 @@ def _check_lengths(corpus: Corpus, max_len: int) -> None:
 def _model_config(cfg: dict, corpus: Corpus | None = None) -> ModelConfig:
     """The model section with cfg["variant"]; without a corpus, vocab sizes
     of 1 stand in, so the section is checked before a corpus exists."""
-    section = dict(cfg["model"])
-    section["fusion_mode"], section["fusion_sides"] = parse_variant(cfg["variant"])
+    section = dict(cfg["model"], variant=cfg["variant"])
     section["src_vocab"] = len(corpus.src_vocab) if corpus is not None else 1
     section["tgt_vocab"] = len(corpus.tgt_vocab) if corpus is not None else 1
     mcfg = _section(ModelConfig, "model", section)
@@ -365,15 +364,15 @@ def cmd_train(cfg: dict, resume: str | None = None) -> int:
     state = None
     if resume is not None:
         model, state = _load_checkpoint(resume)
-        # Batch order and dropout come from train.seed, and the checkpoint
-        # carries its run's seed into every later checkpoint.
-        if state.seed != tcfg.seed:
-            raise UsageError(f"{resume} was trained with seed {state.seed}, but "
-                             f"train.seed is {tcfg.seed}; resume with --seed {state.seed}")
-        # The config must describe the checkpoint's model; variant comes
-        # first, so a fusion change names it rather than fusion_mode.
-        want, have = ({"variant": c.variant, **c.to_dict()}
-                      for c in (_model_config(cfg, corpus), model.config))
+        # Every train key but these two changes the trained numbers, so it
+        # must be what the checkpoint was trained with.
+        trained = state.train.to_dict()
+        for key, value in tcfg.to_dict().items():
+            if key not in ("steps", "checkpoint_interval") and value != trained[key]:
+                raise UsageError(f"{resume} was trained with {key} {trained[key]!r}, but "
+                                 f"train.{key} is {value!r}")
+        # The config must describe the checkpoint's model.
+        want, have = (c.to_dict() for c in (_model_config(cfg, corpus), model.config))
         for key in want:
             if want[key] != have[key]:
                 raise UsageError(f"{resume} holds a model with {key} {have[key]!r}, "
@@ -381,6 +380,7 @@ def cmd_train(cfg: dict, resume: str | None = None) -> int:
         if state.step >= tcfg.steps:
             raise UsageError(f"{resume} is at step {state.step}, but train.steps is "
                              f"{tcfg.steps}; resume with more steps")
+        state.train = tcfg  # later checkpoints record this run's steps and interval
     else:
         model = Seq2SeqModel(_model_config(cfg, corpus))
     vocabs = corpus.src_vocab, corpus.tgt_vocab

@@ -10,10 +10,12 @@ is the embedding's value and output projection, and its w_q and w_k get no
 gradient, keeping their initial values (they still count among the
 parameters).
 
-Variants, as (fusion_mode, fusion_sides) pairs; VARIANT_NAMES lists the
-only pairs a model accepts:
+Variants, by the names in VARIANT_NAMES, the only values of
+ModelConfig.variant:
   vanilla   no fusion; plain transformer layers
-  fuse      fuse-attention in every layer of the selected sides
+  fuse      fuse-attention in every layer of both sides
+  fuse_enc  fuse-attention in every encoder layer
+  fuse_dec  fuse-attention in every decoder layer
   fuse_top  fuse-attention only in the topmost layer of both sides
   accum     no fuse-attention; the input of layer i on both sides is replaced
             by the elementwise sum of all previous layer outputs (adds no
@@ -29,7 +31,6 @@ from .tensor import Tensor, stack
 __all__ = [
     "FusionError",
     "VARIANT_NAMES",
-    "parse_variant",
     "accumulate_previous",
     "fuse_attention_core",
     "fuse_attention",
@@ -37,29 +38,12 @@ __all__ = [
 
 
 class FusionError(ValueError):
-    """Misconfigured fusion: empty layer history, bad variant name, etc."""
+    """Misconfigured fusion: empty layer history, a bad layer mask, or an
+    unfused model's fuse-attention probabilities."""
 
 
-# The variants by name, in the order of the CLI's default sweep; their
-# (fusion_mode, fusion_sides) pairs are the only fusion configurations.
-VARIANT_NAMES = {
-    "vanilla": ("vanilla", "both"),
-    "fuse": ("fuse", "both"),
-    "fuse_enc": ("fuse", "encoder"),
-    "fuse_dec": ("fuse", "decoder"),
-    "fuse_top": ("fuse_top", "both"),
-    "accum": ("accum", "both"),
-}
-
-
-def parse_variant(name: str) -> tuple[str, str]:
-    """Map a shorthand variant name to (fusion_mode, fusion_sides)."""
-    try:
-        return VARIANT_NAMES[name]
-    except (KeyError, TypeError):
-        raise FusionError(
-            f"unknown variant {name!r}; expected one of {sorted(VARIANT_NAMES)}"
-        ) from None
+# The variant names, in the order of the CLI's default sweep.
+VARIANT_NAMES = ("vanilla", "fuse", "fuse_enc", "fuse_dec", "fuse_top", "accum")
 
 
 def accumulate_previous(outputs) -> Tensor:

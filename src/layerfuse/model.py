@@ -47,7 +47,7 @@ from .attention import (
     multi_head_attention,
 )
 from .fileio import check_number_fields
-from .fusion import VARIANT_NAMES, accumulate_previous, fuse_attention, parse_variant
+from .fusion import VARIANT_NAMES, accumulate_previous, fuse_attention
 from .tensor import ShapeError, Tensor, embedding_lookup, layer_norm
 
 __all__ = ["ModelConfig", "LayerCache", "DecodeState", "Seq2SeqModel"]
@@ -66,8 +66,7 @@ class ModelConfig:
     n_dec_layers: int = 2
     max_len: int = 48
     dropout: float = 0.1
-    fusion_mode: str = "fuse"
-    fusion_sides: str = "both"
+    variant: str = "fuse"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -85,33 +84,25 @@ class ModelConfig:
             raise ValueError("d_ffn and max_len must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if (self.fusion_mode, self.fusion_sides) not in VARIANT_NAMES.values():
-            raise ValueError(
-                f"fusion_mode {self.fusion_mode!r} with fusion_sides "
-                f"{self.fusion_sides!r} is not a variant; expected one of "
-                f"{list(VARIANT_NAMES.values())}"
-            )
+        if self.variant not in VARIANT_NAMES:
+            raise ValueError(f"variant must be one of {', '.join(VARIANT_NAMES)}, "
+                             f"got {self.variant!r}")
 
     def fused_layers(self, side: str) -> list[int]:
         """0-based indices of the layers on ``side`` that carry fuse-attention."""
-        if not self.fuses or self.fusion_sides not in ("both", side):
+        # side[:3] is "enc" or "dec": fuse_enc and fuse_dec fuse one side each.
+        if self.variant not in ("fuse", "fuse_top", f"fuse_{side[:3]}"):
             return []
         n = self.n_enc_layers if side == "encoder" else self.n_dec_layers
-        return [n - 1] if self.fusion_mode == "fuse_top" else list(range(n))
+        return [n - 1] if self.variant == "fuse_top" else list(range(n))
 
     @property
     def fuses(self) -> bool:
         """Whether any layer carries fuse-attention."""
-        return self.fusion_mode in ("fuse", "fuse_top")
-
-    @property
-    def variant(self) -> str:
-        return {pair: name for name, pair in VARIANT_NAMES.items()}[
-            (self.fusion_mode, self.fusion_sides)]
+        return bool(self.fused_layers("encoder") or self.fused_layers("decoder"))
 
     def with_variant(self, name: str) -> "ModelConfig":
-        mode, sides = parse_variant(name)
-        return replace(self, fusion_mode=mode, fusion_sides=sides)
+        return replace(self, variant=name)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -422,7 +413,7 @@ class Seq2SeqModel:
         if drop is not None:
             h = drop(h)
         cache = LayerCache(outputs=[h])
-        accum = self.config.fusion_mode == "accum"
+        accum = self.config.variant == "accum"
         layers = self.enc_layers if side == "encoder" else self.dec_layers
         for k, layer in enumerate(layers):
             x = accumulate_previous(cache.outputs) if accum else cache.outputs[-1]

@@ -3,8 +3,8 @@ and bit-exact checkpointing.
 
 All randomness is derived functionally from (seed, purpose tag, step), so a
 resumed run consumes exactly the same batch order and dropout masks as an
-uninterrupted one; checkpoints only need to persist the step counter and the
-optimizer moments.
+uninterrupted one; checkpoints only need to persist the step counter, the
+optimizer moments and the run's TrainConfig.
 
 A batch is a list of (src_ids, tgt_in_ids, tgt_out_ids) triples. A step
 right-pads its sources and target inputs to [B, T] id arrays and runs them
@@ -63,7 +63,7 @@ _TAG_DROPOUT = 2
 # length-sorted chunk of greedy_decode_batch.
 EVAL_BATCH = 64
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # Adam's betas and epsilon, fixed at the Transformer's (Vaswani et al. 2017).
 ADAM_BETA1 = 0.9
@@ -109,17 +109,18 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Optimizer step counter plus Adam moments, keyed by parameter name."""
+    """The run's TrainConfig, the optimizer step counter and the Adam
+    moments, keyed by parameter name."""
 
+    train: TrainConfig
     step: int = 0
-    seed: int = 0
     adam_m: dict = field(default_factory=dict)
     adam_v: dict = field(default_factory=dict)
     best_dev_loss: float | None = None
 
 
 def init_state(model: Seq2SeqModel, cfg: TrainConfig) -> TrainState:
-    state = TrainState(step=0, seed=cfg.seed)
+    state = TrainState(cfg)
     for name, p in model.parameters().items():
         state.adam_m[name] = np.zeros_like(p.data)
         state.adam_v[name] = np.zeros_like(p.data)
@@ -409,7 +410,7 @@ def save_checkpoint(path: str | Path, model: Seq2SeqModel, state: TrainState) ->
         "version": CHECKPOINT_VERSION,
         "model_config": model.config.to_dict(),
         "step": state.step,
-        "seed": state.seed,
+        "train": state.train.to_dict(),
         "best_dev_loss": state.best_dev_loss,
     }
     arrays: dict[str, np.ndarray] = {
@@ -458,10 +459,12 @@ def load_checkpoint(path: str | Path) -> tuple[Seq2SeqModel, TrainState]:
         for name, p in model.parameters().items():
             p.data = _stored_array(archive, path, f"param/{name}", p.data.shape)
         try:
-            state = TrainState(step=meta["step"], seed=meta["seed"],
+            state = TrainState(step=meta["step"], train=TrainConfig(**meta["train"]),
                                best_dev_loss=meta.get("best_dev_loss"))
         except KeyError as exc:
             raise CheckpointError(f"{path} meta has no {exc} entry") from exc
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path} has a bad train config: {exc}") from exc
         check_number_fields(state, lambda msg: CheckpointError(f"{path} meta: {msg}"))
         best = state.best_dev_loss
         if best is not None and type(best) not in (int, float):

@@ -281,7 +281,7 @@ def test_criterion_07_overfit_sanity(capsys):
     model = Seq2SeqModel(ModelConfig(
         src_vocab=vocab, tgt_vocab=vocab, d_model=32, n_heads=4, d_ffn=64,
         n_enc_layers=2, n_dec_layers=2, max_len=8, dropout=0.0,
-        fusion_mode="fuse", fusion_sides="both", seed=71))
+        variant="fuse", seed=71))
     cfg = TrainConfig(steps=2000, batch_size=8, lr=3e-3, warmup=100,
                       label_smoothing=0.0, seed=7)
     state = init_state(model, cfg)

@@ -78,10 +78,10 @@ def test_default_config_sections():
     # Each section is its dataclass's defaults.
     assert cfg["corpus"] == CorpusSpec().to_dict()
     assert cfg["train"] == TrainConfig().to_dict()
-    # The CLI fills the vocab sizes from the corpus and the fusion fields
-    # from variant, so the model section leaves them out.
+    # The CLI fills the vocab sizes from the corpus and the model's variant
+    # from the top-level variant, so the model section leaves them out.
     model = ModelConfig(src_vocab=1, tgt_vocab=1).to_dict()
-    for key in ("src_vocab", "tgt_vocab", "fusion_mode", "fusion_sides"):
+    for key in ("src_vocab", "tgt_vocab", "variant"):
         del model[key]
     assert list(cfg["model"].items()) == list(model.items())
 
@@ -262,13 +262,15 @@ def test_resume_keeps_the_run_seed(pipeline, tmp_path, capsys):
     assert "seed 3" in err and "train.seed is 0" in err
     assert not resumed.exists()
 
-    assert main(resume + ["--seed", "3"] + sets("train.steps=4", data_dir=data)) == 0
+    # checkpoint_interval changes no trained number, so it may differ.
+    longer = sets("train.steps=4", "train.checkpoint_interval=3", data_dir=data)
+    assert main(resume + ["--seed", "3"] + longer) == 0
     full = tmp_path / "full"
-    assert main(["train", "--out", str(full), "--seed", "3"]
-                + sets("train.steps=4", data_dir=data)) == 0
+    assert main(["train", "--out", str(full), "--seed", "3"] + longer) == 0
     a, a_state = load_checkpoint(full / "checkpoint.npz")
     b, b_state = load_checkpoint(resumed / "checkpoint.npz")
-    assert a_state.seed == b_state.seed == 3
+    # A resumed run's checkpoint records the train section of its last leg.
+    assert a_state.train == b_state.train and b_state.train.seed == 3
     for name, p in a.parameters().items():
         assert np.array_equal(p.data, b.parameters()[name].data), name
 
@@ -732,15 +734,16 @@ def corpus_file_as_directory(name):
     (edited_manifest(lambda manifest: manifest["spec"].update(n_np="x")), 2,
      "n_np must be an integer >= 0, got 'x'"),
     (checkpoint_with(dense_layers=2), 3, "dense_layers"),
-    (checkpoint_with(fusion_mode="dense"), 3, "fusion_mode"),
-    (checkpoint_with(fusion_mode="vanilla", fusion_sides="encoder"), 3, "fusion_mode 'vanilla'"),
+    (checkpoint_with(dropout=1.5), 3, "dropout must be in [0, 1), got 1.5"),
+    (checkpoint_with(variant="dense"), 3, "variant must be one of"),
     (checkpoint_with(version=1), 3, "version 1"),
+    (checkpoint_with(version=2), 3, "version 2, expected 3"),
     (edited_checkpoint(lambda meta: [meta]), 3, "is not a checkpoint file"),
     (corrupt_checkpoint_meta, 3, "entry meta is unreadable"),
     (edited_checkpoint(lambda meta: {k: v for k, v in meta.items() if k != "step"}), 3,
      "meta has no 'step' entry"),
-    (edited_checkpoint(lambda meta: {**meta, "seed": "x"}), 3,
-     "seed must be an integer >= 0, got 'x'"),
+    (edited_checkpoint(lambda meta: {**meta, "train": {**meta["train"], "seed": "x"}}), 3,
+     "bad train config: seed must be an integer >= 0, got 'x'"),
     (edited_checkpoint(arrays=[("param/out.w", lambda a: np.full(a.shape, "x"))]), 3,
      "param/out.w is <U1"),
     (edited_checkpoint(arrays=[("adam_m/out.w", lambda a: np.zeros(1))], command="train"),
@@ -759,6 +762,8 @@ def corpus_file_as_directory(name):
     (resume_with("model.n_heads=0"), 2, "bad model section: n_heads 0"),
     (resume_with("model.d_model=32"), 2, "with d_model 16, but the config gives 32"),
     (resume_with("variant=vanilla"), 2, "with variant 'fuse', but the config gives 'vanilla'"),
+    (resume_with("train.steps=4", "train.batch_size=8", "train.lr=0.5"), 2,
+     "was trained with lr 0.002, but train.lr is 0.5"),
     (resume_with("train.steps=3"), 2, "at step 3, but train.steps is 3"),
     (resume_with("train.steps=2"), 2, "at step 3, but train.steps is 2"),
     (run_on_corpus("eval", "corpus.n_np=12"), 2,
@@ -789,6 +794,9 @@ def corpus_file_as_directory(name):
     (sweep_seeds("0", "vanilla", "train.clip_norm=true"), 2,
      "clip_norm must be a finite number"),
     (command_with("train", "model.fusion_mode=fuse"), 2, "unknown config key"),
+    (command_with("train", "variant=5"), 2, "variant must be one of"),
+    (command_with("train", 'variant=["fuse"]'), 2, "got ['fuse']"),
+    (sweep_seeds("0", ""), 2, "variant must be one of"),
     (sweep_seeds("-1"), 2, "seed must be an integer >= 0"),
     (sweep_seeds("0", "vanilla", "model.n_heads=0"), 2, "n_heads 0"),
     (sweep_seeds("0", "vanilla", "corpus.n_cg_compounds=0"), 2, "n_cg_compounds is 0"),
@@ -826,13 +834,14 @@ def corpus_file_as_directory(name):
         "cg-test-pattern-unknown", "cg-test-one-atom", "cg-test-compound-length-9",
         "dev-from-seed-1", "wrong-manifest", "manifest-n-np-string",
         "checkpoint-unknown-key", "checkpoint-bad-value", "checkpoint-unnamed-pair",
-        "checkpoint-version-1", "checkpoint-meta-list", "checkpoint-meta-crc",
-        "checkpoint-meta-no-step",
+        "checkpoint-version-1", "checkpoint-version-2", "checkpoint-meta-list",
+        "checkpoint-meta-crc", "checkpoint-meta-no-step",
         "checkpoint-seed-string", "checkpoint-param-strings", "resume-adam-moment-shape",
         "max-new-zero", "max-new-string", "max-new-null", "max-new-float",
         "max-new-bool", "analysis-examples-zero", "eval-split-key",
         "sweep-max-new-zero", "sweep-repeated-variant", "sweep-repeated-seed",
         "n-heads-zero", "resume-n-heads-zero", "resume-d-model", "resume-variant",
+        "resume-lr",
         "resume-at-step", "resume-below-step", "eval-bigger-vocab", "analyze-bigger-vocab",
         "eval-smaller-vocab",
         "model-section-int", "seed-flag-negative", "model-seed-negative",
@@ -841,6 +850,7 @@ def corpus_file_as_directory(name):
         "train-steps-zero", "sweep-steps-zero", "adam-beta1-key",
         "model-seed-bool", "lr-bool", "lr-infinite", "dropout-bool",
         "label-smoothing-string", "sweep-clip-norm-bool", "fusion-mode-key",
+        "variant-int", "variant-list", "sweep-variant-empty",
         "sweep-seed-negative", "sweep-n-heads-zero", "sweep-cg-test-empty",
         "model-object-unknown-key", "gen-pattern-list", "sweep-pattern-list",
         "gen-patterns-string", "gen-patterns-int", "gen-patterns-repeated",

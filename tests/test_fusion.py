@@ -9,7 +9,6 @@ from layerfuse.fusion import (
     accumulate_previous,
     fuse_attention,
     fuse_attention_core,
-    parse_variant,
 )
 from layerfuse.model import ModelConfig, Seq2SeqModel
 from layerfuse.tensor import Tensor, concat, layer_norm, stack
@@ -29,31 +28,42 @@ def history(seed, n_layers, seq, d):
 # -- variant naming ---------------------------------------------------------------
 
 
-def variant_config(name, n_layers=3):
-    return ModelConfig(src_vocab=5, tgt_vocab=5, d_model=8, n_heads=2,
-                       n_enc_layers=n_layers, n_dec_layers=n_layers).with_variant(name)
+def variant_config(name, n_enc_layers=3, n_dec_layers=3):
+    cfg = ModelConfig(src_vocab=5, tgt_vocab=5, d_model=8, n_heads=2,
+                      n_enc_layers=n_enc_layers, n_dec_layers=n_dec_layers)
+    return cfg.with_variant(name)
 
 
 def test_variant_round_trips():
     for name in VARIANT_NAMES:
         cfg = variant_config(name)
-        assert (cfg.fusion_mode, cfg.fusion_sides) == parse_variant(name)
         assert cfg.variant == name
+        assert ModelConfig(**cfg.to_dict()) == cfg
 
 
-def test_parse_variant_rejects_unknown():
-    with pytest.raises(FusionError):
-        parse_variant("dense")
+def test_with_variant_rejects_unknown():
+    with pytest.raises(ValueError, match="variant must be one of .*, got 'dense'"):
+        variant_config("dense")
+
+
+# Each variant's fused layers (encoder, decoder) at 3 encoder and 2 decoder
+# layers: every layer of the fused sides, or the top layer of each side.
+FUSED_LAYERS = {
+    "vanilla": ([], []),
+    "fuse": ([0, 1, 2], [0, 1]),
+    "fuse_enc": ([0, 1, 2], []),
+    "fuse_dec": ([], [0, 1]),
+    "fuse_top": ([2], [1]),
+    "accum": ([], []),
+}
 
 
 def test_fused_layer_indices_by_mode():
-    assert variant_config("fuse").fused_layers("encoder") == [0, 1, 2]
-    assert variant_config("fuse_top").fused_layers("decoder") == [2]
-    assert variant_config("vanilla").fused_layers("encoder") == []
-    assert variant_config("accum").fused_layers("encoder") == []
-    assert variant_config("fuse_enc").fused_layers("decoder") == []
-    assert variant_config("fuse_dec").fused_layers("decoder") == [0, 1, 2]
-    assert variant_config("fuse_top", n_layers=1).fused_layers("encoder") == [0]
+    assert tuple(FUSED_LAYERS) == VARIANT_NAMES
+    for name, (enc, dec) in FUSED_LAYERS.items():
+        cfg = variant_config(name, n_dec_layers=2)
+        assert (cfg.fused_layers("encoder"), cfg.fused_layers("decoder")) == (enc, dec), name
+    assert variant_config("fuse_top", 1, 1).fused_layers("encoder") == [0]
 
 
 def test_fuses_flags_the_fused_variants():

@@ -29,7 +29,7 @@ def lone(x):
 def tiny_config(**kw):
     base = dict(src_vocab=9, tgt_vocab=9, d_model=8, n_heads=2, d_ffn=12,
                 n_enc_layers=2, n_dec_layers=2, max_len=7, dropout=0.0,
-                fusion_mode="vanilla", fusion_sides="both", seed=1)
+                variant="vanilla", seed=1)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -42,14 +42,13 @@ def weights_of(model):
 
 
 def test_config_round_trip():
-    cfg = tiny_config(fusion_mode="fuse", fusion_sides="decoder")
+    cfg = tiny_config(variant="fuse_dec")
     assert ModelConfig(**cfg.to_dict()) == cfg
 
 
 def test_config_variant_shorthand():
-    assert tiny_config().with_variant("fuse_enc").fusion_sides == "encoder"
-    assert tiny_config().with_variant("accum").fusion_mode == "accum"
-    assert tiny_config(fusion_mode="fuse", fusion_sides="decoder").variant == "fuse_dec"
+    assert tiny_config().with_variant("fuse_enc").variant == "fuse_enc"
+    assert tiny_config().with_variant("accum") == tiny_config(variant="accum")
 
 
 def test_config_validation():
@@ -58,7 +57,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         tiny_config(dropout=1.5)
     with pytest.raises(ValueError):
-        tiny_config(fusion_mode="dense")
+        tiny_config(variant="dense")
     with pytest.raises(ValueError):
         tiny_config(src_vocab=0)
     tiny_config(n_enc_layers=1, n_dec_layers=1)
@@ -70,28 +69,26 @@ def test_config_is_frozen():
 
 
 @pytest.mark.parametrize("kw, detail", [
-    (dict(fusion_mode="vanilla", fusion_sides="encoder"), "fusion_mode"),
-    (dict(fusion_mode="vanilla", fusion_sides="decoder"), "fusion_mode"),
-    (dict(fusion_mode="accum", fusion_sides="encoder"), "fusion_mode"),
-    (dict(fusion_mode="accum", fusion_sides="decoder"), "fusion_mode"),
-    (dict(fusion_mode="fuse_top", fusion_sides="encoder"), "fusion_mode"),
-    (dict(fusion_mode="fuse_top", fusion_sides="decoder"), "fusion_mode"),
+    (dict(variant="dense"), "variant"),
+    (dict(variant=""), "variant"),
+    (dict(variant=5), "variant"),
+    (dict(variant=["fuse"]), "variant"),
     (dict(n_enc_layers=0), "layer counts"),
     (dict(n_dec_layers=0), "layer counts"),
 ])
-def test_config_refuses_unnamed_pairs_and_empty_stacks(kw, detail):
+def test_config_refuses_unknown_variants_and_empty_stacks(kw, detail):
     with pytest.raises(ValueError, match=detail):
         tiny_config(**kw)
 
 
 def test_config_fused_layer_listing():
-    cfg = tiny_config(fusion_mode="fuse_top", n_enc_layers=3)
+    cfg = tiny_config(variant="fuse_top", n_enc_layers=3)
     assert cfg.fused_layers("encoder") == [2]
     assert cfg.fused_layers("decoder") == [1]
-    assert cfg.fuses and cfg.variant == "fuse_top"
-    accum = tiny_config(fusion_mode="accum")
+    assert cfg.fuses
+    accum = tiny_config(variant="accum")
     assert accum.fused_layers("encoder") == accum.fused_layers("decoder") == []
-    assert not accum.fuses and accum.variant == "accum"
+    assert not accum.fuses
 
 
 # -- embeddings --------------------------------------------------------------------
@@ -324,7 +321,7 @@ def test_future_token_perturbation_is_invisible(variant):
 
 
 def test_accum_layer_inputs_are_fold_left_sums():
-    model = Seq2SeqModel(tiny_config(fusion_mode="accum"))
+    model = Seq2SeqModel(tiny_config(variant="accum"))
     with no_grad():
         _, cache = model.encode(np.array([3, 4, 5]))
     for i, consumed in enumerate(cache.layer_inputs):
@@ -333,7 +330,7 @@ def test_accum_layer_inputs_are_fold_left_sums():
 
 
 def test_fuse_model_cache_inputs_are_previous_outputs():
-    model = Seq2SeqModel(tiny_config(fusion_mode="fuse"))
+    model = Seq2SeqModel(tiny_config(variant="fuse"))
     with no_grad():
         _, cache = model.encode(np.array([3, 4]))
     for i, consumed in enumerate(cache.layer_inputs):
@@ -391,11 +388,11 @@ def test_construction_is_deterministic():
 def test_fused_variants_add_exactly_attention_blocks():
     d = 8
     base = Seq2SeqModel(tiny_config()).param_count()
-    fuse = Seq2SeqModel(tiny_config(fusion_mode="fuse")).param_count()
-    top = Seq2SeqModel(tiny_config(fusion_mode="fuse_top")).param_count()
-    accum = Seq2SeqModel(tiny_config(fusion_mode="accum")).param_count()
+    fuse = Seq2SeqModel(tiny_config(variant="fuse")).param_count()
+    top = Seq2SeqModel(tiny_config(variant="fuse_top")).param_count()
+    accum = Seq2SeqModel(tiny_config(variant="accum")).param_count()
     enc_only = Seq2SeqModel(
-        tiny_config(fusion_mode="fuse", fusion_sides="encoder")).param_count()
+        tiny_config(variant="fuse_enc")).param_count()
     assert fuse - base == 4 * 4 * d * d
     assert top - base == 2 * 4 * d * d
     assert enc_only - base == 2 * 4 * d * d
@@ -403,7 +400,7 @@ def test_fused_variants_add_exactly_attention_blocks():
 
 
 def test_param_names_follow_registry_scheme():
-    model = Seq2SeqModel(tiny_config(fusion_mode="fuse"))
+    model = Seq2SeqModel(tiny_config(variant="fuse"))
     names = set(model.parameters())
     assert "src_embed" in names and "out.w" in names
     assert "enc.0.self.w_q" in names

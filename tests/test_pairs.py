@@ -112,8 +112,8 @@ def test_an_unknown_variant_exits_2_with_one_error_line():
     result = run_pairs_tool(ROOT, ROOT, "--op", "train", "--variant", "bogus")
     assert result.returncode == 2
     assert result.stderr.splitlines() == [
-        "error: unknown variant 'bogus'; expected one of ['accum', 'fuse', 'fuse_dec', "
-        "'fuse_enc', 'fuse_top', 'vanilla']"]
+        "error: variant must be one of vanilla, fuse, fuse_enc, fuse_dec, fuse_top, accum, "
+        "got 'bogus'"]
 
 
 def test_a_run_without_a_json_last_line_fails_naming_checkout_workload_and_seed(tmp_path):

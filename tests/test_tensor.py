@@ -295,7 +295,7 @@ def test_grad_check_fused_encoder_layer():
 
     cfg = ModelConfig(src_vocab=6, tgt_vocab=6, d_model=8, n_heads=2, d_ffn=8,
                       n_enc_layers=1, n_dec_layers=1, max_len=5, dropout=0.0,
-                      fusion_mode="fuse", fusion_sides="encoder", seed=3)
+                      variant="fuse_enc", seed=3)
     model = Seq2SeqModel(cfg)
     src = np.array([3, 4, 5])
     proj = Tensor(rng(40).standard_normal((8, 6)))

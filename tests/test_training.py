@@ -34,7 +34,7 @@ from oracles import full_recompute_greedy_decode
 def tiny_model(**kw):
     base = dict(src_vocab=10, tgt_vocab=10, d_model=8, n_heads=2, d_ffn=12,
                 n_enc_layers=1, n_dec_layers=1, max_len=8, dropout=0.0,
-                fusion_mode="fuse", fusion_sides="both", seed=2)
+                variant="fuse", seed=2)
     base.update(kw)
     return Seq2SeqModel(ModelConfig(**base))
 
@@ -152,9 +152,7 @@ def test_zero_learning_rate_freezes_parameters():
 def test_first_fused_layer_query_and_key_get_no_gradient(variant, frozen):
     # Layer 0 attends over the embedding alone with weight exactly 1, so its
     # w_q and w_k are off the tape and keep their initial values.
-    mode, sides = VARIANT_NAMES[variant]
-    model = tiny_model(n_enc_layers=2, n_dec_layers=2, fusion_mode=mode,
-                       fusion_sides=sides)
+    model = tiny_model(n_enc_layers=2, n_dec_layers=2, variant=variant)
     cfg = train_cfg(lr=1e-2)
     state = init_state(model, cfg)
     params = model.parameters()
@@ -196,9 +194,8 @@ PINNED_REL_TOL = 1e-9
 
 @pytest.mark.parametrize("variant", VARIANT_NAMES)
 def test_trained_losses_match_pinned_values(variant):
-    mode, sides = VARIANT_NAMES[variant]
     model = tiny_model(n_enc_layers=2, n_dec_layers=2, dropout=0.1, seed=41,
-                       fusion_mode=mode, fusion_sides=sides)
+                       variant=variant)
     cfg = train_cfg(lr=1e-2, seed=42)
     state = init_state(model, cfg)
     losses = [train_step(model, PINNED_BATCH, cfg, state)["loss"] for _ in range(5)]
@@ -591,10 +588,10 @@ def test_checkpoint_meta_holds_only_what_loading_reads(tmp_path):
     save_checkpoint(path, model, init_state(model, train_cfg(seed=4)))
     with np.load(path) as archive:
         meta = json.loads(archive["meta"].tobytes())
-    assert set(meta) == {"format", "version", "model_config", "step", "seed",
+    assert set(meta) == {"format", "version", "model_config", "step", "train",
                          "best_dev_loss"}
     restored, state = load_checkpoint(path)
-    assert (state.step, state.seed, state.best_dev_loss) == (0, 4, None)
+    assert (state.step, state.train, state.best_dev_loss) == (0, train_cfg(seed=4), None)
     assert restored.config == model.config
 
 

@@ -47,6 +47,7 @@ decode, greedy and corpus exit 1 when the sides' outputs of the last episode
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import hashlib
 import importlib
@@ -193,9 +194,11 @@ def load_side(op: str, checkout: Path, name: str, variant: str) -> Side:
         name, src / "__init__.py", submodule_search_locations=[str(src)])
     sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sys.modules[name])
-    compgen, fusion = (importlib.import_module(f"{name}.{m}") for m in ("compgen", "fusion"))
-    try:  # before any corpus is built
-        fusion_mode, fusion_sides = fusion.parse_variant(variant)
+    cli, compgen, model, training = (importlib.import_module(f"{name}.{m}")
+                                     for m in ("cli", "compgen", "model", "training"))
+    try:  # before any corpus is built, vocab sizes of 1 standing in
+        config = model.ModelConfig(src_vocab=1, tgt_vocab=1,
+                                   **cli.default_config()["model"]).with_variant(variant)
     except ValueError as exc:
         raise UsageError(exc) from None
     if op == "corpus":
@@ -209,13 +212,9 @@ def load_side(op: str, checkout: Path, name: str, variant: str) -> Side:
             return [ms], {f.name: (f.stat().st_size, hashlib.sha256(f.read_bytes()).hexdigest())
                           for f in sorted(Path(tmp.name).iterdir())}
         return Side(1, write, None)
-    cli, model, training = (importlib.import_module(f"{name}.{m}")
-                            for m in ("cli", "model", "training"))
     corpus = compgen.generate_corpus(compgen.CorpusSpec())
-    section = dict(cli.default_config()["model"], src_vocab=len(corpus.src_vocab),
-                   tgt_vocab=len(corpus.tgt_vocab), fusion_mode=fusion_mode,
-                   fusion_sides=fusion_sides)
-    net = model.Seq2SeqModel(model.ModelConfig(**section))
+    net = model.Seq2SeqModel(dataclasses.replace(
+        config, src_vocab=len(corpus.src_vocab), tgt_vocab=len(corpus.tgt_vocab)))
     if op == "train":
         train_set = compgen.triples(corpus.train, corpus.src_vocab, corpus.tgt_vocab)
         cfg = training.TrainConfig(seed=0)
