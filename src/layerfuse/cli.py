@@ -172,6 +172,9 @@ def _check_lengths(corpus: Corpus, max_len: int) -> None:
 def _model_config(cfg: dict, corpus: Corpus | None = None) -> ModelConfig:
     """The model section with cfg["variant"]; without a corpus, vocab sizes
     of 1 stand in, so the section is checked before a corpus exists."""
+    if cfg["variant"] not in VARIANT_NAMES:  # a top-level key, not the model section's
+        raise UsageError(f"variant must be one of {', '.join(VARIANT_NAMES)}, "
+                         f"got {cfg['variant']!r}")
     section = dict(cfg["model"], variant=cfg["variant"])
     section["src_vocab"] = len(corpus.src_vocab) if corpus is not None else 1
     section["tgt_vocab"] = len(corpus.tgt_vocab) if corpus is not None else 1

@@ -126,6 +126,14 @@ class CorpusSpec:
                         f"pattern {name!r} needs {role} atoms but the inventory "
                         "is empty"
                     )
+                # A compound holds at most one atom of each role, so train
+                # can cover no more than n_train atoms of any role.
+                if self._inventory_size(role) > self.n_train:
+                    raise GenerationError(
+                        f"pattern {name!r} uses {self._inventory_size(role)} "
+                        f"{role} atoms but n_train is {self.n_train}: a train "
+                        "sentence holds at most one atom of each role"
+                    )
 
     def _inventory_size(self, role: str) -> int:
         return {"np": self.n_np, "vp": self.n_vp, "pp": self.n_pp,
@@ -290,7 +298,9 @@ def _build_dictionary(spec: CorpusSpec, inventories: dict) -> dict:
     return real
 
 
-def _build_contexts(spec: CorpusSpec, rng: np.random.Generator) -> list:
+def _build_contexts(spec: CorpusSpec, rng: np.random.Generator,
+                    dictionary: dict) -> list:
+    """Each template as (prefix, suffix, their translations)."""
     ctx_tokens = tuple(f"c{i}" for i in range(spec.n_context_tokens))
     contexts = []
     for _ in range(spec.n_contexts):
@@ -298,15 +308,58 @@ def _build_contexts(spec: CorpusSpec, rng: np.random.Generator) -> list:
         cut = int(rng.integers(0, length + 1))
         words = [ctx_tokens[int(i)] for i in rng.integers(0, len(ctx_tokens),
                                                           size=length)]
-        contexts.append((tuple(words[:cut]), tuple(words[cut:])))
+        prefix, suffix = tuple(words[:cut]), tuple(words[cut:])
+        contexts.append((prefix, suffix, _translate(prefix, dictionary),
+                         _translate(suffix, dictionary)))
     return contexts
 
 
-def _sample_compound(rng: np.random.Generator, spec: CorpusSpec,
+_WORD_BLOCK = 1024
+
+
+class _Draws:
+    """Bounded integers from one generator: ``below(n)`` is exactly
+    ``int(rng.integers(n))``, reading the same 32-bit words, drawn in blocks.
+
+    For ``n <= 2**32`` numpy's ``buffered_bounded_lemire_uint32``
+    (numpy/random/src/distributions/distributions.c) maps a word ``w`` to
+    ``w * n >> 32``, rejecting words whose low half falls below
+    ``(2**32 - n) % n``: D. Lemire, "Fast Random Integer Generation in an
+    Interval", ACM TOMACS 2019 (arXiv:1805.10941). ``n == 1`` reads no word.
+    The generator belongs to this object alone: the words left unread in the
+    last block are never wanted.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._words = iter(())
+
+    def _word(self) -> int:
+        try:
+            return next(self._words)
+        except StopIteration:
+            self._words = iter(self._rng.integers(0, 1 << 32, size=_WORD_BLOCK,
+                                                  dtype=np.uint32).tolist())
+            return next(self._words)
+
+    def below(self, n: int) -> int:
+        if n == 1:
+            return 0
+        if not 1 < n <= 1 << 32:  # numpy takes another path above 2**32
+            raise ValueError(f"bound must be in 1..2**32, got {n}")
+        m = self._word() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = ((1 << 32) - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._word() * n
+        return m >> 32
+
+
+def _sample_compound(draws: _Draws, spec: CorpusSpec,
                      inventories: dict) -> Compound:
-    pattern = spec.patterns[int(rng.integers(len(spec.patterns)))]
+    pattern = spec.patterns[draws.below(len(spec.patterns))]
     atoms = tuple(
-        inventories[role][int(rng.integers(len(inventories[role])))]
+        inventories[role][draws.below(len(inventories[role]))]
         for role in PATTERNS[pattern]
     )
     return Compound(pattern, atoms)
@@ -332,11 +385,11 @@ class _HeldIndex:
 def _build_example(compound: Compound, context_id: int, contexts,
                    dictionary: dict,
                    compound_id: int | None = None) -> Example:
-    prefix, suffix = contexts[context_id]
+    prefix, suffix, tgt_prefix, tgt_suffix = contexts[context_id]
     realization = realize_compound(compound, dictionary)
     return Example(
         src=prefix + compound.atoms + suffix,
-        tgt=_translate(prefix, dictionary) + realization + _translate(suffix, dictionary),
+        tgt=tgt_prefix + realization + tgt_suffix,
         compound=compound,
         span=(len(prefix), len(prefix) + len(compound.atoms)),
         realization=realization,
@@ -347,12 +400,12 @@ def _build_example(compound: Compound, context_id: int, contexts,
 
 def _sample_split(n: int, tag: int, spec: CorpusSpec, inventories, contexts,
                   dictionary, held: "_HeldIndex") -> list:
-    rng = np.random.default_rng([spec.seed, tag])
+    draws = _Draws(np.random.default_rng([spec.seed, tag]))
     out = []
     for _ in range(n):
         compound = None
         for _attempt in range(1000):
-            cand = _sample_compound(rng, spec, inventories)
+            cand = _sample_compound(draws, spec, inventories)
             if not held.contained_in(cand.atoms):
                 compound = cand
                 break
@@ -361,7 +414,7 @@ def _sample_split(n: int, tag: int, spec: CorpusSpec, inventories, contexts,
                 "rejection sampling exhausted: the holdout excludes almost every "
                 "compound; reduce n_cg_compounds or grow the atom inventories"
             )
-        ctx_id = int(rng.integers(spec.n_contexts))
+        ctx_id = draws.below(spec.n_contexts)
         out.append(_build_example(compound, ctx_id, contexts, dictionary))
     return out
 
@@ -424,7 +477,8 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     """
     inventories = _inventories(spec)
     dictionary = _build_dictionary(spec, inventories)
-    contexts = _build_contexts(spec, np.random.default_rng([spec.seed, _TAG_CONTEXTS]))
+    contexts = _build_contexts(spec, np.random.default_rng([spec.seed, _TAG_CONTEXTS]),
+                               dictionary)
 
     space = spec.compound_space()
     if spec.n_cg_compounds > 0 and space < 2 * spec.n_cg_compounds:
@@ -433,12 +487,12 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
             "should be held out; holdout is infeasible (need at least 2x)"
         )
 
-    rng_hold = np.random.default_rng([spec.seed, _TAG_HOLDOUT])
+    draws_hold = _Draws(np.random.default_rng([spec.seed, _TAG_HOLDOUT]))
     held_compounds: list[Compound] = []
     seen: set = set()
     attempts = 0
     while len(held_compounds) < spec.n_cg_compounds:
-        cand = _sample_compound(rng_hold, spec, inventories)
+        cand = _sample_compound(draws_hold, spec, inventories)
         attempts += 1
         if cand not in seen:
             seen.add(cand)

@@ -781,6 +781,8 @@ def corpus_file_as_directory(name):
     (command_with("train", "model.n_enc_layers=1.5"), 2, "n_enc_layers must be an integer"),
     (command_with("gen", "corpus.n_np=1.5"), 2, "n_np must be an integer"),
     (command_with("gen", "corpus.n_train=2.5"), 2, "n_train must be an integer"),
+    (command_with("gen", "corpus.n_np=121"), 2,
+     "bad corpus section: pattern 'np_mod' uses 121 np atoms but n_train is 120"),
     (command_with("train", "train.steps=2.5"), 2, "steps must be an integer"),
     (command_with("train", "train.steps=0"), 2, "steps >= 1"),
     (sweep_seeds("0", "vanilla", "train.steps=0"), 2, "steps >= 1"),
@@ -794,9 +796,11 @@ def corpus_file_as_directory(name):
     (sweep_seeds("0", "vanilla", "train.clip_norm=true"), 2,
      "clip_norm must be a finite number"),
     (command_with("train", "model.fusion_mode=fuse"), 2, "unknown config key"),
-    (command_with("train", "variant=5"), 2, "variant must be one of"),
-    (command_with("train", 'variant=["fuse"]'), 2, "got ['fuse']"),
-    (sweep_seeds("0", ""), 2, "variant must be one of"),
+    (command_with("train", "variant=5"), 2,
+     "error: variant must be one of vanilla, fuse, fuse_enc, fuse_dec, fuse_top, accum, "
+     "got 5"),
+    (command_with("train", 'variant=["fuse"]'), 2, "error: variant must be one of"),
+    (sweep_seeds("0", ""), 2, "error: variant must be one of"),
     (sweep_seeds("-1"), 2, "seed must be an integer >= 0"),
     (sweep_seeds("0", "vanilla", "model.n_heads=0"), 2, "n_heads 0"),
     (sweep_seeds("0", "vanilla", "corpus.n_cg_compounds=0"), 2, "n_cg_compounds is 0"),
@@ -846,7 +850,8 @@ def corpus_file_as_directory(name):
         "eval-smaller-vocab",
         "model-section-int", "seed-flag-negative", "model-seed-negative",
         "train-seed-negative", "corpus-seed-negative", "batch-size-float", "d-ffn-float",
-        "n-enc-layers-float", "n-np-float", "n-train-float", "steps-float",
+        "n-enc-layers-float", "n-np-float", "n-train-float", "n-np-over-n-train",
+        "steps-float",
         "train-steps-zero", "sweep-steps-zero", "adam-beta1-key",
         "model-seed-bool", "lr-bool", "lr-infinite", "dropout-bool",
         "label-smoothing-string", "sweep-clip-norm-bool", "fusion-mode-key",

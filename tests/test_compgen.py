@@ -21,6 +21,7 @@ from layerfuse.compgen import (
     Example,
     GenerationError,
     Vocabulary,
+    _Draws,
     _emission_order,
     bucket_context_length,
     check_compound,
@@ -89,6 +90,13 @@ def test_spec_rejects_empty_inventory_for_needed_role():
     with pytest.raises(GenerationError):
         small_spec(n_mod=0)
     small_spec(n_mod=0, patterns=("vp_np", "pp_np"))
+
+
+def test_spec_rejects_inventory_larger_than_train():
+    with pytest.raises(GenerationError, match="uses 301 np atoms but n_train is 300"):
+        small_spec(n_np=301)
+    small_spec(n_np=300)
+    small_spec(n_mod=301, patterns=("vp_np", "pp_np"))  # no pattern uses mod
 
 
 def test_spec_rejects_too_few_contexts():
@@ -199,6 +207,21 @@ def test_example_annotation_consistency(corpus):
         assert ex.has_mod == ("mod" in PATTERNS[ex.compound.pattern])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_draws_below_matches_scalar_integers(seed):
+    """_Draws.below(n) must give int(rng.integers(n)) draw for draw; a numpy
+    whose bounded draw works otherwise fails here first."""
+    bounds = np.random.default_rng([seed, 1]).integers(1, 61, size=5000).tolist()
+    bounds[::7] = [1] * len(bounds[::7])  # reads no word between the others
+    bounds += [2**31 + 1, 3 * 2**30 + 7] * 50  # reject about 1/2 and 1/4 of words
+    bounds += [2**32 - 1, 2**32, 5] * 3
+    draws, rng = _Draws(np.random.default_rng(seed)), np.random.default_rng(seed)
+    assert [draws.below(n) for n in bounds] == [int(rng.integers(n)) for n in bounds]
+    for n in (0, 2**32 + 1):  # numpy refuses 0 and takes a 64-bit path above 2**32
+        with pytest.raises(ValueError):
+            draws.below(n)
+
+
 def test_generation_is_deterministic():
     a = generate_corpus(small_spec(seed=4))
     b = generate_corpus(small_spec(seed=4))
@@ -275,6 +298,30 @@ def test_default_corpus_files_match_pinned_hashes(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in PINNED_DEFAULT_CORPUS_FILES}
     assert got == PINNED_DEFAULT_CORPUS_FILES
+
+
+# sha256 of each file write_corpus writes for a corner spec: one pattern, and
+# one np, pp, context token and template, so most draws have bound 1 and read
+# no random word. Computed with the generator as it was before _Draws, when
+# each draw was one scalar rng.integers call.
+CORNER_SPEC = dict(patterns=["vp_np_mod"], n_np=1, n_pp=1, n_context_tokens=1,
+                   n_contexts=1, min_context_len=0, max_context_len=3, n_vp=3,
+                   n_mod=4, n_train=40, n_dev=4, n_test=4, n_cg_compounds=2,
+                   contexts_per_compound=1, seed=3)
+PINNED_CORNER_CORPUS_FILES = {
+    "train.jsonl": "f05ac840188ac8da328c69891614e06e97fc24a5b001b08e4b7f7b7f93765694",
+    "dev.jsonl": "005637562866428126b2158fe40fcafdeac065bee640774146fc81287b7a9343",
+    "test.jsonl": "762a8edea7894d3c923f90099a3cbd2aabddcd9474ca089eba29bdb62535a196",
+    "cg_test.jsonl": "3213b96335ae7e7ad29c92986e532649b9b35e3eee96432c2f78187551bacdbe",
+    "manifest.json": "110ee99220b8a78910f5568d30e6d7682243fd6729f165b31c81ba0f9afa758a",
+}
+
+
+def test_corner_corpus_files_match_pinned_hashes(tmp_path):
+    write_corpus(generate_corpus(CorpusSpec(**CORNER_SPEC)), tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in PINNED_CORNER_CORPUS_FILES}
+    assert got == PINNED_CORNER_CORPUS_FILES
 
 
 CORPUS_FILES = ("train.jsonl", "dev.jsonl", "test.jsonl", "cg_test.jsonl", "manifest.json")
