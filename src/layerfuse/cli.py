@@ -362,6 +362,10 @@ def cmd_gen(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict, resume: str | None = None) -> int:
+    checkpoint = Path(cfg["out_dir"]) / "checkpoint.npz"
+    if resume is None and checkpoint.exists():
+        raise UsageError(f"{checkpoint} exists: continue that run with --resume "
+                         f"{checkpoint}, or train into another --out")
     corpus = _load_corpus(cfg)
     tcfg = _section(TrainConfig, "train", cfg["train"])
     state = None

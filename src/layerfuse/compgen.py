@@ -105,6 +105,14 @@ class CorpusSpec:
             raise GenerationError("bad context length range")
         if self.n_train < 1:
             raise GenerationError("n_train must be >= 1")
+        # Every inventory is built and enters the vocabularies, and a train
+        # sentence holds at most one atom of each role.
+        for role in _ROLE_PREFIX:
+            if self._inventory_size(role) > self.n_train:
+                raise GenerationError(
+                    f"n_{role} is {self._inventory_size(role)} but n_train is "
+                    f"{self.n_train}: no atom inventory may exceed n_train"
+                )
         if self.contexts_per_compound < 1:
             raise GenerationError("contexts_per_compound must be >= 1")
         if self.n_cg_compounds > 0 and self.n_contexts < self.contexts_per_compound:
@@ -125,14 +133,6 @@ class CorpusSpec:
                     raise GenerationError(
                         f"pattern {name!r} needs {role} atoms but the inventory "
                         "is empty"
-                    )
-                # A compound holds at most one atom of each role, so train
-                # can cover no more than n_train atoms of any role.
-                if self._inventory_size(role) > self.n_train:
-                    raise GenerationError(
-                        f"pattern {name!r} uses {self._inventory_size(role)} "
-                        f"{role} atoms but n_train is {self.n_train}: a train "
-                        "sentence holds at most one atom of each role"
                     )
 
     def _inventory_size(self, role: str) -> int:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -175,38 +174,10 @@ class DecodeState:
             cache.k, cache.v = Tensor(cache.k.data[rows]), Tensor(cache.v.data[rows])
 
 
-class _LayerNormParams:
-    def __init__(self, reg, prefix: str, d: int):
-        self.gamma = reg.add(f"{prefix}.gamma", np.ones(d))
-        self.beta = reg.add(f"{prefix}.beta", np.zeros(d))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta)
-
-
-class _FeedForward:
-    def __init__(self, reg, prefix: str, rng, d: int, d_ffn: int):
-        self.w1 = reg.add(f"{prefix}.w1", _xavier(rng, d, d_ffn))
-        self.b1 = reg.add(f"{prefix}.b1", np.zeros(d_ffn))
-        self.w2 = reg.add(f"{prefix}.w2", _xavier(rng, d_ffn, d))
-        self.b2 = reg.add(f"{prefix}.b2", np.zeros(d))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return (x.matmul(self.w1) + self.b1).relu().matmul(self.w2) + self.b2
-
-
-class _Registry:
-    def __init__(self):
-        self.params: dict[str, Tensor] = {}
-
-    def add(self, name: str, array: np.ndarray) -> Tensor:
-        t = Tensor(array, requires_grad=True)
-        self.params[name] = t
-        return t
-
-    def add_attention(self, prefix: str, params: AttentionParams) -> AttentionParams:
-        self.params.update(params.named(prefix))
-        return params
+def _param(params: dict, name: str, array: np.ndarray) -> Tensor:
+    """A trainable tensor of ``array``, added to ``params`` as ``name``."""
+    params[name] = t = Tensor(array, requires_grad=True)
+    return t
 
 
 def _dropper(masks):
@@ -218,39 +189,39 @@ def _dropper(masks):
 
 
 class _Layer:
-    """One post-norm layer's parameters and sublayers: self-attention,
-    cross-attention over the encoder output (decoder layers only),
-    fuse-attention over the layer history (fused layers only) and the
-    feed-forward block, run in that order by ``Seq2SeqModel._run_stack``."""
+    """One post-norm layer's parameters: self-attention, cross-attention over
+    the encoder output (decoder layers only), fuse-attention over the layer
+    history (fused layers only), the feed-forward block and a (gamma, beta)
+    norm per sublayer but fuse's. ``Seq2SeqModel._run_stack`` runs the
+    sublayers in that order."""
 
-    def __init__(self, reg, prefix: str, rng, cfg: ModelConfig, *, cross: bool,
-                 fused: bool):
+    def __init__(self, params: dict, prefix: str, rng, cfg: ModelConfig, *,
+                 cross: bool, fused: bool):
         d, h = cfg.d_model, cfg.n_heads
 
         def attention(name):
-            return reg.add_attention(f"{prefix}.{name}", AttentionParams.create(rng, d, h))
+            attn = AttentionParams.create(rng, d, h)
+            params.update(attn.named(f"{prefix}.{name}"))
+            return attn
+
+        def norm(name):
+            return (_param(params, f"{prefix}.{name}.gamma", np.ones(d)),
+                    _param(params, f"{prefix}.{name}.beta", np.zeros(d)))
 
         # Creation order fixes the RNG draws and the parameter order.
         self.self_attn = attention("self")
         self.cross_attn = attention("cross") if cross else None
         self.fuse_params = attention("fuse") if fused else None
-        self.norm_self = _LayerNormParams(reg, f"{prefix}.norm_self", d)
-        self.norm_cross = (_LayerNormParams(reg, f"{prefix}.norm_cross", d)
-                           if cross else None)
-        self.ffn = _FeedForward(reg, f"{prefix}.ffn", rng, d, cfg.d_ffn)
-        self.norm_ffn = _LayerNormParams(reg, f"{prefix}.norm_ffn", d)
+        self.norm_self = norm("norm_self")
+        self.norm_cross = norm("norm_cross") if cross else None
+        self.w1 = _param(params, f"{prefix}.ffn.w1", _xavier(rng, d, cfg.d_ffn))
+        self.b1 = _param(params, f"{prefix}.ffn.b1", np.zeros(cfg.d_ffn))
+        self.w2 = _param(params, f"{prefix}.ffn.w2", _xavier(rng, cfg.d_ffn, d))
+        self.b2 = _param(params, f"{prefix}.ffn.b2", np.zeros(d))
+        self.norm_ffn = norm("norm_ffn")
 
-    def self_block(self, x, packing, mask=None, drop=None, cache=None):
-        out, _ = multi_head_attention(x, packing.pad(x), self.self_attn, mask, cache,
-                                      packing)
-        return _residual(x, out, self.norm_self, drop)
-
-    def cross_block(self, x, enc_out, packing, mask=None, drop=None, cache=None):
-        out, _ = multi_head_attention(x, enc_out, self.cross_attn, mask, cache, packing)
-        return _residual(x, out, self.norm_cross, drop)
-
-    def ffn_block(self, x, drop=None):
-        return _residual(x, self.ffn(x), self.norm_ffn, drop)
+    def ffn(self, x: Tensor) -> Tensor:
+        return (x.matmul(self.w1) + self.b1).relu().matmul(self.w2) + self.b2
 
     @property
     def dropout_sites(self) -> int:
@@ -258,54 +229,50 @@ class _Layer:
 
 
 def _residual(x, out, norm, drop):
-    """norm(x + dropout(out))."""
+    """layer_norm(x + dropout(out)) with ``norm``'s (gamma, beta)."""
     if drop is not None:
         out = drop(out)
-    return norm(x + out)
+    return layer_norm(x + out, *norm)
 
 
 # Fuse-attention's post-norm has no learnable affine, so that sublayer adds
 # only its attention projections to the parameter count.
-_plain_norm = partial(layer_norm, gamma=Tensor(1.0), beta=Tensor(0.0))
+_PLAIN_NORM = (Tensor(1.0), Tensor(0.0))
 
 
 class Seq2SeqModel:
     """Transformer encoder-decoder over integer token ids.
 
-    All parameters live in a name -> Tensor registry created in a fixed
+    All parameters live in one name -> Tensor dict, created in a fixed
     order from config.seed, so construction is deterministic.
     """
 
     def __init__(self, config: ModelConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
-        reg = _Registry()
+        params: dict[str, Tensor] = {}
         d = config.d_model
         emb_std = 1.0 / math.sqrt(d)
-        self.src_embed = reg.add(
-            "src_embed", rng.normal(0.0, emb_std, size=(config.src_vocab, d))
-        )
-        self.src_pos = reg.add(
-            "src_pos", rng.normal(0.0, emb_std, size=(config.max_len, d))
-        )
-        self.tgt_embed = reg.add(
-            "tgt_embed", rng.normal(0.0, emb_std, size=(config.tgt_vocab, d))
-        )
-        self.tgt_pos = reg.add(
-            "tgt_pos", rng.normal(0.0, emb_std, size=(config.max_len, d))
-        )
+
+        def table(name, rows):
+            return _param(params, name, rng.normal(0.0, emb_std, size=(rows, d)))
+
+        self.src_embed = table("src_embed", config.src_vocab)
+        self.src_pos = table("src_pos", config.max_len)
+        self.tgt_embed = table("tgt_embed", config.tgt_vocab)
+        self.tgt_pos = table("tgt_pos", config.max_len)
         enc_fused = config.fused_layers("encoder")
         self.enc_layers = [
-            _Layer(reg, f"enc.{k}", rng, config, cross=False, fused=k in enc_fused)
+            _Layer(params, f"enc.{k}", rng, config, cross=False, fused=k in enc_fused)
             for k in range(config.n_enc_layers)
         ]
         dec_fused = config.fused_layers("decoder")
         self.dec_layers = [
-            _Layer(reg, f"dec.{k}", rng, config, cross=True, fused=k in dec_fused)
+            _Layer(params, f"dec.{k}", rng, config, cross=True, fused=k in dec_fused)
             for k in range(config.n_dec_layers)
         ]
-        self.out_proj = reg.add("out.w", _xavier(rng, d, config.tgt_vocab))
-        self._params = reg.params
+        self.out_proj = _param(params, "out.w", _xavier(rng, d, config.tgt_vocab))
+        self._params = params
 
     # -- parameters ----------------------------------------------------------
 
@@ -418,15 +385,17 @@ class Seq2SeqModel:
         for k, layer in enumerate(layers):
             x = accumulate_previous(cache.outputs) if accum else cache.outputs[-1]
             cache.layer_inputs.append(x)
-            a = layer.self_block(x, packing, mask, drop, state.self_kv[k] if state else None)
+            out, _ = multi_head_attention(x, packing.pad(x), layer.self_attn, mask,
+                                          state.self_kv[k] if state else None, packing)
+            x = _residual(x, out, layer.norm_self, drop)
             if layer.cross_attn is not None:
-                a = layer.cross_block(a, enc_out, packing, state.src_mask, drop,
-                                      state.cross_kv[k])
+                out, _ = multi_head_attention(x, enc_out, layer.cross_attn, state.src_mask,
+                                              state.cross_kv[k], packing)
+                x = _residual(x, out, layer.norm_cross, drop)
             if layer.fuse_params is not None:
-                out, cache.fuse_probs[k] = fuse_attention(a, cache.outputs,
-                                                          layer.fuse_params)
-                a = _residual(a, out, _plain_norm, drop)
-            cache.outputs.append(layer.ffn_block(a, drop))
+                out, cache.fuse_probs[k] = fuse_attention(x, cache.outputs, layer.fuse_params)
+                x = _residual(x, out, _PLAIN_NORM, drop)
+            cache.outputs.append(_residual(x, layer.ffn(x), layer.norm_ffn, drop))
         return cache
 
     def forward(self, src_ids, tgt_in_ids, *, src_lengths=None, tgt_lengths=None,

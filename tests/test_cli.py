@@ -275,6 +275,20 @@ def test_resume_keeps_the_run_seed(pipeline, tmp_path, capsys):
         assert np.array_equal(p.data, b.parameters()[name].data), name
 
 
+def test_fresh_train_refuses_an_out_dir_holding_a_checkpoint(pipeline, tmp_path, capsys):
+    data = str(pipeline["data"])
+    run = tmp_path / "run"
+    argv = ["train", "--out", str(run)] + sets("train.steps=3", data_dir=data)
+    assert main(argv) == 0
+    trained = file_hashes(run)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert str(run / "checkpoint.npz") in err[0] and "--resume" in err[0]
+    assert file_hashes(run) == trained
+
+
 def test_train_missing_corpus_exits_2(tmp_path, capsys):
     rc = main(["train", "--out", str(tmp_path / "r")]
               + sets(data_dir=str(tmp_path / "nowhere")))
@@ -782,7 +796,10 @@ def corpus_file_as_directory(name):
     (command_with("gen", "corpus.n_np=1.5"), 2, "n_np must be an integer"),
     (command_with("gen", "corpus.n_train=2.5"), 2, "n_train must be an integer"),
     (command_with("gen", "corpus.n_np=121"), 2,
-     "bad corpus section: pattern 'np_mod' uses 121 np atoms but n_train is 120"),
+     "bad corpus section: n_np is 121 but n_train is 120: no atom inventory may exceed "
+     "n_train"),
+    (command_with("gen", 'corpus.patterns=["vp_np"]', "corpus.n_mod=121"), 2,
+     "bad corpus section: n_mod is 121 but n_train is 120"),
     (command_with("train", "train.steps=2.5"), 2, "steps must be an integer"),
     (command_with("train", "train.steps=0"), 2, "steps >= 1"),
     (sweep_seeds("0", "vanilla", "train.steps=0"), 2, "steps >= 1"),
@@ -851,7 +868,7 @@ def corpus_file_as_directory(name):
         "model-section-int", "seed-flag-negative", "model-seed-negative",
         "train-seed-negative", "corpus-seed-negative", "batch-size-float", "d-ffn-float",
         "n-enc-layers-float", "n-np-float", "n-train-float", "n-np-over-n-train",
-        "steps-float",
+        "n-mod-unused-over-n-train", "steps-float",
         "train-steps-zero", "sweep-steps-zero", "adam-beta1-key",
         "model-seed-bool", "lr-bool", "lr-infinite", "dropout-bool",
         "label-smoothing-string", "sweep-clip-norm-bool", "fusion-mode-key",

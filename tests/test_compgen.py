@@ -93,10 +93,13 @@ def test_spec_rejects_empty_inventory_for_needed_role():
 
 
 def test_spec_rejects_inventory_larger_than_train():
-    with pytest.raises(GenerationError, match="uses 301 np atoms but n_train is 300"):
+    with pytest.raises(GenerationError, match="n_np is 301 but n_train is 300"):
         small_spec(n_np=301)
     small_spec(n_np=300)
-    small_spec(n_mod=301, patterns=("vp_np", "pp_np"))  # no pattern uses mod
+    # Every inventory is built, also one whose role no pattern uses.
+    with pytest.raises(GenerationError, match="n_mod is 301 but n_train is 300: "
+                                              "no atom inventory may exceed n_train"):
+        small_spec(n_mod=301, patterns=("vp_np", "pp_np"))
 
 
 def test_spec_rejects_too_few_contexts():

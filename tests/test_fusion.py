@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from layerfuse.attention import AttentionParams, Packing, multi_head_attention
+from layerfuse.attention import AttentionParams, multi_head_attention
 from layerfuse.fusion import (
     VARIANT_NAMES,
     FusionError,
@@ -248,9 +248,12 @@ def test_fuse_sublayer_is_residual_plus_plain_norm():
     _, cache = model.encode(src)
     d = model.config.d_model
     for k, layer in enumerate(model.enc_layers):
-        a = layer.self_block(cache.layer_inputs[k], Packing.of(None, src.shape))
+        x = cache.layer_inputs[k]
+        a, _ = multi_head_attention(x, x, layer.self_attn)
+        a = layer_norm(x + a, *layer.norm_self)
         core, _ = fuse_attention_core(a, cache.outputs[:k + 1], layer.fuse_params)
-        want = layer.ffn_block(layer_norm(a + core, Tensor(np.ones(d)), Tensor(np.zeros(d))))
+        a = layer_norm(a + core, Tensor(np.ones(d)), Tensor(np.zeros(d)))
+        want = layer_norm(a + layer.ffn(a), *layer.norm_ffn)
         assert np.array_equal(cache.outputs[k + 1].data, want.data), k
 
 

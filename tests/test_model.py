@@ -7,12 +7,7 @@ import pytest
 
 from layerfuse.attention import Packing, make_causal_mask, multi_head_attention
 from layerfuse.fusion import accumulate_previous
-from layerfuse.model import (
-    DecodeState,
-    ModelConfig,
-    Seq2SeqModel,
-    _FeedForward,
-)
+from layerfuse.model import DecodeState, ModelConfig, Seq2SeqModel, _Layer, _residual
 from layerfuse.tensor import ShapeError, Tensor, layer_norm, no_grad
 from oracles import reference_forward
 
@@ -127,14 +122,25 @@ def test_embed_length_checks():
 # -- encoder layer ----------------------------------------------------------------
 
 
+def attention_sublayer(layer, x, memory=None, mask=None):
+    """``layer``'s self-attention sublayer on the lone sentence rows ``x``, or
+    its cross-attention sublayer over ``memory``, with the residual and norm
+    that ``Seq2SeqModel._run_stack`` applies, without dropout."""
+    params, norm = ((layer.self_attn, layer.norm_self) if memory is None
+                    else (layer.cross_attn, layer.norm_cross))
+    out, _ = multi_head_attention(x, x if memory is None else memory, params, mask,
+                                  None, lone(x))
+    return _residual(x, out, norm, None)
+
+
 def test_encoder_self_block_single_position():
     model = Seq2SeqModel(tiny_config())
     layer = model.enc_layers[0]
     x = Tensor(rng(2).standard_normal((1, 8)))
-    got = layer.self_block(x, lone(x))
+    got = attention_sublayer(layer, x)
     # single key: attention output reduces to the value path of x itself
     want, probs = multi_head_attention(x, x, layer.self_attn)
-    want = layer_norm(x + want, layer.norm_self.gamma, layer.norm_self.beta)
+    want = layer_norm(x + want, *layer.norm_self)
     assert np.array_equal(got.data, want.data)
     assert np.array_equal(probs.data, np.ones((layer.self_attn.n_heads, 1, 1)))
 
@@ -143,21 +149,22 @@ def test_encoder_identical_positions_identical_rows():
     model = Seq2SeqModel(tiny_config())
     row = rng(3).standard_normal(8)
     x = Tensor(np.stack([row, row]))
-    out = model.enc_layers[0].self_block(x, lone(x))
+    out = attention_sublayer(model.enc_layers[0], x)
     assert np.array_equal(out.data[0], out.data[1])
 
 
 def test_encoder_layer_matches_composed_primitives():
-    model = Seq2SeqModel(tiny_config())
-    layer = model.enc_layers[1]
-    x = Tensor(rng(4).standard_normal((4, 8)))
-    got = layer.ffn_block(layer.self_block(x, lone(x)))
+    model = Seq2SeqModel(tiny_config(n_enc_layers=1))
+    layer = model.enc_layers[0]
+    ids = np.array([3, 5, 2, 7])
+    _, cache = model.encode(ids)
 
+    x = model.embed(ids, "encoder", lone(ids))
     a, _ = multi_head_attention(x, x, layer.self_attn)
-    a = layer_norm(x + a, layer.norm_self.gamma, layer.norm_self.beta)
+    a = layer_norm(x + a, *layer.norm_self)
     f = layer.ffn(a)
-    want = layer_norm(a + f, layer.norm_ffn.gamma, layer.norm_ffn.beta)
-    assert np.array_equal(got.data, want.data)
+    want = layer_norm(a + f, *layer.norm_ffn)
+    assert np.array_equal(cache.outputs[1].data, want.data)
 
 
 # -- decoder layer ----------------------------------------------------------------
@@ -167,9 +174,9 @@ def test_decoder_position_zero_attends_itself_only():
     model = Seq2SeqModel(tiny_config())
     layer = model.dec_layers[0]
     x = Tensor(rng(5).standard_normal((3, 8)))
-    got = layer.self_block(x, lone(x), make_causal_mask(3))
+    got = attention_sublayer(layer, x, mask=make_causal_mask(3))
     first = Tensor(x.data[:1].copy())
-    solo = layer.self_block(first, lone(first), make_causal_mask(1))
+    solo = attention_sublayer(layer, first, mask=make_causal_mask(1))
     assert np.allclose(got.data[0], solo.data[0], atol=1e-12)
 
 
@@ -177,10 +184,10 @@ def test_causal_mask_ignores_future_rows():
     model = Seq2SeqModel(tiny_config())
     layer = model.dec_layers[0]
     x = rng(6).standard_normal((4, 8))
-    base = layer.self_block(Tensor(x.copy()), lone(x), make_causal_mask(4))
+    base = attention_sublayer(layer, Tensor(x.copy()), mask=make_causal_mask(4))
     x2 = x.copy()
     x2[2:] = rng(7).standard_normal((2, 8))
-    moved = layer.self_block(Tensor(x2), lone(x2), make_causal_mask(4))
+    moved = attention_sublayer(layer, Tensor(x2), mask=make_causal_mask(4))
     assert np.array_equal(base.data[:2], moved.data[:2])
 
 
@@ -198,9 +205,9 @@ def test_cross_attention_single_encoder_key():
     layer = model.dec_layers[0]
     x = Tensor(rng(9).standard_normal((3, 8)))
     enc = Tensor(rng(10).standard_normal((1, 8)))
-    got = layer.cross_block(x, enc, lone(x))
+    got = attention_sublayer(layer, x, enc)
     want, _ = multi_head_attention(x, enc, layer.cross_attn)
-    want = layer_norm(x + want, layer.norm_cross.gamma, layer.norm_cross.beta)
+    want = layer_norm(x + want, *layer.norm_cross)
     assert np.array_equal(got.data, want.data)
     # every decoder position receives the same projected encoder vector
     added = multi_head_attention(x, enc, layer.cross_attn)[0].data
@@ -213,57 +220,45 @@ def test_cross_attention_zero_memory_is_residual_only():
     layer = model.dec_layers[1]
     x = Tensor(rng(11).standard_normal((2, 8)))
     enc = Tensor(np.zeros((3, 8)))
-    got = layer.cross_block(x, enc, lone(x))
-    want = layer_norm(x, layer.norm_cross.gamma, layer.norm_cross.beta)
+    got = attention_sublayer(layer, x, enc)
+    want = layer_norm(x, *layer.norm_cross)
     assert np.array_equal(got.data, want.data)
 
 
 # -- feed-forward ------------------------------------------------------------------
 
 
-class _Reg:
-    def __init__(self):
-        self.params = {}
-
-    def add(self, name, array):
-        t = Tensor(array, requires_grad=True)
-        self.params[name] = t
-        return t
-
-    add_init = None
-
-
 def _make_ffn(d, d_ffn, seed):
-    reg = _Reg()
-    reg.add_init = lambda name, t: reg.params.setdefault(name, t)
-    return _FeedForward(reg, "ffn", rng(seed), d, d_ffn)
+    """An encoder layer built on a plain parameter dict; tests call its ffn."""
+    cfg = tiny_config(d_model=d, d_ffn=d_ffn)
+    return _Layer({}, "enc.0", rng(seed), cfg, cross=False, fused=False)
 
 
 def test_ffn_zero_weights_pass_through_zero():
-    ffn = _make_ffn(4, 6, 12)
-    ffn.w1.data[:] = 0.0
-    ffn.w2.data[:] = 0.0
+    layer = _make_ffn(4, 6, 12)
+    layer.w1.data[:] = 0.0
+    layer.w2.data[:] = 0.0
     x = Tensor(rng(13).standard_normal((2, 4)))
-    assert np.array_equal(ffn(x).data, np.zeros((2, 4)))
+    assert np.array_equal(layer.ffn(x).data, np.zeros((2, 4)))
 
 
 def test_ffn_dead_relu_outputs_second_bias():
-    ffn = _make_ffn(4, 6, 14)
-    ffn.w1.data[:] = 0.0
-    ffn.b1.data[:] = -1.0
-    ffn.b2.data[:] = rng(15).standard_normal(4)
+    layer = _make_ffn(4, 6, 14)
+    layer.w1.data[:] = 0.0
+    layer.b1.data[:] = -1.0
+    layer.b2.data[:] = rng(15).standard_normal(4)
     x = Tensor(rng(16).standard_normal((3, 4)))
-    out = ffn(x)
-    assert np.array_equal(out.data, np.broadcast_to(ffn.b2.data, (3, 4)))
+    out = layer.ffn(x)
+    assert np.array_equal(out.data, np.broadcast_to(layer.b2.data, (3, 4)))
 
 
 def test_ffn_matches_explicit_loop():
-    ffn = _make_ffn(4, 6, 17)
+    layer = _make_ffn(4, 6, 17)
     x = rng(18).standard_normal((3, 4))
-    got = ffn(Tensor(x)).data
+    got = layer.ffn(Tensor(x)).data
     for i in range(3):
-        hidden = np.maximum(x[i] @ ffn.w1.data + ffn.b1.data, 0.0)
-        want = hidden @ ffn.w2.data + ffn.b2.data
+        hidden = np.maximum(x[i] @ layer.w1.data + layer.b1.data, 0.0)
+        want = hidden @ layer.w2.data + layer.b2.data
         assert np.max(np.abs(got[i] - want)) < 1e-12
 
 

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from layerfuse import cli, training
+from layerfuse import model as model_module
 from layerfuse.attention import Packing
 from layerfuse.fusion import VARIANT_NAMES
-from layerfuse.model import DecodeState, ModelConfig, Seq2SeqModel, _Layer
+from layerfuse.model import DecodeState, ModelConfig, Seq2SeqModel
 from layerfuse.tensor import ShapeError, no_grad
 from layerfuse.training import (
     CheckpointError,
@@ -517,19 +518,21 @@ def test_cached_decode_steps_run_one_position_per_layer(monkeypatch):
     sources = [np.array([3, 4, 5, 6]), np.array([7, 8])]
     # EOS id 10 is outside the vocabulary, so every sentence uses its budget.
     want = [full_recompute_greedy_decode(model, src, 1, 10, MAX_NEW)[:2] for src in sources]
-    rows = []      # (side, positions) of every layer call
+    rows = []      # (side, query rows) of every self-attention call
     encoded = []   # source length of every encode call
-    real_self_block, real_encode = _Layer.self_block, Seq2SeqModel.encode
+    self_attn = ([("enc", layer.self_attn) for layer in model.enc_layers]
+                 + [("dec", layer.self_attn) for layer in model.dec_layers])
+    real_attention, real_encode = model_module.multi_head_attention, Seq2SeqModel.encode
 
-    def self_block(layer, x, *args, **kwargs):
-        rows.append(("dec" if layer.cross_attn is not None else "enc", x.shape[-2]))
-        return real_self_block(layer, x, *args, **kwargs)
+    def attention(query, memory, params, *args, **kwargs):
+        rows.extend((side, query.shape[-2]) for side, p in self_attn if p is params)
+        return real_attention(query, memory, params, *args, **kwargs)
 
     def encode(self, src_ids, **kwargs):
         encoded.append(len(src_ids))
         return real_encode(self, src_ids, **kwargs)
 
-    monkeypatch.setattr(_Layer, "self_block", self_block)
+    monkeypatch.setattr(model_module, "multi_head_attention", attention)
     monkeypatch.setattr(Seq2SeqModel, "encode", encode)
     assert [greedy_decode(model, src, 1, 10, MAX_NEW) for src in sources] == want
     assert encoded == [4, 2]
