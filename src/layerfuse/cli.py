@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import signal
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .compgen import (
@@ -418,13 +420,112 @@ def cmd_analyze(cfg: dict, checkpoint: str | None = None) -> int:
     return 0
 
 
-def cmd_sweep(cfg: dict, variants: list, seeds: list) -> int:
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_runs(fn, runs: list, jobs: int, report) -> list:
+    """[fn(run) for run in runs] in ``jobs`` processes, calling ``report`` on
+    each result in run order once it and every earlier one are done.
+
+    The split is static: this process computes runs[0::jobs] and forks
+    jobs - 1 children, child k computing runs[k::jobs] and sending each
+    result, or the exception that ended it, back over a pipe. So jobs=1 forks
+    nothing. The first exception in run order is raised once every earlier
+    run is done, and no later run is started here; every child is killed
+    and reaped on the way out, however it is taken.
+    """
+    # Imported here, not at the top: it adds about 1 MB to the peak RSS of
+    # every command, and only a sweep uses it.
+    import multiprocessing.connection
+
+    n = len(runs)
+    done, results = {}, []   # index -> (ok, result or exception); reported results
+    readers, pids = {}, []   # each live child's pipe -> the index it sends next
+
+    def collect(timeout):
+        """Take what the children sent, waiting up to ``timeout`` for the
+        first message, then report or raise what is next in order."""
+        while readers:
+            ready = multiprocessing.connection.wait(list(readers), timeout)
+            if not ready:
+                break
+            for reader in ready:
+                try:
+                    i, ok, value = reader.recv()
+                except EOFError:  # the child exited
+                    i = readers.pop(reader)
+                    reader.close()
+                    if i < n:
+                        done[i] = (False, TrainingError(
+                            f"the process running sweep run {i + 1} of {n} "
+                            f"ended without a result"))
+                    continue
+                done[i] = (ok, value)
+                readers[reader] = i + jobs
+            timeout = 0
+        while len(results) in done:
+            ok, value = done.pop(len(results))
+            if not ok:
+                raise value
+            report(value)
+            results.append(value)
+
+    try:
+        for k in range(1, jobs):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    reader.close()
+                    for i in range(k, n, jobs):
+                        try:
+                            writer.send((i, True, fn(runs[i])))
+                        except BaseException as exc:
+                            writer.send((i, False, exc))
+                            break
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            writer.close()
+            readers[reader] = k
+        for i in range(0, n, jobs):
+            collect(0)
+            if any(j < i and not ok for j, (ok, _) in done.items()):
+                break
+            try:
+                done[i] = (True, fn(runs[i]))
+            except Exception as exc:
+                done[i] = (False, exc)
+        while len(results) < n:
+            collect(None)
+        return results
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def cmd_sweep(cfg: dict, variants: list, seeds: list, jobs: str | int | None = None) -> int:
     """train + eval --split cg_test + analyze for every (variant, seed) into
-    out_dir/runs/<variant>-s<seed>, then the sweep_results tables."""
+    out_dir/runs/<variant>-s<seed>, then the sweep_results tables. The runs
+    go to ``jobs`` processes (default: one per run, up to the usable CPUs)."""
     try:
         seeds = [int(s) for s in seeds]
     except ValueError as exc:
         raise UsageError(f"seeds must be comma-separated integers: {exc}") from exc
+    cpus = _usable_cpus()
+    if jobs is not None:
+        if not (str(jobs).isdecimal() and 1 <= int(jobs) <= cpus):
+            raise UsageError(f"--jobs must be an integer from 1 to {cpus} (the usable "
+                             f"CPUs), got {jobs!r}")
+        jobs = int(jobs)
     # A repeat would train twice into one run directory.
     for name, values in (("variants", variants), ("seeds", seeds)):
         repeated = sorted({str(x) for x in values if values.count(x) > 1})
@@ -441,23 +542,26 @@ def cmd_sweep(cfg: dict, variants: list, seeds: list) -> int:
             run_cfg["variant"] = variant
             run_cfg["out_dir"] = str(out_dir / "runs" / f"{variant}-s{seed}")
             run_cfg["model"]["seed"] = run_cfg["train"]["seed"] = seed
-            _model_config(run_cfg)  # every run is checked before any work
-            tcfg = _section(TrainConfig, "train", run_cfg["train"])
-            runs.append((variant, seed, run_cfg, tcfg))
+            # Every run is checked before any work.
+            runs.append((variant, seed, run_cfg, _model_config(run_cfg),
+                         _section(TrainConfig, "train", run_cfg["train"])))
     corpus = generate_corpus(spec)
+    _check_lengths(corpus, runs[0][3].max_len)  # the same max_len for every run
     write_corpus(corpus, out_dir / "data")
 
     train_set = triples(corpus.train, corpus.src_vocab, corpus.tgt_vocab)
-    rows = []
-    for variant, seed, run_cfg, tcfg in runs:
-        model = Seq2SeqModel(_model_config(run_cfg, corpus))
+    vocab_sizes = {"src_vocab": len(corpus.src_vocab), "tgt_vocab": len(corpus.tgt_vocab)}
+
+    def run(item) -> dict:
+        variant, seed, run_cfg, mcfg, tcfg = item
+        model = Seq2SeqModel(replace(mcfg, **vocab_sizes))
         # No dev-loss passes: the sweep reports cg_test only, and a pass
         # over the default 500 dev sentences outweighs a short run.
         summary = _train_run(run_cfg, model, tcfg, train_set)
         metrics = _eval_run(run_cfg, corpus, model, "cg_test")
         if model.config.fuses:
             _analyze_run(run_cfg, corpus, model)
-        row = {
+        return {
             "variant": variant,
             "seed": seed,
             "params": model.param_count(),
@@ -467,11 +571,14 @@ def cmd_sweep(cfg: dict, variants: list, seeds: list) -> int:
             "exact_match": metrics["exact_match"],
             "final_loss": summary["final_loss"],
         }
-        rows.append(row)
-        print(f"[sweep] {variant} seed={seed} "
+
+    def report(row: dict) -> None:
+        print(f"[sweep] {row['variant']} seed={row['seed']} "
               f"cter_inst={row['cter_instance']:.4f} "
               f"cter_aggr={row['cter_aggregate']:.4f} "
-              f"em={row['exact_match']:.4f} params={row['params']}")
+              f"em={row['exact_match']:.4f} params={row['params']}", flush=True)
+
+    rows = _map_runs(run, runs, min(jobs or cpus, len(runs)), report)
 
     _write_csv(out_dir / "sweep_results.csv", list(rows[0]),
                [list(row.values()) for row in rows])
@@ -531,6 +638,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", default=",".join(VARIANT_NAMES),
                    help="comma-separated variant names")
     p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
+    p.add_argument("--jobs", default=None,
+                   help="processes to run the runs in, 1 to the usable CPUs "
+                        "(default: one per run, up to the usable CPUs)")
     return parser
 
 
@@ -549,7 +659,7 @@ def main(argv=None) -> int:
             return cmd_analyze(cfg, checkpoint=args.checkpoint)
         if args.command == "sweep":
             return cmd_sweep(cfg, variants=args.variants.split(","),
-                             seeds=args.seeds.split(","))
+                             seeds=args.seeds.split(","), jobs=args.jobs)
     except (UsageError, GenerationError, FusionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,10 +2,12 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -513,6 +515,115 @@ def test_sweep_run_dir_equals_standalone_pipeline(pipeline, tmp_path):
     assert not (run / "analysis_summary.json").exists()
 
 
+needs_two_cpus = pytest.mark.skipif(cli._usable_cpus() < 2, reason="needs 2 usable CPUs")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def swept_files(out_dir):
+    """Every file under ``out_dir`` by relative path, train logs without wall_ms."""
+    files = {}
+    for path in sorted(Path(out_dir).rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "train_log.jsonl":
+                data = [{k: v for k, v in json.loads(line).items() if k != "wall_ms"}
+                        for line in data.splitlines()]
+            files[str(path.relative_to(out_dir))] = data
+    return files
+
+
+@needs_two_cpus
+def test_sweep_jobs_2_writes_and_prints_what_jobs_1_does(tmp_path, capsys):
+    # Three runs: the parent takes the first and third, the child the second.
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--out", str(out), "--variants", "vanilla,fuse,accum",
+                     "--seeds", "0", "--jobs", jobs] + sets()) == 0
+        assert_no_child_left()
+        outputs.append((swept_files(out), capsys.readouterr()))
+    (files_1, std_1), (files_2, std_2) = outputs
+    assert len(files_1) == 32  # corpus 5, tables 2, 8 per run and fuse_probs.csv
+    assert files_1 == files_2
+    assert std_1 == std_2
+    assert [line.split()[1] for line in std_1.out.splitlines()[:3]] == [
+        "vanilla", "fuse", "accum"]
+
+
+def before_training(monkeypatch, act):
+    """Call ``act(variant)`` before each sweep run trains; patched before
+    main runs, so a forked child inherits it."""
+    train_run = cli._train_run
+
+    def patched(cfg, model, *args, **kwargs):
+        act(model.config.variant)
+        return train_run(cfg, model, *args, **kwargs)
+    monkeypatch.setattr(cli, "_train_run", patched)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("delays, first", [
+    ({"accum": 0.0}, "accum"), ({"fuse": 0.0}, "fuse"),
+    ({"accum": 1.0, "fuse": 0.0}, "accum")],
+    ids=["child-run", "parent-run", "later-run-fails-first"])
+def test_sweep_failure_reports_the_first_failing_run_at_any_jobs(
+        tmp_path, capsys, monkeypatch, delays, first):
+    def act(variant):
+        if variant in delays:
+            time.sleep(delays[variant])
+            raise training.TrainingError(f"{variant} diverged")
+    before_training(monkeypatch, act)
+    seen = []
+    for jobs in ("1", "2"):
+        # At --jobs 2 this process runs vanilla, fuse and fuse_dec, the child
+        # accum and fuse_enc.
+        out = tmp_path / f"jobs{jobs}"
+        rc = main(["sweep", "--out", str(out), "--variants",
+                   "vanilla,accum,fuse,fuse_enc,fuse_dec", "--seeds", "0",
+                   "--jobs", jobs] + sets())
+        assert_no_child_left()
+        seen.append((rc, capsys.readouterr()))
+        assert not (out / "runs" / "fuse_dec-s0").exists()
+        assert not (out / "sweep_results.csv").exists()
+    assert seen[0] == seen[1]
+    rc, std = seen[0]
+    assert rc == 3
+    assert std.err == f"error: {first} diverged\n"
+
+
+@needs_two_cpus
+def test_sweep_child_ending_without_a_result_exits_3(tmp_path, capsys, monkeypatch):
+    def act(variant):
+        if variant == "accum":  # the child's run
+            os._exit(1)
+    before_training(monkeypatch, act)
+    rc = main(["sweep", "--out", str(tmp_path / "s"), "--variants", "vanilla,accum",
+               "--seeds", "0", "--jobs", "2"] + sets())
+    assert_no_child_left()
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: the process running sweep run 2 of 2 ended without a result\n")
+
+
+@needs_two_cpus
+def test_sweep_interrupted_in_the_parent_kills_the_child(tmp_path, monkeypatch):
+    def act(variant):
+        if variant == "vanilla":  # this process's run
+            raise KeyboardInterrupt
+        time.sleep(60)  # the child's run, which the parent must not wait for
+    before_training(monkeypatch, act)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--out", str(tmp_path / "s"), "--variants", "vanilla,accum",
+              "--seeds", "0", "--jobs", "2"] + sets())
+    assert time.perf_counter() - t0 < 30
+    assert_no_child_left()
+
+
 # -- exit codes ------------------------------------------------------------------
 
 
@@ -634,6 +745,13 @@ def sweep_seeds(seeds, variants="vanilla", *extra):
     def make(pipeline, tmp_path):
         return ["sweep", "--out", str(tmp_path / "s"), "--variants", variants,
                 "--seeds", seeds] + sets(*extra)
+    return make
+
+
+def sweep_jobs(jobs):
+    def make(pipeline, tmp_path):
+        return ["sweep", "--out", str(tmp_path / "s"), "--variants", "vanilla",
+                "--seeds", "0", "--jobs", jobs] + sets()
     return make
 
 
@@ -850,6 +968,12 @@ def corpus_file_as_directory(name):
     (gen_with_config(b'\xff{"corpus": {}}'), 2, "is not valid UTF-8 JSON"),
     (corpus_file_as_directory("manifest.json"), 2, "no corpus manifest at"),
     (corpus_file_as_directory("dev.jsonl"), 2, "dev.jsonl holds 0 examples"),
+    (sweep_seeds("0", "vanilla", "model.max_len=8"), 2, "but model.max_len is 8"),
+    (sweep_jobs("x"), 2, "--jobs must be an integer from 1 to"),
+    (sweep_jobs("1.5"), 2, "got '1.5'"),
+    (sweep_jobs("0"), 2, "got '0'"),
+    # Refused before any fork, so no test starts this many processes.
+    (sweep_jobs(str(os.cpu_count() + 1)), 2, f"got '{os.cpu_count() + 1}'"),
 ], ids=["seeds-not-int", "seeds-empty", "truncated-dev-line", "dev-line-missing",
         "dev-token-unknown", "cg-test-source-empty", "train-sources-empty",
         "cg-test-pattern-unknown", "cg-test-one-atom", "cg-test-compound-length-9",
@@ -880,7 +1004,9 @@ def corpus_file_as_directory(name):
         "train-out-file", "sweep-out-file", "eval-out-file", "gen-out-under-file",
         "resume-missing", "resume-directory", "eval-checkpoint-missing",
         "eval-checkpoint-directory", "analyze-checkpoint-directory", "config-directory",
-        "config-not-utf8", "manifest-directory", "dev-split-directory"])
+        "config-not-utf8", "manifest-directory", "dev-split-directory",
+        "sweep-max-len-below-corpus", "sweep-jobs-string", "sweep-jobs-float",
+        "sweep-jobs-zero", "sweep-jobs-over-cpus"])
 def test_bad_input_exits_with_one_error_line(pipeline, tmp_path, make_argv, code, detail):
     argv = make_argv(pipeline, tmp_path)
     result = subprocess.run([sys.executable, "-m", "layerfuse.cli"] + argv,

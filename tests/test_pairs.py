@@ -36,7 +36,8 @@ def test_summary_counts_wins_ties_and_quartiles():
     assert "parent median 13 [q1 11.5, q3 14.5]" in op
     assert "change wins 2/4" in op and "within bound" in op
     assert "change wins 2/4" in tokens
-    assert lines[3] == "  parent: 0/80 operations failed, 0 runs not correct"
+    assert lines[3] == "  wall op_ms_p50 (ms, not a bound): parent absent  change absent"
+    assert lines[4] == "  parent: 0/80 operations failed, 0 runs not correct"
 
 
 def test_summary_flags_failures_and_a_worse_median():
@@ -125,3 +126,37 @@ def test_a_run_without_a_json_last_line_fails_naming_checkout_workload_and_seed(
     assert "Traceback" not in result.stderr
     (line,) = result.stderr.splitlines()
     assert line.startswith(f"error: {tmp_path}: decode_fuse seed 0 "), line
+
+
+FAKE_RUN = """import json, pathlib, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+if {wall!r} is not None:
+    results = pathlib.Path(".perfbench/results")
+    results.mkdir(parents=True, exist_ok=True)
+    (results / f"{{args['--workload']}}-s{{args['--seed']}}-t0.json").write_text(
+        json.dumps({{"extra": {{"wall_op_ms_p50": {{"value": {wall!r}, "unit": "ms"}}}}}}))
+print(json.dumps({{"correct": True, "attempted": 1, "failed": 0, "metrics": {{}}}}))
+"""
+
+
+def fake_checkout(path, wall):
+    """A checkout whose run.py prints a correct result and writes a results
+    file with wall-clock op_ms_p50 ``wall``, or none when ``wall`` is None."""
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(FAKE_RUN.format(wall=wall))
+    (path / "BENCHMARK.json").write_text('{"run_seconds": 1, "end_to_end": []}')
+    return path
+
+
+def test_workload_prints_each_sides_wall_time_or_absent(tmp_path):
+    parent = fake_checkout(tmp_path / "parent", 12.5)
+    change = fake_checkout(tmp_path / "change", None)
+    # A results file from an earlier run is not read as this run's.
+    stale = change / ".perfbench" / "results" / "sweep_small-s0-t0.json"
+    stale.parent.mkdir(parents=True)
+    stale.write_text('{"extra": {"wall_op_ms_p50": {"value": 99.0, "unit": "ms"}}}')
+    result = run_pairs_tool(parent, change, "--workload", "sweep_small")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[1] == (
+        "  wall op_ms_p50 (ms, not a bound): parent median 12.5 [q1 12.5, q3 12.5]  "
+        "change absent")

@@ -13,9 +13,12 @@ for neither.
 --workload W runs ``perfbench/run.py --workload W --seconds S --seed i`` in
 each checkout for pair i, S being CHANGE's BENCHMARK.json ``run_seconds``
 unless given. Per end-to-end metric of that file it prints the comparison
-and the median's change against the metric's bound, then each side's failed
-operations. It exits 1 when a run exits non-zero, does not end with a JSON
-result line or reports ``"correct": false``.
+and the median's change against the metric's bound, then each side's
+wall-clock ``op_ms_p50`` (``extra.wall_op_ms_p50`` of the run's
+``.perfbench/results/<W>-s<i>-t0.json``; not a bound, and ``absent`` when a
+run left no such file), then each side's failed operations. It exits 1
+when a run exits non-zero, does not end with a JSON result line or reports
+``"correct": false``.
 
 --op times one operation in this process, with one BLAS thread set before
 numpy loads. Each checkout's src/layerfuse is loaded twice as a package of
@@ -91,14 +94,18 @@ def quartiles(values: list) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def spread(values: list) -> str:
+    """``values``' median [q1, q3]."""
+    q1, q2, q3 = quartiles(values)
+    return f"median {q2:.4g} [q1 {q1:.4g}, q3 {q3:.4g}]"
+
+
 def compare(values: dict, pair_values: dict, lower: bool = True) -> str:
     """Each side's median [q1, q3] of ``values`` and the change's wins over
     ``pair_values``, one value per pair and side."""
     wins = sum((c < p) if lower else (c > p)
                for p, c in zip(pair_values["parent"], pair_values["change"]))
-    stats = {side: quartiles(values[side]) for side in SIDES}
-    return "  ".join(f"{side} median {q2:.4g} [q1 {q1:.4g}, q3 {q3:.4g}]"
-                     for side, (q1, q2, q3) in stats.items()
+    return "  ".join(f"{side} {spread(values[side])}" for side in SIDES
                      ) + f"  change wins {wins}/{len(pair_values['change'])}"
 
 
@@ -106,7 +113,10 @@ def compare(values: dict, pair_values: dict, lower: bool = True) -> str:
 
 
 def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
-    """One benchmark run; returns the JSON object of its last output line."""
+    """One benchmark run; returns the JSON object of its last output line,
+    with the run's wall-clock op_ms_p50 (None if absent) as ``wall_op_ms_p50``."""
+    results = checkout / ".perfbench" / "results" / f"{workload}-s{seed}-t0.json"
+    results.unlink(missing_ok=True)  # so an earlier run's file is not read
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", str(seconds), "--seed", str(seed)],
@@ -121,6 +131,11 @@ def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
     if not isinstance(result, dict):
         raise RuntimeError(f"{checkout}: {workload} seed {seed} printed no JSON object "
                            f"as its last line")
+    try:
+        record = json.loads(results.read_text(encoding="utf-8"))
+        result["wall_op_ms_p50"] = float(record["extra"]["wall_op_ms_p50"]["value"])
+    except (OSError, ValueError, KeyError, TypeError):
+        result["wall_op_ms_p50"] = None
     return result
 
 
@@ -143,6 +158,10 @@ def summarize(benchmark: dict, workload: str, runs: dict) -> tuple[list[str], bo
         lines.append(f"  {name} ({spec['unit']}, {spec['better']} is better): "
                      f"{compare(values, values, lower)}  median worse by "
                      f"{100 * worse:+.1f}% ({verdict}, bound {100 * spec['bound']:.0f}%)")
+    walls = {side: [r.get("wall_op_ms_p50") for r in runs[side]] for side in SIDES}
+    lines.append("  wall op_ms_p50 (ms, not a bound): " + "  ".join(
+        f"{side} {'absent' if None in walls[side] else spread(walls[side])}"
+        for side in SIDES))
     correct = True
     for side in SIDES:
         failed = sum(r["failed"] for r in runs[side])
